@@ -9,7 +9,6 @@ from .catalog import (
     find_matches,
     get_pattern,
     load_catalog,
-    properly_contains,
 )
 from .coloring import (
     Coloring,
@@ -25,34 +24,26 @@ from .coloring import (
     verify_dynamic,
 )
 from .drawing import (
+    AbstractGraph,
     Drawing,
     DrawingError,
     DrawingFormatError,
     InvalidDrawingError,
-    Segment,
-    co_crosses,
-    crossing_pairs,
-    degrees,
     delete_vertices,
     emit_drawing,
     parse_drawing,
-    segment_kind,
-    segment_vertices,
 )
 from .generators import cycle, h_family, random_outer_1_planar, sharp_example
 from .oracle import (
-    AbstractGraph,
     SizeLimitExceeded,
     canonical_key,
     chromatic_r_dynamic,
     enumerate_drawings,
     enumerate_drawings_deduped,
     has_r_dynamic_k_coloring,
-    is_list_colorable,
     is_maximal,
     is_outer_1_planar,
     solve_list_r_dynamic,
-    underlying,
 )
 from .structure import (
     LightEdge,

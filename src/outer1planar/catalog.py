@@ -13,7 +13,7 @@ in the optional drawing-correspondence check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from itertools import permutations
 
@@ -53,10 +53,6 @@ class ConfigPattern:
     crossings: tuple[tuple[int, int], ...]  # indices into edges
     anchors: dict[str, str] = field(default_factory=dict)
 
-    @property
-    def d1_pair(self) -> tuple[str, str] | None:
-        return ("u", "v") if self.id == 3 else None
-
     def neighbors(self, label: str) -> frozenset[str]:
         out = set()
         for a, b in self.edges:
@@ -69,11 +65,7 @@ class ConfigPattern:
     def edge_count(self, label: str) -> int:
         return len(self.neighbors(label))
 
-    def solid_or_marked(self) -> frozenset[str]:
-        return frozenset(
-            l for l, r in self.roles.items() if r.kind in (SOLID, MARKED)
-        )
-
+    @cached_property
     def automorphisms(self) -> tuple[dict[str, str], ...]:
         """All role- and edge-preserving relabelings (brute force; patterns are tiny)."""
         edge_set = {frozenset(e) for e in self.edges}
@@ -93,9 +85,6 @@ class Match:
 
     pattern_id: int
     assignment: dict[str, int]
-
-    def key(self, labels: tuple[str, ...]) -> tuple[int, ...]:
-        return tuple(self.assignment[l] for l in labels)
 
 
 def _parse_catalog(text: str) -> list[ConfigPattern]:
@@ -315,7 +304,7 @@ def find_matches(d: Drawing, p: ConfigPattern, check_d2: bool = False) -> list[M
 
     place(0)
 
-    autos = p.automorphisms()
+    autos = p.automorphisms
     reps: dict[tuple[int, ...], tuple[int, ...]] = {}
     idx = {l: i for i, l in enumerate(p.labels)}
     for tup in found:
@@ -347,12 +336,3 @@ def _search_order(p: ConfigPattern, candidates: dict[str, list[int]]) -> list[st
 def contains(d: Drawing, pid: int) -> bool:
     return bool(find_matches(d, get_pattern(pid)))
 
-
-def properly_contains(d: Drawing, p: ConfigPattern, a: int, b: int) -> bool:
-    """True iff some occurrence keeps solid and marked vertices off {a, b}."""
-    forbidden = {a, b}
-    protected = p.solid_or_marked()
-    for m in find_matches(d, p):
-        if all(m.assignment[l] not in forbidden for l in protected):
-            return True
-    return False

@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import catalog, coloring, generators, oracle, structure
 from .drawing import Drawing, DrawingError, emit_dot, emit_drawing, parse_drawing
@@ -25,19 +24,15 @@ EXIT_INPUT = 2
 EXIT_GUARANTEE = 3
 
 
-@dataclass(frozen=True)
-class RunReport:
-    command: str
-    input_digest: str
-    result: dict
-    elapsed_ms: float
-
-
-def _read_input(path: str) -> str:
+def _read_input(args, path: str) -> str:
+    """Text of a file, or of stdin for "-", kept on args for the run report."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    args.inputs.append(text)
+    return text
 
 
 def _emit(payload: dict) -> None:
@@ -48,20 +43,12 @@ def _note(message: str) -> None:
     sys.stderr.write(message + "\n")
 
 
-def _drawing_from(path: str) -> tuple[Drawing, str]:
-    text = _read_input(path)
-    return parse_drawing(text), text
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("O1P_WORKERS", "1")))
-    except ValueError:
-        return 1
+def _drawing_from(args) -> Drawing:
+    return parse_drawing(_read_input(args, args.file))
 
 
 def _cmd_validate(args) -> tuple[int, dict]:
-    d, _ = _drawing_from(args.file)
+    d = _drawing_from(args)
     if args.emit == "dot":
         sys.stdout.write(emit_dot(d))
         return EXIT_OK, {}
@@ -74,7 +61,7 @@ def _cmd_validate(args) -> tuple[int, dict]:
 
 
 def _cmd_find_config(args) -> tuple[int, dict]:
-    d, _ = _drawing_from(args.file)
+    d = _drawing_from(args)
     if args.check_d2:
         for pid in range(1, 18):
             matches = catalog.find_matches(d, catalog.get_pattern(pid), check_d2=True)
@@ -95,7 +82,7 @@ def _cmd_find_config(args) -> tuple[int, dict]:
 
 
 def _cmd_light_edge(args) -> tuple[int, dict]:
-    d, _ = _drawing_from(args.file)
+    d = _drawing_from(args)
     e = structure.find_light_edge(d, maximal_mode=args.maximal)
     return EXIT_OK, {
         "edge": list(e.endpoints),
@@ -105,7 +92,7 @@ def _cmd_light_edge(args) -> tuple[int, dict]:
 
 
 def _cmd_reduce(args) -> tuple[int, dict]:
-    d, _ = _drawing_from(args.file)
+    d = _drawing_from(args)
     s = structure.find_reduction(d)
     return EXIT_OK, {
         "kind": s.kind,
@@ -115,9 +102,9 @@ def _cmd_reduce(args) -> tuple[int, dict]:
 
 
 def _cmd_color(args) -> tuple[int, dict]:
-    d, _ = _drawing_from(args.file)
+    d = _drawing_from(args)
     if args.lists:
-        lists = coloring.parse_lists(_read_input(args.lists))
+        lists = coloring.parse_lists(_read_input(args, args.lists))
     else:
         lists = coloring.uniform_lists(d, args.palette)
     colors = coloring.color_list_3_dynamic(d, lists)
@@ -130,8 +117,8 @@ def _cmd_color(args) -> tuple[int, dict]:
 
 
 def _cmd_verify(args) -> tuple[int, dict]:
-    d, _ = _drawing_from(args.file)
-    colors = coloring.parse_coloring_json(_read_input(args.coloring))
+    d = _drawing_from(args)
+    colors = coloring.parse_coloring_json(_read_input(args, args.coloring))
     try:
         verdict = coloring.verify_dynamic(d, colors, args.r)
     except KeyError as exc:
@@ -150,21 +137,21 @@ def _cmd_verify(args) -> tuple[int, dict]:
 
 
 def _cmd_oracle_chi(args) -> tuple[int, dict]:
-    d, _ = _drawing_from(args.file)
-    chi = oracle.chromatic_r_dynamic(oracle.underlying(d), args.r, args.k_max)
+    d = _drawing_from(args)
+    chi = oracle.chromatic_r_dynamic(d, args.r, args.k_max)
     if chi is None:
         return EXIT_FALSE, {"chi": None, "k_max": args.k_max, "r": args.r}
     return EXIT_OK, {"chi": chi, "r": args.r}
 
 
 def _cmd_oracle_recognize(args) -> tuple[int, dict]:
-    d, _ = _drawing_from(args.file)
-    verdict = oracle.is_outer_1_planar(oracle.underlying(d))
+    d = _drawing_from(args)
+    verdict = oracle.is_outer_1_planar(d)
     return (EXIT_OK if verdict else EXIT_FALSE), {"outer_1_planar": verdict}
 
 
 def _cmd_oracle_maximal(args) -> tuple[int, dict]:
-    d, _ = _drawing_from(args.file)
+    d = _drawing_from(args)
     verdict = oracle.is_maximal(d)
     return (EXIT_OK if verdict else EXIT_FALSE), {"maximal": verdict}
 
@@ -199,7 +186,7 @@ def _check_reduce(d: Drawing) -> bool:
 def _check_chi(d: Drawing) -> bool:
     if not d.is_connected():
         return True
-    return oracle.has_r_dynamic_k_coloring(oracle.underlying(d), 3, 6)
+    return oracle.has_r_dynamic_k_coloring(d, 3, 6)
 
 
 _CHECKS = {
@@ -212,40 +199,31 @@ _CHECKS = {
 
 def _cmd_enumerate(args) -> tuple[int, dict]:
     total = 0
-    classes = 0
     failures = 0
+    first_failure = None
     check = _CHECKS.get(args.check) if args.check else None
     seen: set[tuple] = set()
-    reps: list[Drawing] = []
     for d in oracle.enumerate_drawings(args.n, args.filter):
         total += 1
         key = oracle.canonical_key(d)
         if key in seen:
             continue
         seen.add(key)
-        classes += 1
-        if check is not None:
-            reps.append(d)
-    if check is not None:
-        workers = _workers()
-        if workers > 1:
-            import multiprocessing
-
-            with multiprocessing.Pool(workers) as pool:
-                verdicts = pool.map(check, reps)
-            failures = sum(1 for ok in verdicts if not ok)
-        else:
-            failures = sum(1 for d in reps if not check(d))
+        if check is not None and not check(d):
+            failures += 1
+            if first_failure is None:
+                first_failure = {"n": d.n, "edges": sorted(list(e) for e in d.edges)}
     payload = {
         "n": args.n,
         "filter": args.filter,
         "count": total,
-        "classes": classes,
+        "classes": len(seen),
     }
     if check is not None:
         payload["check"] = args.check
         payload["failures"] = failures
         if failures:
+            payload["first_failure"] = first_failure
             return EXIT_GUARANTEE, payload
     return EXIT_OK, payload
 
@@ -348,6 +326,7 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
+    args.inputs = []
     start = time.monotonic()
     try:
         code, payload = args.fn(args)
@@ -366,14 +345,16 @@ def run(argv: list[str] | None = None) -> int:
     if payload:
         _emit(payload)
     if os.environ.get("O1P_REPORT"):
-        digest = hashlib.sha256(" ".join(sys.argv).encode()).hexdigest()[:16]
-        report = RunReport(
-            command=args.command,
-            input_digest=digest,
-            result=payload,
-            elapsed_ms=round((time.monotonic() - start) * 1000, 3),
-        )
-        _note(json.dumps(report.__dict__, sort_keys=True, default=str))
+        digest = hashlib.sha256()
+        for text in args.inputs:
+            digest.update(hashlib.sha256(text.encode("utf-8")).digest())
+        report = {
+            "command": args.command,
+            "input_digest": digest.hexdigest()[:16],
+            "result": payload,
+            "elapsed_ms": round((time.monotonic() - start) * 1000, 3),
+        }
+        _note(json.dumps(report, sort_keys=True, default=str))
     return code
 
 

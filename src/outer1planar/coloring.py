@@ -33,7 +33,7 @@ class ExtensionFailure(ColoringError):
 
 
 class ListTooSmall(ValueError):
-    """The main algorithm needs six colors in every list."""
+    """The main algorithm needs one list per vertex, with six colors in each."""
 
 
 @dataclass(frozen=True)
@@ -120,11 +120,11 @@ def parse_coloring_json(text: str) -> Coloring:
 def color_list_3_dynamic(d: Drawing, lists: ListAssignment) -> Coloring:
     """A 3-dynamic coloring of d choosing each vertex's color from its list.
 
-    Requires every list to have at least six colors; guaranteed to succeed
+    Requires one list per vertex 1..n with at least six colors; guaranteed to succeed
     on valid drawings.  The result is re-verified at every recursion level.
     """
-    if set(lists) < set(d.vertices):
-        raise ListTooSmall("every vertex needs a list")
+    if set(lists) != set(d.vertices):
+        raise ListTooSmall(f"lists must cover exactly the vertices 1..{d.n}")
     for v in d.vertices:
         if len(lists[v]) < 6:
             raise ListTooSmall(f"list of vertex {v} has fewer than 6 colors")

@@ -4,7 +4,9 @@ A drawing is a cyclic sequence of vertices 1..n (clockwise on the outer
 boundary) together with an edge set.  Two edges cross exactly when their
 endpoints interleave in the cyclic order, and a drawing is valid when every
 edge is crossed at most once.  Everything downstream (configuration
-matching, structure search, coloring) works on this representation.
+matching, structure search, coloring) works on this representation.  Its
+graph half, `AbstractGraph`, is the base class of `Drawing` and stands on
+its own where the oracles need a graph with no drawing.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ class DrawingFormatError(DrawingError):
 
 
 class InvalidDrawingError(DrawingError):
-    """Structurally invalid drawing: loop, bad vertex, or crossing overload."""
+    """Structurally invalid graph or drawing: loop, bad vertex, or crossing overload."""
 
 
 def normalize_edge(u: int, v: int) -> Edge:
@@ -51,44 +53,25 @@ def interleave(n: int, e: Edge, f: Edge) -> bool:
 
 
 @dataclass(frozen=True)
-class Drawing:
-    """An outer-1-plane drawing: n boundary vertices plus an edge set.
+class AbstractGraph:
+    """A simple graph on the vertices 1..n, with no drawing attached.
 
-    Vertices are the integers 1..n in clockwise boundary order.  Validation
-    happens at construction: no loops, vertices in range, and every edge
-    interleaves with at most one other edge.
+    Construction rejects loops and endpoints out of range.
     """
 
     n: int
     edges: frozenset[Edge]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InvalidDrawingError("a drawing needs at least one vertex")
         for u, v in self.edges:
             if u == v:
                 raise InvalidDrawingError(f"loop at vertex {u}")
             if not (1 <= u < v <= self.n):
                 raise InvalidDrawingError(f"edge ({u},{v}) out of range for n={self.n}")
-        for e, count in self._crossing_counts().items():
-            if count > 1:
-                raise InvalidDrawingError(
-                    f"edge {e} is crossed {count} times: not outer-1-plane in given order"
-                )
 
-    @staticmethod
-    def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Drawing":
-        return Drawing(n, frozenset(normalize_edge(u, v) for u, v in edges))
-
-    def _crossing_counts(self) -> dict[Edge, int]:
-        counts: dict[Edge, int] = {e: 0 for e in self.edges}
-        edge_list = sorted(self.edges)
-        for i, e in enumerate(edge_list):
-            for f in edge_list[i + 1 :]:
-                if interleave(self.n, e, f):
-                    counts[e] += 1
-                    counts[f] += 1
-        return counts
+    @classmethod
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]):
+        return cls(n, frozenset(normalize_edge(u, v) for u, v in edges))
 
     @cached_property
     def vertices(self) -> tuple[int, ...]:
@@ -110,22 +93,6 @@ class Drawing:
     def min_degree(self) -> int:
         return min(self.degrees.values())
 
-    @cached_property
-    def crossing_pairs(self) -> frozenset[tuple[Edge, Edge]]:
-        pairs = set()
-        edge_list = sorted(self.edges)
-        for i, e in enumerate(edge_list):
-            for f in edge_list[i + 1 :]:
-                if interleave(self.n, e, f):
-                    pairs.add((e, f))
-        return frozenset(pairs)
-
-    def crosses(self, e: Edge, f: Edge) -> bool:
-        e = normalize_edge(*e)
-        f = normalize_edge(*f)
-        key = (e, f) if e < f else (f, e)
-        return key in self.crossing_pairs
-
     def has_edge(self, u: int, v: int) -> bool:
         return normalize_edge(u, v) in self.edges
 
@@ -141,108 +108,47 @@ class Drawing:
                     stack.append(w)
         return len(seen) == self.n
 
-    def components(self) -> list[frozenset[int]]:
-        seen: set[int] = set()
-        out = []
-        for start in self.vertices:
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                for w in self.adjacency[stack.pop()]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            out.append(frozenset(comp))
-        return out
-
 
 @dataclass(frozen=True)
-class Segment:
-    """A clockwise stretch of boundary vertices, closed [i,j] or open (i,j)."""
+class Drawing(AbstractGraph):
+    """An outer-1-plane drawing: n boundary vertices plus an edge set.
 
-    start: int
-    end: int
-    closed: bool = True
+    Vertices are the integers 1..n in clockwise boundary order.  Validation
+    happens at construction: at least one vertex, the graph checks, and
+    every edge interleaves with at most one other edge.
+    """
 
     def __post_init__(self) -> None:
-        if not self.closed and self.start == self.end:
-            raise ValueError("open segment needs distinct endpoints")
+        if self.n < 1:
+            raise InvalidDrawingError("a drawing needs at least one vertex")
+        super().__post_init__()
+        counts: dict[Edge, int] = {e: 0 for e in self.edges}
+        for e, f in self._interleaving_pairs():
+            counts[e] += 1
+            counts[f] += 1
+        for e, count in counts.items():
+            if count > 1:
+                raise InvalidDrawingError(
+                    f"edge {e} is crossed {count} times: not outer-1-plane in given order"
+                )
 
+    def _interleaving_pairs(self) -> Iterator[tuple[Edge, Edge]]:
+        """Every crossing pair (e, f) with e < f, by one O(m^2) interleave scan."""
+        edge_list = sorted(self.edges)
+        for i, e in enumerate(edge_list):
+            for f in edge_list[i + 1 :]:
+                if interleave(self.n, e, f):
+                    yield e, f
 
-def segment_vertices(d: Drawing, s: Segment) -> list[int]:
-    """Vertices of the segment, clockwise with wraparound modulo n."""
-    out = [s.start]
-    v = s.start
-    while v != s.end:
-        v = v % d.n + 1
-        out.append(v)
-    if not s.closed:
-        out = out[1:-1]
-    return out
+    @cached_property
+    def crossing_pairs(self) -> frozenset[tuple[Edge, Edge]]:
+        return frozenset(self._interleaving_pairs())
 
-
-def segment_kind(d: Drawing, s: Segment) -> str:
-    """Classify the closed segment [start, end] as 'path', 'non-edge' or 'other'.
-
-    The segment is a non-edge when end follows start on the boundary but the
-    boundary edge between them is missing, and a path when every consecutive
-    boundary edge along the segment is present.
-    """
-    if s.start == s.end:
-        raise ValueError("segment_kind needs distinct endpoints")
-    verts = segment_vertices(d, Segment(s.start, s.end, closed=True))
-    if len(verts) == 2 and not d.has_edge(verts[0], verts[1]):
-        return "non-edge"
-    if all(d.has_edge(verts[k], verts[k + 1]) for k in range(len(verts) - 1)):
-        return "path"
-    return "other"
-
-
-def degrees(d: Drawing) -> dict[int, int]:
-    return dict(d.degrees)
-
-
-def crossing_pairs(d: Drawing) -> set[tuple[Edge, Edge]]:
-    return set(d.crossing_pairs)
-
-
-def co_crosses(d: Drawing, e1: tuple[int, int], e2: tuple[int, int]) -> bool:
-    """Decide whether e1 co-crosses e2.
-
-    Writing e1 = {v_i, v_j} and e2 = {v_k, v_l}, the pair co-crosses when,
-    after some rotation (either orientation of the circle), i < k < j < l
-    with k = i+1 and j = l-1, the span v_i..v_l covers 4 or 5 boundary
-    vertices, and the two short boundary edges v_i v_k and v_j v_l are
-    present.  Implies that e1 and e2 cross.
-    """
-    e1 = normalize_edge(*e1)
-    e2 = normalize_edge(*e2)
-    if e1 not in d.edges or e2 not in d.edges:
-        raise ValueError("co_crosses expects edges of the drawing")
-    if not d.crosses(e1, e2):
-        return False
-    n = d.n
-    for flip in (False, True):
-        for rot in range(n):
-            if flip:
-                pos = {v: (rot - (v - 1)) % n for v in d.vertices}
-            else:
-                pos = {v: (v - 1 - rot) % n for v in d.vertices}
-            inv = {p: v for v, p in pos.items()}
-            i, j = sorted(pos[v] for v in e1)
-            k, l = sorted(pos[v] for v in e2)
-            if not (i < k < j < l):
-                continue
-            if k != i + 1 or j != l - 1:
-                continue
-            if not 4 <= (l - i + 1) <= 5:
-                continue
-            if d.has_edge(inv[i], inv[k]) and d.has_edge(inv[j], inv[l]):
-                return True
-    return False
+    def crosses(self, e: Edge, f: Edge) -> bool:
+        e = normalize_edge(*e)
+        f = normalize_edge(*f)
+        key = (e, f) if e < f else (f, e)
+        return key in self.crossing_pairs
 
 
 def delete_vertices(d: Drawing, remove: Iterable[int]) -> Drawing:

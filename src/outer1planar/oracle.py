@@ -9,42 +9,13 @@ scale past it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
-from .drawing import Drawing, Edge, interleave, iter_all_pairs, normalize_edge
+from .drawing import AbstractGraph, Drawing, Edge, interleave, iter_all_pairs, normalize_edge
 
 
 class SizeLimitExceeded(ValueError):
     """Input is larger than the brute-force guard allows."""
-
-
-@dataclass(frozen=True)
-class AbstractGraph:
-    """A simple graph with no drawing attached."""
-
-    n: int
-    edges: frozenset[Edge]
-
-    def __post_init__(self) -> None:
-        for u, v in self.edges:
-            if u == v or not (1 <= u < v <= self.n):
-                raise ValueError(f"bad edge ({u},{v}) for n={self.n}")
-
-    @staticmethod
-    def from_edges(n: int, edges) -> "AbstractGraph":
-        return AbstractGraph(n, frozenset(normalize_edge(u, v) for u, v in edges))
-
-    def adjacency(self) -> dict[int, frozenset[int]]:
-        nbrs: dict[int, set[int]] = {v: set() for v in range(1, self.n + 1)}
-        for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return {v: frozenset(s) for v, s in nbrs.items()}
-
-
-def underlying(d: Drawing) -> AbstractGraph:
-    return AbstractGraph(d.n, d.edges)
 
 
 def _solve_r_dynamic(
@@ -59,7 +30,7 @@ def _solve_r_dynamic(
     Feasibility pruning per vertex: distinct colored-neighbor colors plus
     remaining uncolored neighbors must still be able to reach min(r, deg).
     """
-    adj = g.adjacency()
+    adj = g.adjacency
     verts = sorted(range(1, g.n + 1), key=lambda v: (-len(adj[v]), v))
     need = {v: min(r, len(adj[v])) for v in verts}
     color: dict[int, int] = {}
@@ -121,11 +92,6 @@ def chromatic_r_dynamic(g: AbstractGraph, r: int, k_max: int) -> int | None:
     return None
 
 
-def is_list_colorable(g: AbstractGraph, lists: dict[int, frozenset[int]], r: int) -> bool:
-    """Exhaustive verdict: does g have an r-dynamic coloring from these lists?"""
-    return solve_list_r_dynamic(g, lists, r) is not None
-
-
 def solve_list_r_dynamic(
     g: AbstractGraph, lists: dict[int, frozenset[int]], r: int
 ) -> dict[int, int] | None:
@@ -164,7 +130,7 @@ def is_outer_1_planar(g: AbstractGraph) -> bool:
     n = g.n
     if n <= 3:
         return True
-    adj = g.adjacency()
+    adj = g.adjacency
     order = [1]
     pos = {1: 0}
     placed: list[tuple[int, int]] = []  # position pairs, 0-based
@@ -217,11 +183,10 @@ def is_maximal(d: Drawing) -> bool:
     """No edge can be added between existing vertices keeping outer-1-planarity."""
     if d.n > 9:
         raise SizeLimitExceeded("maximality check capped at n <= 9")
-    g = underlying(d)
     for e in iter_all_pairs(d.n):
-        if e in g.edges:
+        if e in d.edges:
             continue
-        if is_outer_1_planar(AbstractGraph(g.n, g.edges | {e})):
+        if is_outer_1_planar(AbstractGraph(d.n, d.edges | {e})):
             return False
     return True
 
@@ -254,6 +219,9 @@ def enumerate_drawings(n: int, filter: str = "all") -> Iterator[Drawing]:
 
     def passes() -> Drawing | None:
         edges = frozenset(pairs[i] for i in chosen)
+        # A union-find over the chosen edges, not Drawing.is_connected and
+        # min_degree: building the adjacency of every candidate made a
+        # connected walk at n=7 about 1.6 times slower.
         if want_connected or want_min2:
             deg = [0] * (n + 1)
             parent = list(range(n + 1))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import oracle
 from .catalog import ConfigPattern, Match, find_matches, get_pattern, light_edge_labels, tight_edge_labels
-from .drawing import Drawing
+from .drawing import AbstractGraph, Drawing
 
 
 class StructureNotFound(RuntimeError):
@@ -224,12 +224,8 @@ def _resolve_thirds(d: Drawing, pid: int, anchors: dict[str, int]) -> None:
         10: {"x": ("v", "z"), "y": ("v", "w")},
         11: {"x": ("v", "z"), "y": ("w", "a")},
     }[pid]
-    degs = d.degrees
     for label, others in excl.items():
-        if degs[anchors[label]] == 3:
-            rest = d.adjacency[anchors[label]] - {anchors[o] for o in others}
-            if len(rest) == 1:
-                anchors[label + "1"] = next(iter(rest))
+        _note_third_neighbor(d, anchors, label, {anchors[o] for o in others})
 
 
 def _note_third_neighbor(d: Drawing, anchors: dict[str, int], label: str, skip: set[int]) -> None:
@@ -248,8 +244,7 @@ def check_d1(d: Drawing, m: Match) -> bool:
     if "u" not in m.assignment or "v" not in m.assignment:
         raise ValueError("check_d1 needs a match with u and v anchors")
     u, v = m.assignment["u"], m.assignment["v"]
-    g = oracle.underlying(d)
     e = (min(u, v), max(u, v))
-    if e in g.edges:
+    if e in d.edges:
         return True
-    return oracle.is_outer_1_planar(oracle.AbstractGraph(g.n, g.edges | {e}))
+    return oracle.is_outer_1_planar(AbstractGraph(d.n, d.edges | {e}))

@@ -7,9 +7,9 @@ from functools import lru_cache
 
 import pytest
 
-from outer1planar import Drawing, enumerate_drawings
+from outer1planar import AbstractGraph, Drawing, enumerate_drawings
 from outer1planar.catalog import ConfigPattern
-from outer1planar.oracle import AbstractGraph, canonical_key
+from outer1planar.oracle import canonical_key
 
 
 @lru_cache(maxsize=None)
@@ -39,7 +39,7 @@ def naive_matches(d: Drawing, p: ConfigPattern) -> list[tuple[int, ...]]:
     deduplicated by pattern automorphism.  Kept independent of the
     production matcher's ordering and pruning."""
     labels = p.labels
-    autos = p.automorphisms()
+    autos = p.automorphisms
     idx = {l: i for i, l in enumerate(labels)}
     found = set()
     for perm in itertools.permutations(d.vertices, len(labels)):
@@ -58,7 +58,7 @@ def plain_chromatic(g: AbstractGraph) -> int:
     """Standalone proper-coloring backtracker (no dynamic condition)."""
     if g.n == 0:
         return 0
-    adj = g.adjacency()
+    adj = g.adjacency
     verts = sorted(range(1, g.n + 1), key=lambda v: -len(adj[v]))
     for k in range(1, g.n + 1):
         colors: dict[int, int] = {}

@@ -20,7 +20,7 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 
 
 def test_ac1_sharp_bound():
-    chi = o.chromatic_r_dynamic(o.underlying(o.sharp_example()), 3, 7)
+    chi = o.chromatic_r_dynamic(o.sharp_example(), 3, 7)
     report("1 sharp bound", chi == 6, f"chi_3^d(sharp) = {chi}, expected exactly 6")
 
 
@@ -28,7 +28,7 @@ def test_ac2_upper_bound_exhaustive():
     checked = 0
     for n in range(1, 8):
         for d in population(n, "connected"):
-            assert o.has_r_dynamic_k_coloring(o.underlying(d), 3, 6), sorted(d.edges)
+            assert o.has_r_dynamic_k_coloring(d, 3, 6), sorted(d.edges)
             checked += 1
     report("2 upper bound exhaustive", True, f"{checked} connected classes, n <= 7, all chi_3^d <= 6")
 

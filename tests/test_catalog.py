@@ -10,7 +10,6 @@ from outer1planar import (
     get_pattern,
     h_family,
     load_catalog,
-    properly_contains,
     random_outer_1_planar,
 )
 from outer1planar.catalog import MARKED, SOLID, light_edge_labels, tight_edge_labels
@@ -77,7 +76,6 @@ def test_drawn_degree_at_least_edge_count():
 
 def test_g3_anchor_semantics():
     p = get_pattern(3)
-    assert p.d1_pair == ("u", "v")
     assert p.neighbors("v") == frozenset({"x", "y"})
     assert p.neighbors("u") == frozenset({"x", "y"})
     assert ("u", "v") not in p.edges and ("v", "u") not in p.edges
@@ -110,20 +108,6 @@ def test_h7_contains_exactly_g7():
     for j in range(1, 18):
         if j != 7:
             assert not find_matches(h, get_pattern(j)), j
-
-
-def test_properly_contains_c5():
-    assert properly_contains(cycle(5), get_pattern(1), 1, 3) is True
-
-
-def test_properly_contains_triangle():
-    tri = Drawing.from_edges(3, [(1, 2), (2, 3), (1, 3)])
-    # every occurrence puts a solid vertex on 1 or 2
-    assert properly_contains(tri, get_pattern(1), 1, 2) is False
-
-
-def test_properly_contains_no_matches():
-    assert properly_contains(cycle(6), get_pattern(2), 1, 2) is False
 
 
 def test_matching_invariant_under_rotation_reflection():

@@ -3,8 +3,8 @@
 import io
 import json
 
+from outer1planar import cli, cycle, emit_drawing, enumerate_drawings, sharp_example
 from outer1planar.cli import run
-from outer1planar import cycle, emit_drawing, sharp_example
 
 
 def invoke(argv, stdin_text="", monkeypatch=None, capsys=None):
@@ -110,6 +110,21 @@ def test_enumerate_with_check(capsys):
     out, _ = capsys.readouterr()
     payload = json.loads(out)
     assert code == 0 and payload["failures"] == 0 and payload["count"] == 10
+    assert "first_failure" not in payload
+
+
+def test_enumerate_names_first_failure(monkeypatch, capsys):
+    def fails_on_five_edges(d):
+        return len(d.edges) != 5
+
+    monkeypatch.setitem(cli._CHECKS, "structure", fails_on_five_edges)
+    code = run(["enumerate", "--n", "4", "--filter", "connected-min-deg-2", "--check", "structure"])
+    payload = json.loads(capsys.readouterr()[0])
+    first = next(
+        d for d in enumerate_drawings(4, "connected-min-deg-2") if not fails_on_five_edges(d)
+    )
+    assert code == 3 and payload["failures"] > 0
+    assert payload["first_failure"] == {"n": 4, "edges": sorted(list(e) for e in first.edges)}
 
 
 def test_generate_outputs_drawing_format(capsys):
@@ -134,6 +149,17 @@ def test_byte_identical_reruns(monkeypatch, capsys):
     assert r1 == r2
 
 
+def test_color_lists_missing_a_vertex_exit_2(tmp_path, capsys):
+    # misses vertex 1 and names the foreign vertex 6
+    f = tmp_path / "c5.txt"
+    f.write_text(emit_drawing(cycle(5)))
+    lists = tmp_path / "foreign.lists"
+    lists.write_text("".join(f"l {v} 1 2 3 4 5 6\n" for v in range(2, 7)))
+    code = run(["color", str(f), "--lists", str(lists)])
+    out, _ = capsys.readouterr()
+    assert code == 2 and "error" in json.loads(out)
+
+
 def test_missing_file_exit_2(capsys):
     assert run(["validate", "/nonexistent/file.txt"]) == 2
 
@@ -150,3 +176,13 @@ def test_report_envelope(monkeypatch, capsys):
     assert code == 0
     report = json.loads(err.strip().splitlines()[-1])
     assert report["command"] == "validate" and "elapsed_ms" in report
+
+
+def test_report_digest_hashes_stdin(monkeypatch, capsys):
+    monkeypatch.setenv("O1P_REPORT", "1")
+    digests = []
+    for d in (cycle(4), cycle(5)):
+        code, _, err = invoke(["validate", "-"], emit_drawing(d), monkeypatch, capsys)
+        assert code == 0
+        digests.append(json.loads(err.strip().splitlines()[-1])["input_digest"])
+    assert digests[0] != digests[1]

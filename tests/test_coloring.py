@@ -16,7 +16,6 @@ from outer1planar import (
     random_outer_1_planar,
     sharp_example,
     solve_list_r_dynamic,
-    underlying,
     uniform_lists,
     verify_dynamic,
 )
@@ -103,7 +102,7 @@ def test_engine_matches_oracle_existence(classes):
             lists = {v: frozenset(rng.sample(range(1, 13), 6)) for v in d.vertices}
             c = color_list_3_dynamic(d, lists)
             assert verify_dynamic(d, c, 3).valid
-            assert solve_list_r_dynamic(underlying(d), lists, 3) is not None
+            assert solve_list_r_dynamic(d, lists, 3) is not None
 
 
 def test_determinism_byte_identical():

@@ -10,16 +10,10 @@ from outer1planar import (
     Drawing,
     DrawingFormatError,
     InvalidDrawingError,
-    Segment,
-    co_crosses,
-    crossing_pairs,
     cycle,
-    degrees,
     delete_vertices,
     parse_drawing,
     random_outer_1_planar,
-    segment_kind,
-    segment_vertices,
 )
 from outer1planar.drawing import emit_drawing, interleave
 
@@ -29,12 +23,12 @@ from .conftest import brute_crossing_pairs
 def test_parse_triangle():
     d = parse_drawing("n 3\ne 1 2\ne 2 3\ne 1 3\n")
     assert d.n == 3
-    assert crossing_pairs(d) == set()
+    assert d.crossing_pairs == set()
 
 
 def test_parse_comments_and_blanks():
     d = parse_drawing("# cycle\n\nn 4\ne 1 2\n# chord below\ne 3 4\ne 1 3\ne 2 4\n")
-    assert crossing_pairs(d) == {((1, 3), (2, 4))}
+    assert d.crossing_pairs == {((1, 3), (2, 4))}
 
 
 def test_parse_rejects_crossing_overload():
@@ -68,17 +62,17 @@ def test_emit_roundtrip_sorted():
 
 
 def test_degrees_examples():
-    assert degrees(Drawing.from_edges(3, [(1, 2), (2, 3), (1, 3)])) == {1: 2, 2: 2, 3: 2}
+    assert Drawing.from_edges(3, [(1, 2), (2, 3), (1, 3)]).degrees == {1: 2, 2: 2, 3: 2}
     d4 = Drawing.from_edges(4, [(1, 2), (3, 4), (1, 3), (2, 4)])
-    assert degrees(d4) == {1: 2, 2: 2, 3: 2, 4: 2}
-    assert degrees(cycle(6)) == {v: 2 for v in range(1, 7)}
+    assert d4.degrees == {1: 2, 2: 2, 3: 2, 4: 2}
+    assert cycle(6).degrees == {v: 2 for v in range(1, 7)}
     assert d4.min_degree == 2
 
 
 def test_crossing_pairs_examples():
-    assert crossing_pairs(Drawing.from_edges(3, [(1, 2), (2, 3), (1, 3)])) == set()
+    assert Drawing.from_edges(3, [(1, 2), (2, 3), (1, 3)]).crossing_pairs == set()
     d4 = Drawing.from_edges(4, [(1, 2), (3, 4), (1, 3), (2, 4)])
-    assert crossing_pairs(d4) == {((1, 3), (2, 4))}
+    assert d4.crossing_pairs == {((1, 3), (2, 4))}
 
 
 def test_crossing_pairs_against_brute_oracle():
@@ -86,7 +80,7 @@ def test_crossing_pairs_against_brute_oracle():
     for trial in range(1000):
         n = rng.randint(3, 12)
         d = random_outer_1_planar(n, rng.random(), seed=trial)
-        assert crossing_pairs(d) == brute_crossing_pairs(d)
+        assert d.crossing_pairs == brute_crossing_pairs(d)
 
 
 def test_every_edge_crossed_at_most_once():
@@ -94,65 +88,10 @@ def test_every_edge_crossed_at_most_once():
     for trial in range(200):
         d = random_outer_1_planar(rng.randint(3, 12), rng.random(), seed=trial)
         counts = {e: 0 for e in d.edges}
-        for e, f in crossing_pairs(d):
+        for e, f in d.crossing_pairs:
             counts[e] += 1
             counts[f] += 1
         assert all(c <= 1 for c in counts.values())
-
-
-def test_co_crosses_quad():
-    d = Drawing.from_edges(4, [(1, 2), (3, 4), (1, 3), (2, 4)])
-    assert co_crosses(d, (1, 3), (2, 4)) is True
-    assert co_crosses(d, (2, 4), (1, 3)) is True
-
-
-def test_co_crosses_triangle_false():
-    tri = Drawing.from_edges(3, [(1, 2), (2, 3), (1, 3)])
-    assert co_crosses(tri, (1, 2), (2, 3)) is False
-
-
-def test_co_crosses_span_five():
-    d = Drawing.from_edges(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (1, 4), (2, 5)])
-    assert co_crosses(d, (1, 4), (2, 5)) is True
-
-
-def test_co_crosses_needs_boundary_edges():
-    # crossing with span 4 but the short boundary edges absent
-    d = Drawing.from_edges(5, [(2, 3), (3, 4), (4, 5), (1, 5), (1, 3), (2, 4)])
-    # (1,3) x (2,4): needs edges {1,2} and {3,4}; {1,2} is missing
-    assert co_crosses(d, (1, 3), (2, 4)) is False
-
-
-def test_co_crosses_implies_crossing():
-    rng = random.Random(11)
-    for trial in range(150):
-        d = random_outer_1_planar(rng.randint(4, 10), rng.random(), seed=trial)
-        edges = sorted(d.edges)
-        for i, e in enumerate(edges):
-            for f in edges[i + 1 :]:
-                if co_crosses(d, e, f):
-                    assert d.crosses(e, f)
-
-
-def test_segment_kind_examples():
-    assert segment_kind(cycle(6), Segment(1, 4)) == "path"
-    d = Drawing.from_edges(3, [(1, 3)])
-    assert segment_kind(d, Segment(1, 2)) == "non-edge"
-    d5 = Drawing.from_edges(5, [(1, 2), (2, 3), (4, 5)])
-    assert segment_kind(d5, Segment(1, 5)) == "other"
-
-
-def test_segment_kind_boundary_edge_rule():
-    # [v_i, v_{i+1}] is a path iff the boundary edge is present
-    d = Drawing.from_edges(5, [(1, 2), (3, 4)])
-    assert segment_kind(d, Segment(1, 2)) == "path"
-    assert segment_kind(d, Segment(2, 3)) == "non-edge"
-
-
-def test_segment_vertices_wraparound():
-    d = cycle(6)
-    assert segment_vertices(d, Segment(5, 2)) == [5, 6, 1, 2]
-    assert segment_vertices(d, Segment(5, 2, closed=False)) == [6, 1]
 
 
 def test_delete_vertices_examples():
@@ -162,7 +101,7 @@ def test_delete_vertices_examples():
     d4 = Drawing.from_edges(4, [(1, 2), (3, 4), (1, 3), (2, 4)])
     d = delete_vertices(d4, {4})
     assert d.n == 3 and d.edges == frozenset({(1, 2), (1, 3)})
-    assert crossing_pairs(d) == set()
+    assert d.crossing_pairs == set()
     assert delete_vertices(d4, set()) == d4
 
 
@@ -174,7 +113,7 @@ def test_delete_never_raises_crossing_degree():
         remove = set(rng.sample(range(1, n + 1), rng.randint(1, n - 1)))
         sub = delete_vertices(d, remove)  # construction validates
         counts = {e: 0 for e in sub.edges}
-        for e, f in crossing_pairs(sub):
+        for e, f in sub.crossing_pairs:
             counts[e] += 1
             counts[f] += 1
         assert all(c <= 1 for c in counts.values())
@@ -193,7 +132,7 @@ def test_valid_subsets_construct_and_agree(n, data):
                 counts[f] += 1
     if all(c <= 1 for c in counts.values()):
         d = Drawing.from_edges(n, chosen)
-        assert crossing_pairs(d) == brute_crossing_pairs(d)
+        assert d.crossing_pairs == brute_crossing_pairs(d)
     else:
         with pytest.raises(InvalidDrawingError):
             Drawing.from_edges(n, chosen)

@@ -4,9 +4,7 @@ import pytest
 
 from outer1planar import (
     Drawing,
-    crossing_pairs,
     cycle,
-    degrees,
     h_family,
     random_outer_1_planar,
     sharp_example,
@@ -17,8 +15,8 @@ def test_cycle_basics():
     c3 = cycle(3)
     assert c3.edges == frozenset({(1, 2), (2, 3), (1, 3)})
     c5 = cycle(5)
-    assert all(deg == 2 for deg in degrees(c5).values())
-    assert crossing_pairs(cycle(6)) == set()
+    assert all(deg == 2 for deg in c5.degrees.values())
+    assert cycle(6).crossing_pairs == set()
     with pytest.raises(ValueError):
         cycle(2)
 
@@ -26,10 +24,10 @@ def test_cycle_basics():
 def test_sharp_example_self_checks():
     d = sharp_example()
     assert d.n == 7
-    degs = degrees(d)
+    degs = d.degrees
     assert degs[3] == degs[5] == degs[7] == 3
     assert d.adjacency[3] == frozenset({2, 4, 5})
-    assert len(crossing_pairs(d)) == 1
+    assert len(d.crossing_pairs) == 1
     Drawing(d.n, d.edges)  # validates
 
 

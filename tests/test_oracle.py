@@ -13,12 +13,11 @@ from outer1planar import (
     chromatic_r_dynamic,
     cycle,
     enumerate_drawings,
-    is_list_colorable,
     is_maximal,
     is_outer_1_planar,
     random_outer_1_planar,
     sharp_example,
-    underlying,
+    solve_list_r_dynamic,
 )
 
 from .conftest import plain_chromatic
@@ -33,16 +32,16 @@ def test_chromatic_k3():
 
 
 def test_chromatic_c5():
-    c5 = underlying(cycle(5))
+    c5 = cycle(5)
     assert chromatic_r_dynamic(c5, 3, 7) == 5
 
 
 def test_chromatic_sharp_example():
-    assert chromatic_r_dynamic(underlying(sharp_example()), 3, 7) == 6
+    assert chromatic_r_dynamic(sharp_example(), 3, 7) == 6
 
 
 def test_chromatic_none_when_above_kmax():
-    assert chromatic_r_dynamic(underlying(cycle(5)), 3, 4) is None
+    assert chromatic_r_dynamic(cycle(5), 3, 4) is None
 
 
 def test_chromatic_size_guard():
@@ -61,20 +60,20 @@ def test_chromatic_r1_equals_plain_chromatic():
 
 
 def test_list_colorable_c6_three_colors():
-    c6 = underlying(cycle(6))
+    c6 = cycle(6)
     lists = {v: frozenset({1, 2, 3}) for v in range(1, 7)}
-    assert is_list_colorable(c6, lists, 3) is True
+    assert solve_list_r_dynamic(c6, lists, 3) is not None
 
 
 def test_list_colorable_c5_four_colors():
-    c5 = underlying(cycle(5))
+    c5 = cycle(5)
     lists = {v: frozenset({1, 2, 3, 4}) for v in range(1, 6)}
-    assert is_list_colorable(c5, lists, 3) is False
+    assert solve_list_r_dynamic(c5, lists, 3) is None
 
 
 def test_list_colorable_single_vertex():
     g = AbstractGraph(1, frozenset())
-    assert is_list_colorable(g, {1: frozenset({9})}, 3) is True
+    assert solve_list_r_dynamic(g, {1: frozenset({9})}, 3) is not None
 
 
 def test_recognize_k4():
@@ -82,7 +81,7 @@ def test_recognize_k4():
 
 
 def test_recognize_c6():
-    assert is_outer_1_planar(underlying(cycle(6))) is True
+    assert is_outer_1_planar(cycle(6)) is True
 
 
 def test_recognize_k5():
@@ -93,7 +92,7 @@ def test_recognize_soundness_on_valid_drawings():
     rng = random.Random(5)
     for trial in range(60):
         d = random_outer_1_planar(rng.randint(3, 9), rng.random(), seed=trial)
-        assert is_outer_1_planar(underlying(d)) is True
+        assert is_outer_1_planar(d) is True
 
 
 def test_recognize_size_guard():
@@ -168,4 +167,4 @@ def test_all_small_drawings_six_colorable(classes):
 
     for n in range(1, 7):
         for d in classes(n, "all"):
-            assert has_r_dynamic_k_coloring(underlying(d), 3, 6)
+            assert has_r_dynamic_k_coloring(d, 3, 6)
