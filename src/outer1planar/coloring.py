@@ -1,12 +1,15 @@
 """List 3-dynamic coloring by reduce-and-extend, plus the generic verifier.
 
-The engine peels one reducible shape at a time, colors the rest
-recursively, and extends by the shape's local rule: each deleted vertex
-gets the smallest list color outside a small forbidden set assembled from
-its surroundings.  The one exception is the 11th configuration, whose rule
-has a recoloring branch for the rainbow worst case.  Every extension is
-verified; if a rule ever leaves a violation, a bounded exhaustive repair
-over the shape's vertices runs before giving up.
+The engine peels one reducible shape at a time until nothing is left,
+then puts the shapes back in reverse order and extends by each shape's
+local rule: each deleted vertex gets the smallest list color outside a
+small forbidden set assembled from its surroundings.  The one exception is
+the 11th configuration, whose rule has a recoloring branch for the rainbow
+worst case.  Peeling works on the original labels, so no sub-drawing is
+ever rebuilt.  Every extension is checked around the vertices it touched;
+if a rule ever leaves a violation, a bounded exhaustive repair over the
+shape's vertices runs before giving up.  The finished coloring is verified
+once in full.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 
-from .drawing import Drawing, delete_vertices_with_map
+from .drawing import Drawing, Edge, normalize_edge
 from .structure import ReductionStep, find_reduction
 
 logger = logging.getLogger("outer1planar.coloring")
@@ -113,15 +116,27 @@ def coloring_to_json(colors: Coloring, r: int, valid: bool) -> str:
 
 
 def parse_coloring_json(text: str) -> Coloring:
+    """Read the "colors" object of a coloring JSON file; ValueError if malformed."""
     data = json.loads(text)
-    return {int(v): int(c) for v, c in data["colors"].items()}
+    if not isinstance(data, dict) or not isinstance(data.get("colors"), dict):
+        raise ValueError('coloring file must be a JSON object with a "colors" object')
+    colors: Coloring = {}
+    for v, c in data["colors"].items():
+        try:
+            vertex = int(v)
+        except ValueError:
+            raise ValueError(f"coloring key {v!r} is not an integer") from None
+        if type(c) is not int:
+            raise ValueError(f"color {c!r} of vertex {v} is not an integer")
+        colors[vertex] = c
+    return colors
 
 
 def color_list_3_dynamic(d: Drawing, lists: ListAssignment) -> Coloring:
     """A 3-dynamic coloring of d choosing each vertex's color from its list.
 
     Requires one list per vertex 1..n with at least six colors; guaranteed to succeed
-    on valid drawings.  The result is re-verified at every recursion level.
+    on valid drawings.  The result is verified in full before it is returned.
     """
     if set(lists) != set(d.vertices):
         raise ListTooSmall(f"lists must cover exactly the vertices 1..{d.n}")
@@ -131,22 +146,69 @@ def color_list_3_dynamic(d: Drawing, lists: ListAssignment) -> Coloring:
     return _color(d, lists)
 
 
+class _PeelView:
+    """The survivors of a drawing being peeled, on the drawing's own labels.
+
+    Deleting vertices keeps the survivors' clockwise order, so the induced
+    sub-drawing needs neither relabeling nor a second crossing check.  The
+    view offers the graph reads of the reduction search and the extension
+    rules; it copies the drawing's adjacency and never mutates it.
+    """
+
+    def __init__(self, d: Drawing) -> None:
+        self.vertices = d.vertices
+        self.edges = set(d.edges)
+        self.adjacency = {v: set(ws) for v, ws in d.adjacency.items()}
+        self.degrees = dict(d.degrees)
+
+    @property
+    def n(self) -> int:
+        return len(self.vertices)
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return v in self.adjacency[u]
+
+    def remove(self, deleted: tuple[int, ...]) -> list[Edge]:
+        """Delete vertices; returns the edges that went with them."""
+        dropped: list[Edge] = []
+        for v in deleted:
+            del self.degrees[v]
+            for w in self.adjacency.pop(v):
+                if w in self.adjacency:
+                    self.adjacency[w].remove(v)
+                    self.degrees[w] -= 1
+                    dropped.append(normalize_edge(v, w))
+        self.edges.difference_update(dropped)
+        self.vertices = tuple(v for v in self.vertices if v not in deleted)
+        return dropped
+
+    def restore(self, deleted: tuple[int, ...], dropped: list[Edge]) -> None:
+        """Undo the remove call that deleted these vertices."""
+        for v in deleted:
+            self.adjacency[v] = set()
+        for u, v in dropped:
+            self.adjacency[u].add(v)
+            self.adjacency[v].add(u)
+        self.edges.update(dropped)
+        for v in {*deleted, *(w for e in dropped for w in e)}:
+            self.degrees[v] = len(self.adjacency[v])
+        self.vertices = tuple(sorted((*self.vertices, *deleted)))
+
+
 def _color(d: Drawing, lists: ListAssignment) -> Coloring:
-    step = find_reduction(d)
-    if len(step.deleted) == d.n:
-        partial: Coloring = {}
-    else:
-        sub, relabel = delete_vertices_with_map(d, step.deleted)
-        sub_lists = {new: lists[old] for old, new in relabel.items()}
-        sub_colors = _color(sub, sub_lists)
-        inverse = {new: old for old, new in relabel.items()}
-        partial = {inverse[nv]: c for nv, c in sub_colors.items()}
-    colors = extend_step(d, step, partial, lists)
+    view = _PeelView(d)
+    peeled: list[tuple[ReductionStep, list[Edge]]] = []
+    while view.n:
+        step = find_reduction(view)
+        peeled.append((step, view.remove(step.deleted)))
+    colors: Coloring = {}
+    while peeled:
+        step, dropped = peeled.pop()
+        view.restore(step.deleted, dropped)
+        colors = extend_step(view, step, colors, lists)
     verdict = verify_dynamic(d, colors, 3)
     if not verdict.valid:
-        raise ExtensionFailure(
-            f"extension for {step.kind} left violations: {verdict.violations[:3]}"
-        )
+        raise ExtensionFailure(f"coloring left violations: {verdict.violations[:3]}")
     bad = [v for v in d.vertices if colors[v] not in lists[v]]
     if bad:
         raise ExtensionFailure(f"colors off-list at {bad}")
@@ -185,7 +247,7 @@ def extend_step(
     }[step.kind]
     try:
         handler(d, step.anchors, colors, lists)
-        rule_failed = not verify_dynamic(d, colors, 3).valid
+        rule_failed = not _valid_around(d, step, partial, colors)
     except ExtensionFailure:
         rule_failed = True
     if rule_failed:
@@ -195,6 +257,26 @@ def extend_step(
             raise ExtensionFailure(f"bounded repair failed for {step.kind}")
         return repaired
     return colors
+
+
+def _valid_around(d: Drawing, step: ReductionStep, partial: Coloring, colors: Coloring) -> bool:
+    """The verdict of verify_dynamic(d, colors, 3), read only where it can change.
+
+    T is the deleted vertices plus every anchor the rule recolored (rules
+    write anchors only).  With partial valid on d minus step.deleted, a
+    vertex outside T and N(T) keeps its neighborhood and its neighbors'
+    colors, so properness at T and the dynamic condition on T and N(T)
+    decide the whole verdict.
+    """
+    adj = d.adjacency
+    touched = set(step.deleted)
+    touched.update(v for v in step.anchors.values() if v in partial and colors[v] != partial[v])
+    around = touched.union(*(adj[v] for v in touched))
+    if any(v not in colors for v in around):
+        return False
+    if any(colors[v] == colors[w] for v in touched for w in adj[v]):
+        return False
+    return all(len({colors[w] for w in adj[v]}) >= min(3, d.degrees[v]) for v in around)
 
 
 def _colors_of(d: Drawing, colors: Coloring, vs) -> set[int]:

@@ -152,10 +152,7 @@ def find_reduction(d: Drawing) -> ReductionStep:
                 anchors["v"] = min(adj[v])
             return ReductionStep("P1-pendant", (v,), anchors)
 
-    best: tuple[int, int] | None = None
-    for u, v in sorted(d.edges):
-        if degs[u] == 2 and degs[v] == 2 and best is None:
-            best = (u, v)
+    best = min(((u, v) for u, v in d.edges if degs[u] == 2 and degs[v] == 2), default=None)
     if best is not None:
         u, v = best
         x = min(adj[u] - {v})

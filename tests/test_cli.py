@@ -3,6 +3,8 @@
 import io
 import json
 
+import pytest
+
 from outer1planar import cli, cycle, emit_drawing, enumerate_drawings, sharp_example
 from outer1planar.cli import run
 
@@ -77,6 +79,25 @@ def test_verify_valid_exit_0(tmp_path, capsys):
         json.dumps({"colors": {str(v): (v - 1) % 3 + 1 for v in range(1, 7)}, "valid": True, "r": 3})
     )
     assert run(["verify", str(f), "--coloring", str(good), "--r", "3"]) == 0
+
+
+def test_color_off_list_color_exit_3(monkeypatch, capsys):
+    import outer1planar.coloring as col
+
+    monkeypatch.setattr(col, "_pick", lambda lists, v, forbidden: 100 + v)
+    code, out, _ = invoke(["color", "-"], emit_drawing(sharp_example()), monkeypatch, capsys)
+    assert code == 3 and "error" in json.loads(out)
+
+
+@pytest.mark.parametrize("text", ["{}", "[1]", '{"colors": [1]}', '{"colors": {"1": [1]}}'])
+def test_verify_malformed_coloring_exit_2(tmp_path, capsys, text):
+    f = tmp_path / "p3.txt"
+    f.write_text("n 3\ne 1 2\ne 2 3\n")
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code = run(["verify", str(f), "--coloring", str(bad)])
+    out, _ = capsys.readouterr()
+    assert code == 2 and "error" in json.loads(out)
 
 
 def test_find_config_h7(monkeypatch, capsys):

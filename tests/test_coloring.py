@@ -1,5 +1,6 @@
 """Verifier and the reduce-and-extend coloring engine."""
 
+import hashlib
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from outer1planar import (
     cycle,
     extend_step,
     find_reduction,
+    h_family,
     parse_lists,
     random_outer_1_planar,
     sharp_example,
@@ -216,3 +218,66 @@ def test_parse_lists_roundtrip():
 def test_coloring_json_roundtrip():
     text = coloring_to_json({1: 3, 2: 4}, 3, True)
     assert parse_coloring_json(text) == {1: 3, 2: 4}
+
+
+# SHA-256 over every coloring below.  The engine's tie-breaks are fixed, so
+# any change of a coloring, by design or by accident, shows up here.
+GOLDEN_COLORINGS_SHA256 = "0512c9b6e3903612182cd547a411e8037612ea23f92e5ee1aeeda9e44948ff8d"
+
+
+def test_colorings_golden_digest(classes):
+    drawings = [d for n in range(1, 7) for d in classes(n, "all")]
+    drawings += [double_g10(), double_g11(), g3_flip_host(), sharp_example()]
+    drawings += [h_family(i) for i in range(2, 18)]
+    rng = random.Random(2019)
+    digest = hashlib.sha256()
+    for d in drawings:
+        random_lists = {v: frozenset(rng.sample(range(1, 10), 6)) for v in d.vertices}
+        for lists in (uniform_lists(d, 6), random_lists):
+            colors = color_list_3_dynamic(d, lists)
+            digest.update(f"{sorted(d.edges)} {coloring_to_json(colors, 3, True)}\n".encode())
+    assert digest.hexdigest() == GOLDEN_COLORINGS_SHA256
+
+
+def test_deep_peel_past_recursion_limit():
+    # 1250 peel levels, past CPython's default recursion limit of 1000
+    d = cycle(2500)
+    c = color_list_3_dynamic(d, uniform_lists(d, 6))
+    assert verify_dynamic(d, c, 3).valid
+    fresh = Drawing(d.n, d.edges)
+    assert d.adjacency == fresh.adjacency and d.degrees == fresh.degrees
+
+
+def test_off_list_color_caught_at_the_end(monkeypatch):
+    import outer1planar.coloring as col
+
+    monkeypatch.setattr(col, "_pick", lambda lists, v, forbidden: 100 + v)
+    d = sharp_example()
+    with pytest.raises(ExtensionFailure):
+        color_list_3_dynamic(d, uniform_lists(d, 6))
+
+
+def test_local_check_agrees_with_full_verify(classes):
+    # with the partial coloring valid on d minus the shape, the check around
+    # the touched vertices gives verify_dynamic's verdict on all of d
+    import outer1planar.coloring as col
+
+    rng = random.Random(12)
+    verdicts = set()
+    for n in range(2, 7):
+        for d in classes(n, "all"):
+            step = find_reduction(d)
+            if len(step.deleted) == d.n:
+                continue
+            sub, relabel = delete_vertices_with_map(d, step.deleted)
+            sub_colors = col._color(sub, uniform_lists(sub, 6))
+            partial = {old: sub_colors[new] for old, new in relabel.items()}
+            for _ in range(5):
+                colors = dict(partial)
+                colors.update({v: rng.randint(1, 4) for v in step.deleted})
+                anchor = rng.choice(sorted(step.anchors.values()))
+                colors[anchor] = rng.randint(1, 4)
+                full = verify_dynamic(d, colors, 3).valid
+                assert col._valid_around(d, step, partial, colors) == full
+                verdicts.add(full)
+    assert verdicts == {True, False}
