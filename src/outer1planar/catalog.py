@@ -53,14 +53,16 @@ class ConfigPattern:
     crossings: tuple[tuple[int, int], ...]  # indices into edges
     anchors: dict[str, str] = field(default_factory=dict)
 
-    def neighbors(self, label: str) -> frozenset[str]:
-        out = set()
+    @cached_property
+    def _neighbor_map(self) -> dict[str, frozenset[str]]:
+        out: dict[str, set[str]] = {}
         for a, b in self.edges:
-            if a == label:
-                out.add(b)
-            elif b == label:
-                out.add(a)
-        return frozenset(out)
+            out.setdefault(a, set()).add(b)
+            out.setdefault(b, set()).add(a)
+        return {label: frozenset(s) for label, s in out.items()}
+
+    def neighbors(self, label: str) -> frozenset[str]:
+        return self._neighbor_map.get(label, frozenset())
 
     def edge_count(self, label: str) -> int:
         return len(self.neighbors(label))

@@ -122,23 +122,42 @@ class Drawing(AbstractGraph):
         if self.n < 1:
             raise InvalidDrawingError("a drawing needs at least one vertex")
         super().__post_init__()
-        counts: dict[Edge, int] = {e: 0 for e in self.edges}
-        for e, f in self._interleaving_pairs():
-            counts[e] += 1
-            counts[f] += 1
-        for e, count in counts.items():
-            if count > 1:
-                raise InvalidDrawingError(
-                    f"edge {e} is crossed {count} times: not outer-1-plane in given order"
-                )
+        counts: dict[Edge, int] = {}
+        for pair in self._interleaving_pairs():
+            for e in pair:
+                counts[e] = counts.get(e, 0) + 1
+                if counts[e] > 1:
+                    count = sum(interleave(self.n, e, f) for f in self.edges)
+                    raise InvalidDrawingError(
+                        f"edge {e} is crossed {count} times: not outer-1-plane in given order"
+                    )
 
     def _interleaving_pairs(self) -> Iterator[tuple[Edge, Edge]]:
-        """Every crossing pair (e, f) with e < f, by one O(m^2) interleave scan."""
-        edge_list = sorted(self.edges)
-        for i, e in enumerate(edge_list):
-            for f in edge_list[i + 1 :]:
-                if interleave(self.n, e, f):
-                    yield e, f
+        """Every crossing pair (e, f) with e < f, by one sweep over the boundary.
+
+        Chords open at their smaller endpoint, longest first, and close at
+        their larger endpoint, innermost first; at one position closings
+        come before openings.  Open chords sit on a stack, so when (a, b)
+        closes, every entry above it opened strictly inside (a, b) and
+        closes past b: exactly the chords crossing it from that side.
+        Sorting the events costs O(m log m) and each close walks only past
+        the pairs it yields, so nothing scales with n, and a caller that
+        stops at a second crossing stops the sweep.
+        """
+        events = sorted(
+            [(b, 0, -a, (a, b)) for a, b in self.edges]
+            + [(a, 1, -b, (a, b)) for a, b in self.edges]
+        )
+        stack: list[Edge] = []
+        for _, opening, _, e in events:
+            if opening:
+                stack.append(e)
+                continue
+            i = len(stack) - 1
+            while stack[i] != e:
+                yield e, stack[i]
+                i -= 1
+            del stack[i]
 
     @cached_property
     def crossing_pairs(self) -> frozenset[tuple[Edge, Edge]]:

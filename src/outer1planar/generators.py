@@ -9,9 +9,10 @@ self-checks so a mistranscription fails loudly at construction.
 from __future__ import annotations
 
 import random
+from itertools import islice
 
 from .catalog import HOLLOW, MARKED, SOLID, get_pattern
-from .drawing import Drawing, iter_all_pairs, normalize_edge
+from .drawing import Drawing, Edge, interleave, iter_all_pairs, normalize_edge
 
 # Degree targets when a configuration is planted inside a witness drawing:
 # hollow vertices are pushed past every exact role and past the marked cap,
@@ -88,9 +89,12 @@ def h_family(i: int) -> Drawing:
 def random_outer_1_planar(n: int, density: float, seed: int) -> Drawing:
     """Boundary cycle plus randomly inserted chords, deterministic per seed.
 
-    Chords from the full candidate pool are tried in a seeded random order
-    and accepted while all crossing degrees stay at most 1, stopping once
-    the accepted count reaches density times the pool size.
+    Chords from the full candidate pool are tried in a seeded random order,
+    stopping once the accepted count reaches density times the pool size.
+    The drawing grows incrementally: each accepted chord carries a crossed
+    flag, and a candidate is accepted iff it interleaves with at most one
+    accepted chord and that chord is not crossed yet, which is exactly when
+    the grown drawing stays valid (boundary edges never cross anything).
     """
     if n < 3:
         raise ValueError("need at least 3 vertices")
@@ -101,15 +105,14 @@ def random_outer_1_planar(n: int, density: float, seed: int) -> Drawing:
     rng = random.Random(seed)
     rng.shuffle(pool)
     target = int(density * len(pool))
-    edges = set(boundary)
-    accepted = 0
+    crossed: dict[Edge, bool] = {}
     for chord in pool:
-        if accepted >= target:
+        if len(crossed) >= target:
             break
-        try:
-            Drawing(n, frozenset(edges | {chord}))
-        except ValueError:
+        hits = list(islice((f for f in crossed if interleave(n, chord, f)), 2))
+        if len(hits) > 1 or (hits and crossed[hits[0]]):
             continue
-        edges.add(chord)
-        accepted += 1
-    return Drawing(n, frozenset(edges))
+        for f in hits:
+            crossed[f] = True
+        crossed[chord] = bool(hits)
+    return Drawing(n, frozenset(boundary | crossed.keys()))

@@ -1,12 +1,14 @@
 """Drawing representation, parsing, and combinatorial predicates."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outer1planar import (
+    AbstractGraph,
     Drawing,
     DrawingFormatError,
     InvalidDrawingError,
@@ -15,7 +17,7 @@ from outer1planar import (
     parse_drawing,
     random_outer_1_planar,
 )
-from outer1planar.drawing import emit_drawing, interleave
+from outer1planar.drawing import emit_drawing, interleave, iter_all_pairs, normalize_edge
 
 from .conftest import brute_crossing_pairs
 
@@ -145,3 +147,75 @@ def test_interleave_symmetric(n):
     for _ in range(30):
         a, b, c, d = rng.sample(range(1, n + 1), 4)
         assert interleave(n, (a, b), (c, d)) == interleave(n, (c, d), (a, b))
+
+
+def _brute_counts(n: int, edges) -> dict:
+    """Crossings per edge by the conftest pairwise scan, with no validation."""
+    g = AbstractGraph.from_edges(n, edges)
+    counts = {e: 0 for e in g.edges}
+    for e, f in brute_crossing_pairs(g):
+        counts[e] += 1
+        counts[f] += 1
+    return counts
+
+
+def _named_count(error: InvalidDrawingError) -> tuple:
+    """The edge and crossing count a rejection message names."""
+    found = re.search(r"edge \((\d+), (\d+)\) is crossed (\d+) times", str(error))
+    u, v, k = map(int, found.groups())
+    return (u, v), k
+
+
+def _check_against_brute(n: int, edges) -> None:
+    counts = _brute_counts(n, edges)
+    if all(c <= 1 for c in counts.values()):
+        d = Drawing.from_edges(n, edges)
+        assert d.crossing_pairs == brute_crossing_pairs(d)
+        return
+    with pytest.raises(InvalidDrawingError) as info:
+        Drawing.from_edges(n, edges)
+    e, k = _named_count(info.value)
+    assert counts[e] == k >= 2
+
+
+def test_complete_graph_rejected_with_exact_count():
+    n = 300
+    edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    with pytest.raises(InvalidDrawingError) as info:
+        Drawing.from_edges(n, edges)
+    (a, b), k = _named_count(info.value)
+    # a chord (c, d) crosses (a, b) iff exactly one endpoint is strictly inside
+    brute = sum((a < c < b) != (a < d < b) for c, d in edges if len({a, b, c, d}) == 4)
+    assert k == brute >= 2
+
+
+def test_validation_cost_does_not_scale_with_n():
+    d = parse_drawing("n 1000000000\ne 1 2\ne 5 999999999\n")
+    assert d.crossing_pairs == set()
+
+
+def test_fans_and_shared_endpoints_match_brute():
+    # several chords closing at 4, a chord opening there, and one crossing (2, 4)
+    d = Drawing.from_edges(7, [(1, 4), (2, 4), (3, 4), (1, 3), (4, 7), (4, 6), (5, 7)])
+    assert d.crossing_pairs == brute_crossing_pairs(d) == {((1, 3), (2, 4)), ((4, 6), (5, 7))}
+    _check_against_brute(7, [(1, 5), (2, 5), (3, 5), (4, 6)])
+    rng = random.Random(11)
+    for _ in range(400):
+        n = rng.randint(4, 14)
+        edges = set()
+        for hub in rng.sample(range(1, n + 1), rng.randint(1, 3)):
+            others = [w for w in range(1, n + 1) if w != hub]
+            edges |= {normalize_edge(hub, w) for w in rng.sample(others, rng.randint(1, n - 1))}
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        edges |= set(rng.sample(pairs, rng.randint(0, 3)))
+        _check_against_brute(n, edges)
+
+
+def test_planted_chord_verdict_matches_brute():
+    rng = random.Random(29)
+    for trial in range(300):
+        n = rng.randint(4, 40)
+        d = random_outer_1_planar(n, rng.choice((0.05, 0.2, 0.5, 1.0)), seed=trial)
+        missing = [e for e in iter_all_pairs(n) if e not in d.edges]
+        if missing:
+            _check_against_brute(n, set(d.edges) | {rng.choice(missing)})
