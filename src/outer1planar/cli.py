@@ -201,14 +201,13 @@ def _cmd_enumerate(args) -> tuple[int, dict]:
     total = 0
     failures = 0
     first_failure = None
+    classes = 0
     check = _CHECKS.get(args.check) if args.check else None
-    seen: set[tuple] = set()
     for d in oracle.enumerate_drawings(args.n, args.filter):
         total += 1
-        key = oracle.canonical_key(d)
-        if key in seen:
+        if not oracle._first_in_class(d):
             continue
-        seen.add(key)
+        classes += 1
         if check is not None and not check(d):
             failures += 1
             if first_failure is None:
@@ -217,7 +216,7 @@ def _cmd_enumerate(args) -> tuple[int, dict]:
         "n": args.n,
         "filter": args.filter,
         "count": total,
-        "classes": len(seen),
+        "classes": classes,
     }
     if check is not None:
         payload["check"] = args.check

@@ -9,6 +9,8 @@ scale past it.
 
 from __future__ import annotations
 
+from array import array
+from functools import cache
 from typing import Iterator
 
 from .drawing import AbstractGraph, Drawing, Edge, interleave, iter_all_pairs, normalize_edge
@@ -197,33 +199,37 @@ def enumerate_drawings(n: int, filter: str = "all") -> Iterator[Drawing]:
     filter is one of 'all', 'connected', 'connected-min-deg-2'.  Output is
     per labeled drawing; use canonical_key to quotient by rotations and
     reflections.  Emitted drawings skip revalidation: the walk maintains
-    the crossing-degree invariant itself.
+    the crossing-degree invariant itself.  The walk leaves out each pair
+    of iter_all_pairs(n) before it puts it in, so drawings come in
+    increasing order of their pair bitmask (the first pair is the most
+    significant bit).
     """
     if n > 8:
         raise SizeLimitExceeded("enumeration capped at n <= 8")
+    if n < 1:
+        raise ValueError("a drawing needs at least one vertex")
     if filter not in ("all", "connected", "connected-min-deg-2"):
         raise ValueError(f"unknown filter {filter!r}")
     pairs = list(iter_all_pairs(n))
-    conflicts: list[list[int]] = [[] for _ in pairs]
-    for i, e in enumerate(pairs):
-        for j in range(i + 1, len(pairs)):
-            if interleave(n, e, pairs[j]):
-                conflicts[i].append(j)
-                conflicts[j].append(i)
+    # The earlier pairs that cross pair i: only those are decided when the
+    # walk reaches i.
+    conflicts = [[j for j in range(i) if interleave(n, e, pairs[j])] for i, e in enumerate(pairs)]
 
     chosen: list[int] = []
     cross = [0] * len(pairs)
     in_set = [False] * len(pairs)
+    deg = [0] * (n + 1)
     want_connected = filter != "all"
-    want_min2 = filter == "connected-min-deg-2"
+    # Lowest degree a kept drawing may have: a connected drawing on two or
+    # more vertices has no isolated vertex.
+    min_deg = 2 if filter == "connected-min-deg-2" else 1 if want_connected and n > 1 else 0
 
     def passes() -> Drawing | None:
-        edges = frozenset(pairs[i] for i in chosen)
-        # A union-find over the chosen edges, not Drawing.is_connected and
-        # min_degree: building the adjacency of every candidate made a
-        # connected walk at n=7 about 1.6 times slower.
-        if want_connected or want_min2:
-            deg = [0] * (n + 1)
+        # Degrees are kept by the walk and connectivity is a union-find over
+        # the chosen pairs, so a rejected drawing builds nothing.
+        if min_deg and min(deg[1:]) < min_deg:
+            return None
+        if want_connected:
             parent = list(range(n + 1))
 
             def find(x: int) -> int:
@@ -232,15 +238,12 @@ def enumerate_drawings(n: int, filter: str = "all") -> Iterator[Drawing]:
                     x = parent[x]
                 return x
 
-            for u, v in edges:
-                deg[u] += 1
-                deg[v] += 1
+            for i in chosen:
+                u, v = pairs[i]
                 parent[find(u)] = find(v)
-            if want_min2 and (n == 0 or min(deg[1:]) < 2):
-                return None
             if len({find(v) for v in range(1, n + 1)}) != 1:
                 return None
-        return _trusted_drawing(n, edges)
+        return _trusted_drawing(n, frozenset(pairs[i] for i in chosen))
 
     def walk(i: int) -> Iterator[Drawing]:
         if i == len(pairs):
@@ -251,13 +254,18 @@ def enumerate_drawings(n: int, filter: str = "all") -> Iterator[Drawing]:
         yield from walk(i + 1)
         partners = [j for j in conflicts[i] if in_set[j]]
         if len(partners) <= 1 and all(cross[j] == 0 for j in partners):
+            u, v = pairs[i]
             in_set[i] = True
             cross[i] = len(partners)
             for j in partners:
                 cross[j] += 1
+            deg[u] += 1
+            deg[v] += 1
             chosen.append(i)
             yield from walk(i + 1)
             chosen.pop()
+            deg[u] -= 1
+            deg[v] -= 1
             for j in partners:
                 cross[j] -= 1
             cross[i] = 0
@@ -274,29 +282,78 @@ def _trusted_drawing(n: int, edges: frozenset[Edge]) -> Drawing:
     return d
 
 
-def canonical_key(d: Drawing) -> tuple:
-    """Minimum relabeling of the edge set over rotations and reflections."""
-    n = d.n
-    best = None
-    for flip in (False, True):
+@cache
+def _symmetries(n: int) -> tuple[dict[Edge, int], tuple[tuple[array, ...], ...]]:
+    """Pair weights, and byte tables for each non-identity rotation/reflection.
+
+    Pair i of iter_all_pairs(n) weighs 1 << (P - 1 - i), so enumerate_drawings
+    emits masks in increasing order.  A symmetry's k-th table maps byte k of
+    a mask (bits 8k..8k+7) to the mask of those pairs' images.
+    """
+    pairs = list(iter_all_pairs(n))
+    size = len(pairs)
+    weight = {e: 1 << (size - 1 - i) for i, e in enumerate(pairs)}
+    tables = []
+    for sign in (1, -1):
         for rot in range(n):
-            if flip:
-                relabel = [0] + [((rot - (v - 1)) % n) + 1 for v in range(1, n + 1)]
-            else:
-                relabel = [0] + [((v - 1 + rot) % n) + 1 for v in range(1, n + 1)]
-            key = tuple(
-                sorted(normalize_edge(relabel[u], relabel[v]) for u, v in d.edges)
-            )
-            if best is None or key < best:
-                best = key
-    return (n, best)
+            if sign == 1 and rot == 0:
+                continue
+            relabel = [0] + [(rot + sign * (v - 1)) % n + 1 for v in range(1, n + 1)]
+            # image[p]: the weight of the image of the pair at bit p
+            image = [weight[normalize_edge(relabel[u], relabel[v])] for u, v in reversed(pairs)]
+            chunks = []
+            for low in range(0, size, 8):
+                table = array("L", bytes(8 * 256))
+                for b in range(1, 256):
+                    bit = low + (b & -b).bit_length() - 1
+                    table[b] = table[b & (b - 1)] | (image[bit] if bit < size else 0)
+                chunks.append(table)
+            tables.append(tuple(chunks))
+    return weight, tuple(tables)
+
+
+def _image(chunks: tuple[array, ...], mask: int) -> int:
+    image = low = 0
+    for table in chunks:
+        image |= table[(mask >> low) & 0xFF]
+        low += 8
+    return image
+
+
+def _first_in_class(d: Drawing) -> bool:
+    """Is d's pair mask at most each of its rotation/reflection images?
+
+    enumerate_drawings emits masks in increasing order, and its filters hold
+    for all of a class or none of it, so this holds exactly for the first
+    drawing of each class that it emits.
+    """
+    weight, tables = _symmetries(d.n)
+    mask = sum(map(weight.__getitem__, d.edges))
+    for chunks in tables:
+        if _image(chunks, mask) < mask:
+            return False
+    return True
+
+
+def canonical_key(d: Drawing) -> tuple[int, int]:
+    """Least pair mask over the rotations and reflections of d.
+
+    Two drawings have equal keys iff one is a rotation or reflection of
+    the other.
+    """
+    if d.n > 8:
+        raise SizeLimitExceeded("canonical key capped at n <= 8")
+    weight, tables = _symmetries(d.n)
+    mask = sum(map(weight.__getitem__, d.edges))
+    return (d.n, min([mask] + [_image(chunks, mask) for chunks in tables]))
 
 
 def enumerate_drawings_deduped(n: int, filter: str = "all") -> Iterator[Drawing]:
-    """Representatives of rotation/reflection classes of enumerate_drawings."""
-    seen: set[tuple] = set()
+    """Representatives of rotation/reflection classes of enumerate_drawings.
+
+    Each class is represented by its first labeled drawing in walk order,
+    and representatives come in that order.
+    """
     for d in enumerate_drawings(n, filter):
-        key = canonical_key(d)
-        if key not in seen:
-            seen.add(key)
+        if _first_in_class(d):
             yield d

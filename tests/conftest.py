@@ -7,9 +7,8 @@ from functools import lru_cache
 
 import pytest
 
-from outer1planar import AbstractGraph, Drawing, enumerate_drawings
+from outer1planar import AbstractGraph, Drawing, enumerate_drawings_deduped
 from outer1planar.catalog import ConfigPattern
-from outer1planar.oracle import canonical_key
 
 
 @lru_cache(maxsize=None)
@@ -19,14 +18,7 @@ def population(n: int, filter: str) -> tuple[Drawing, ...]:
     Matching, coloring and chromatic numbers are invariant under relabeling
     (tested separately), so per-class checks cover every labeled drawing.
     """
-    seen: set[tuple] = set()
-    reps: list[Drawing] = []
-    for d in enumerate_drawings(n, filter):
-        key = canonical_key(d)
-        if key not in seen:
-            seen.add(key)
-            reps.append(d)
-    return tuple(reps)
+    return tuple(enumerate_drawings_deduped(n, filter))
 
 
 @pytest.fixture(scope="session")

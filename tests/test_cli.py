@@ -148,6 +148,14 @@ def test_enumerate_names_first_failure(monkeypatch, capsys):
     assert payload["first_failure"] == {"n": 4, "edges": sorted(list(e) for e in first.edges)}
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize("check", [None, "structure", "light", "reduce", "chi"])
+def test_enumerate_no_vertices_exit_2(n, check, capsys):
+    code = run(["enumerate", "--n", n] + (["--check", check] if check else []))
+    out, _ = capsys.readouterr()
+    assert code == 2 and "error" in json.loads(out)
+
+
 def test_generate_outputs_drawing_format(capsys):
     code = run(["generate", "cycle", "5"])
     out, _ = capsys.readouterr()

@@ -1,6 +1,8 @@
 """Brute-force oracles: chromatic numbers, recognition, maximality, enumeration."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -11,8 +13,11 @@ from outer1planar import (
     SizeLimitExceeded,
     canonical_key,
     chromatic_r_dynamic,
+    cli,
     cycle,
+    emit_drawing,
     enumerate_drawings,
+    enumerate_drawings_deduped,
     is_maximal,
     is_outer_1_planar,
     random_outer_1_planar,
@@ -21,6 +26,8 @@ from outer1planar import (
 )
 
 from .conftest import plain_chromatic
+
+FILTERS = ("all", "connected", "connected-min-deg-2")
 
 
 def k_complete(n):
@@ -148,6 +155,66 @@ def test_enumerate_no_duplicates_and_valid():
 def test_enumerate_guard():
     with pytest.raises(SizeLimitExceeded):
         list(enumerate_drawings(9, "all"))
+
+
+def brute_orbit_key(d):
+    """Least sorted edge tuple over every rotation and reflection of d,
+    each relabeling written out; independent of the package's bitmasks."""
+    n = d.n
+    best = None
+    for flip in (False, True):
+        for rot in range(n):
+            if flip:
+                relabel = [0] + [((rot - (v - 1)) % n) + 1 for v in range(1, n + 1)]
+            else:
+                relabel = [0] + [((v - 1 + rot) % n) + 1 for v in range(1, n + 1)]
+            key = tuple(sorted(tuple(sorted((relabel[u], relabel[v]))) for u, v in d.edges))
+            if best is None or key < best:
+                best = key
+    return best
+
+
+def test_dedup_matches_brute_orbits(capsys):
+    for n in range(1, 7):
+        for filt in FILTERS:
+            firsts = {}  # brute key -> first drawing of its orbit
+            pairs = set()  # (brute key, canonical key)
+            for d in enumerate_drawings(n, filt):
+                brute = brute_orbit_key(d)
+                firsts.setdefault(brute, d)
+                pairs.add((brute, canonical_key(d)))
+            reps = list(enumerate_drawings_deduped(n, filt))
+            assert [d.edges for d in reps] == [d.edges for d in firsts.values()]
+            # canonical keys are equal iff brute keys are: the relation is a
+            # bijection between the two key sets
+            assert len(pairs) == len(firsts) == len({key for _, key in pairs})
+            code = cli.run(["enumerate", "--n", str(n), "--filter", filt])
+            assert code == 0 and json.loads(capsys.readouterr().out)["classes"] == len(firsts)
+
+
+def test_representatives_golden_digest():
+    # constant computed with the sorted edge-tuple dedup that came before
+    # the bitmask one; pins which drawing stands for each class, and the order
+    digest = hashlib.sha256()
+    for filt in FILTERS:
+        for n in range(1, 8):
+            for d in enumerate_drawings_deduped(n, filt):
+                digest.update(emit_drawing(d).encode())
+    assert digest.hexdigest() == "f843b334fe5b195c45ec4791370dc43b7db294ba6f195eecf02ce478c116bf1d"
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_enumerate_rejects_no_vertices(n):
+    for filt in FILTERS:
+        with pytest.raises(ValueError):
+            list(enumerate_drawings(n, filt))
+        with pytest.raises(ValueError):
+            list(enumerate_drawings_deduped(n, filt))
+
+
+def test_canonical_key_size_guard():
+    with pytest.raises(SizeLimitExceeded):
+        canonical_key(cycle(9))
 
 
 def test_canonical_key_invariance():
