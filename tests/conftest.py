@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from functools import lru_cache
 
 import pytest
@@ -101,6 +102,40 @@ def double_g11() -> Drawing:
     a = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 5), (3, 7)]
     b = [(8, 9), (9, 10), (10, 11), (11, 12), (12, 13), (13, 14), (8, 12), (10, 14)]
     return Drawing.from_edges(14, a + b + [(7, 8), (14, 1)])
+
+
+def polygon_drawing(n: int, seed: int, keep: float = 1.0) -> Drawing:
+    """A large outer-1-plane drawing, built in O(n) from one seeded generator.
+
+    Splits the n-gon into triangles, apex by apex; then each triangle that
+    is still free is paired with its free parent, and the pair's
+    quadrilateral gets its second diagonal, which crosses only their shared
+    chord.  With keep < 1 each chord other than a boundary edge survives
+    with that probability (dropping edges only drops crossings).
+    """
+    rng = random.Random(seed)
+    edges = {(i, i + 1) for i in range(1, n)} | {(1, n)}
+    triangles: list[tuple[int, int, int, int]] = []  # (a, apex, b, parent index)
+    todo = [(1, n, -1)]
+    while todo:
+        a, b, parent = todo.pop()
+        if b - a >= 2:
+            c = rng.randint(a + 1, b - 1)
+            triangles.append((a, c, b, parent))
+            edges.update(((a, c), (c, b)))
+            todo += [(a, c, len(triangles) - 1), (c, b, len(triangles) - 1)]
+    paired = [False] * len(triangles)
+    for i in range(len(triangles) - 1, -1, -1):
+        a, c, b, parent = triangles[i]
+        if parent < 0 or paired[i] or paired[parent]:
+            continue
+        paired[i] = paired[parent] = True
+        pa, pc, pb, _ = triangles[parent]
+        far = pa if (a, b) == (pc, pb) else pb  # the parent corner off the shared chord
+        edges.add((min(c, far), max(c, far)))
+    chords = sorted(e for e in edges if e[1] - e[0] not in (1, n - 1))
+    edges -= {e for e in chords if rng.random() >= keep}
+    return Drawing.from_edges(n, edges)
 
 
 def g3_flip_host() -> Drawing:

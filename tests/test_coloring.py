@@ -25,7 +25,7 @@ from outer1planar.coloring import coloring_to_json, parse_coloring_json
 from outer1planar.drawing import delete_vertices_with_map
 from outer1planar.structure import ReductionStep
 
-from .conftest import double_g10, double_g11, g3_flip_host
+from .conftest import double_g10, double_g11, g3_flip_host, polygon_drawing
 
 
 def test_verify_c6_valid():
@@ -281,3 +281,20 @@ def test_local_check_agrees_with_full_verify(classes):
                 assert col._valid_around(d, step, partial, colors) == full
                 verdicts.add(full)
     assert verdicts == {True, False}
+
+
+# SHA-256 over colorings of three large drawings, computed with the
+# full-scan reduction search before the incremental one replaced it.
+LARGE_COLORINGS_SHA256 = "17fb6ff03e8e3269e1c7039f8b336cbe330ced8e9740dd5d80184dd86a5ffd85"
+
+
+def test_large_colorings_digest():
+    rng = random.Random(2021)
+    digest = hashlib.sha256()
+    for d in (polygon_drawing(1000, 1), polygon_drawing(1000, 2, keep=0.8), polygon_drawing(2000, 3)):
+        random_lists = {v: frozenset(rng.sample(range(1, 10), 6)) for v in d.vertices}
+        digest.update(f"{sorted(d.edges)}\n".encode())
+        for lists in (uniform_lists(d, 6), random_lists):
+            colors = color_list_3_dynamic(d, lists)
+            digest.update(f"{coloring_to_json(colors, 3, True)}\n".encode())
+    assert digest.hexdigest() == LARGE_COLORINGS_SHA256
