@@ -12,6 +12,7 @@ in the optional drawing-correspondence check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -79,6 +80,28 @@ class ConfigPattern:
             if {frozenset((sigma[a], sigma[b])) for a, b in self.edges} == edge_set:
                 autos.append(sigma)
         return tuple(autos)
+
+    @cached_property
+    def _orbit_perms(self) -> tuple[tuple[int, ...], ...]:
+        idx = {l: i for i, l in enumerate(self.labels)}
+        return tuple(tuple(idx[sigma[l]] for l in self.labels) for sigma in self.automorphisms)
+
+    def _representative(self, occurrence: tuple[int, ...]) -> tuple[int, ...]:
+        """The least image of an occurrence (in labels order) under the automorphisms."""
+        return min(tuple([occurrence[i] for i in perm]) for perm in self._orbit_perms)
+
+    @cached_property
+    def _rooted_plans(self) -> dict[str, tuple]:
+        """For each label, a plan that places it first and grows along
+        edges, solid and marked-hollow labels before hollow ones."""
+        plans = {}
+        for root in self.labels:
+            order = [root]
+            while len(order) < len(self.labels):
+                touching = [l for l in self.labels if l not in order and self.neighbors(l) & set(order)]
+                order.append(min(touching, key=lambda l: (self.roles[l].kind == HOLLOW, l)))
+            plans[root] = _plan(self, order)
+        return plans
 
 
 @dataclass(frozen=True)
@@ -151,7 +174,10 @@ def _check_catalog(patterns: list[ConfigPattern]) -> None:
     (b) every configuration except the 3rd has an edge that is either
         solid-2 to a forced <= 5 endpoint or solid-3 to solid-3;
     (c) exactly configurations 3, 6, 7 and 12 carry a marked-hollow vertex,
-        labeled y.
+        labeled y;
+    (d) configurations 3 and 6-11, the reducible ones, are connected and
+        every hollow vertex has a solid or marked-hollow neighbor, so a
+        search rooted at a host vertex of bounded degree stays local.
     """
     if [p.id for p in patterns] != list(range(1, 18)):
         raise CatalogError("expected configurations 1..17 in order")
@@ -182,6 +208,19 @@ def _check_catalog(patterns: list[ConfigPattern]) -> None:
             raise CatalogError(f"config {p.id}: marked-hollow vertex mismatch")
         if p.id in (3, 6, 7, 12) and p.roles.get("y", VertexRole(SOLID, 0)).kind != MARKED:
             raise CatalogError(f"config {p.id}: the marked vertex must be labeled y")
+        if p.id in (3, 6, 7, 8, 9, 10, 11):
+            reach = {p.labels[0]}
+            for _ in p.labels:
+                reach.update(*(p.neighbors(l) for l in reach))
+            if len(reach) < len(p.labels):
+                raise CatalogError(f"config {p.id}: a reducible configuration must be connected")
+            for label in p.labels:
+                if p.roles[label].kind == HOLLOW and all(
+                    p.roles[m].kind == HOLLOW for m in p.neighbors(label)
+                ):
+                    raise CatalogError(
+                        f"config {p.id}: hollow {label} has no solid or marked-hollow neighbor"
+                    )
         if p.id != 6 and light_edge_labels(p) is None:
             raise CatalogError(f"config {p.id}: no light edge with a <=7 endpoint")
         if p.id != 3 and tight_edge_labels(p) is None:
@@ -193,6 +232,12 @@ def _forced_max_degree(role: VertexRole) -> int | None:
     if role.kind == SOLID:
         return role.drawn_degree
     return role.degree_cap
+
+
+def _degree_range(role: VertexRole) -> tuple[int, float]:
+    """The host degrees a role admits, as (least, greatest)."""
+    hi = _forced_max_degree(role)
+    return role.drawn_degree, (math.inf if hi is None else hi)
 
 
 def light_edge_labels(p: ConfigPattern) -> tuple[str, str] | None:
@@ -268,58 +313,77 @@ def find_matches(d: Drawing, p: ConfigPattern, check_d2: bool = False) -> list[M
     check_d2 is set and p.id >= 6, occurrences must also realize the
     pattern's crossings and cyclic order in the drawing.
     """
-    degs = d.degrees
-    adj = d.adjacency
-
-    candidates: dict[str, list[int]] = {}
-    for label in p.labels:
-        role = p.roles[label]
-        cands = [v for v in d.vertices if role.admits(degs[v])]
-        if not cands:
-            return []
-        candidates[label] = cands
-
-    order = _search_order(p, candidates)
-    found: list[tuple[int, ...]] = []
-    assignment: dict[str, int] = {}
-    used: set[int] = set()
-
-    def place(k: int) -> None:
-        if k == len(order):
-            found.append(tuple(assignment[l] for l in p.labels))
-            return
-        label = order[k]
-        placed_nbrs = [l for l in p.neighbors(label) if l in assignment]
-        if placed_nbrs:
-            pool: set[int] = set.intersection(
-                *(set(adj[assignment[l]]) for l in placed_nbrs)
-            )
-            pool &= set(candidates[label])
-        else:
-            pool = set(candidates[label])
-        for v in sorted(pool - used):
-            assignment[label] = v
-            used.add(v)
-            place(k + 1)
-            used.remove(v)
-            del assignment[label]
-
-    place(0)
-
-    autos = p.automorphisms
-    reps: dict[tuple[int, ...], tuple[int, ...]] = {}
-    idx = {l: i for i, l in enumerate(p.labels)}
-    for tup in found:
-        orbit = min(
-            tuple(tup[idx[sigma[l]]] for l in p.labels) for sigma in autos
-        )
-        reps.setdefault(orbit, orbit)
-    matches = [
-        Match(p.id, dict(zip(p.labels, tup))) for tup in sorted(reps.values())
-    ]
+    found = _occurrences(p, d.degrees, d.adjacency, d.vertices)
+    reps = sorted({p._representative(tup) for tup in found})
+    matches = [Match(p.id, dict(zip(p.labels, tup))) for tup in reps]
     if check_d2 and p.id >= 6:
         matches = [m for m in matches if _d2_holds(d, p, m.assignment)]
     return matches
+
+
+def _occurrences(p: ConfigPattern, degs, adj, vertices) -> list[tuple[int, ...]]:
+    """Every occurrence of p among the given vertices, as tuples in labels
+    order, once per automorphic image (degs and adj describe the host)."""
+    candidates: dict[str, list[int]] = {}
+    for label in p.labels:
+        lo, hi = _degree_range(p.roles[label])
+        cands = [v for v in vertices if lo <= degs[v] <= hi]
+        if not cands:
+            return []
+        candidates[label] = cands
+    found: list[tuple[int, ...]] = []
+    _embed(_plan(p, _search_order(p, candidates)), degs, adj, candidates, found)
+    return found
+
+
+def _rooted_occurrences(p: ConfigPattern, degs, adj, label: str, v: int) -> list[tuple[int, ...]]:
+    """Every occurrence of p that puts label on host vertex v; p must be connected."""
+    found: list[tuple[int, ...]] = []
+    _embed(p._rooted_plans[label], degs, adj, {label: (v,)}, found)
+    return found
+
+
+def _plan(p: ConfigPattern, order: list[str]) -> tuple:
+    """What _embed needs to place p's labels in this order: the order, each
+    label's placed neighbors and degree range, and where each of p.labels sits."""
+    at = {l: k for k, l in enumerate(order)}
+    prior = [[at[m] for m in p.neighbors(l) if at[m] < k] for k, l in enumerate(order)]
+    ranges = [_degree_range(p.roles[l]) for l in order]
+    return order, prior, ranges, [at[l] for l in p.labels]
+
+
+def _embed(plan: tuple, degs, adj, pools, found: list) -> None:
+    """Append every occurrence to found, as a tuple in labels order.
+
+    A label with placed neighbors draws from their common neighborhood,
+    any other label from pools[label]; each vertex must pass its label's
+    degree range, and no vertex is used twice.
+    """
+    order, prior, ranges, positions = plan
+    last = len(order)
+    placed = [0] * last
+    used: set[int] = set()
+
+    def place(k: int) -> None:
+        if k == last:
+            found.append(tuple([placed[i] for i in positions]))
+            return
+        before = prior[k]
+        if not before:
+            pool = pools[order[k]]
+        elif len(before) == 1:
+            pool = adj[placed[before[0]]]
+        else:
+            pool = adj[placed[before[0]]].intersection(*[adj[placed[i]] for i in before[1:]])
+        lo, hi = ranges[k]
+        for v in pool:
+            if v not in used and lo <= degs[v] <= hi:
+                placed[k] = v
+                used.add(v)
+                place(k + 1)
+                used.remove(v)
+
+    place(0)
 
 
 def _search_order(p: ConfigPattern, candidates: dict[str, list[int]]) -> list[str]:

@@ -6,10 +6,12 @@ local rule: each deleted vertex gets the smallest list color outside a
 small forbidden set assembled from its surroundings.  The one exception is
 the 11th configuration, whose rule has a recoloring branch for the rainbow
 worst case.  Peeling works on the original labels, so no sub-drawing is
-ever rebuilt.  Every extension is checked around the vertices it touched;
-if a rule ever leaves a violation, a bounded exhaustive repair over the
-shape's vertices runs before giving up.  The finished coloring is verified
-once in full.
+ever rebuilt, and the structure module's peeler finds each shape by
+searching only around the previous deletion.  Every extension is checked
+around the vertices it touched; if a rule ever leaves a violation, a
+bounded exhaustive repair over the shape's vertices runs before giving up,
+with its candidates checked the same local way.  The finished coloring is
+verified once in full.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import json
 import logging
 from dataclasses import dataclass, field
 
-from .drawing import Drawing, Edge, normalize_edge
-from .structure import ReductionStep, find_reduction
+from .drawing import Drawing, Edge
+from .structure import ReductionStep, _Peeler
 
 logger = logging.getLogger("outer1planar.coloring")
 
@@ -146,66 +148,17 @@ def color_list_3_dynamic(d: Drawing, lists: ListAssignment) -> Coloring:
     return _color(d, lists)
 
 
-class _PeelView:
-    """The survivors of a drawing being peeled, on the drawing's own labels.
-
-    Deleting vertices keeps the survivors' clockwise order, so the induced
-    sub-drawing needs neither relabeling nor a second crossing check.  The
-    view offers the graph reads of the reduction search and the extension
-    rules; it copies the drawing's adjacency and never mutates it.
-    """
-
-    def __init__(self, d: Drawing) -> None:
-        self.vertices = d.vertices
-        self.edges = set(d.edges)
-        self.adjacency = {v: set(ws) for v, ws in d.adjacency.items()}
-        self.degrees = dict(d.degrees)
-
-    @property
-    def n(self) -> int:
-        return len(self.vertices)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
-
-    def remove(self, deleted: tuple[int, ...]) -> list[Edge]:
-        """Delete vertices; returns the edges that went with them."""
-        dropped: list[Edge] = []
-        for v in deleted:
-            del self.degrees[v]
-            for w in self.adjacency.pop(v):
-                if w in self.adjacency:
-                    self.adjacency[w].remove(v)
-                    self.degrees[w] -= 1
-                    dropped.append(normalize_edge(v, w))
-        self.edges.difference_update(dropped)
-        self.vertices = tuple(v for v in self.vertices if v not in deleted)
-        return dropped
-
-    def restore(self, deleted: tuple[int, ...], dropped: list[Edge]) -> None:
-        """Undo the remove call that deleted these vertices."""
-        for v in deleted:
-            self.adjacency[v] = set()
-        for u, v in dropped:
-            self.adjacency[u].add(v)
-            self.adjacency[v].add(u)
-        self.edges.update(dropped)
-        for v in {*deleted, *(w for e in dropped for w in e)}:
-            self.degrees[v] = len(self.adjacency[v])
-        self.vertices = tuple(sorted((*self.vertices, *deleted)))
-
-
 def _color(d: Drawing, lists: ListAssignment) -> Coloring:
-    view = _PeelView(d)
+    peeler = _Peeler(d)
     peeled: list[tuple[ReductionStep, list[Edge]]] = []
-    while view.n:
-        step = find_reduction(view)
-        peeled.append((step, view.remove(step.deleted)))
+    while peeler.n:
+        step = peeler.pop()
+        peeled.append((step, peeler.remove(step.deleted)))
     colors: Coloring = {}
     while peeled:
         step, dropped = peeled.pop()
-        view.restore(step.deleted, dropped)
-        colors = extend_step(view, step, colors, lists)
+        peeler.restore(step.deleted, dropped)
+        _extend(peeler, step, colors, lists)
     verdict = verify_dynamic(d, colors, 3)
     if not verdict.valid:
         raise ExtensionFailure(f"coloring left violations: {verdict.violations[:3]}")
@@ -233,6 +186,13 @@ def extend_step(
     a bounded exhaustive repair over the shape's vertices takes over.
     """
     colors = dict(partial)
+    _extend(d, step, colors, lists)
+    return colors
+
+
+def _extend(d: Drawing, step: ReductionStep, colors: Coloring, lists: ListAssignment) -> None:
+    """extend_step on colors itself, so a peel copies nothing per step."""
+    before = {v: colors[v] for v in (*step.deleted, *step.anchors.values()) if v in colors}
     handler = {
         "P1-pendant": _extend_p1,
         "P2-adjacent-deg2": _extend_p2,
@@ -247,16 +207,18 @@ def extend_step(
     }[step.kind]
     try:
         handler(d, step.anchors, colors, lists)
-        rule_failed = not _valid_around(d, step, partial, colors)
+        rule_failed = not _valid_around(d, step, before, colors)
     except ExtensionFailure:
         rule_failed = True
     if rule_failed:
         logger.warning("rule for %s failed; running bounded repair", step.kind)
-        repaired = _repair(d, step, partial, lists)
+        for v in step.deleted:
+            colors.pop(v, None)
+        colors.update(before)
+        repaired = _repair(d, step, colors, lists)
         if repaired is None:
             raise ExtensionFailure(f"bounded repair failed for {step.kind}")
-        return repaired
-    return colors
+        colors.update(repaired)
 
 
 def _valid_around(d: Drawing, step: ReductionStep, partial: Coloring, colors: Coloring) -> bool:
@@ -266,7 +228,7 @@ def _valid_around(d: Drawing, step: ReductionStep, partial: Coloring, colors: Co
     write anchors only).  With partial valid on d minus step.deleted, a
     vertex outside T and N(T) keeps its neighborhood and its neighbors'
     colors, so properness at T and the dynamic condition on T and N(T)
-    decide the whole verdict.
+    decide the whole verdict.  Only partial's colors at the anchors are read.
     """
     adj = d.adjacency
     touched = set(step.deleted)
@@ -470,7 +432,7 @@ def _repair(
     Pools grow from the deleted vertices through the anchors z, v, w, a, so
     repairs stay inside the locality envelope the recoloring branch of the
     11th configuration already uses.  Properness is pruned during the
-    search and every leaf is fully verified.
+    search and every leaf is checked around the vertices it touched.
     """
     deleted = set(step.deleted)
     pools = [sorted(deleted)]
@@ -480,24 +442,23 @@ def _repair(
             grow.add(step.anchors[label])
             pools.append(sorted(grow))
     for pool in pools:
-        result = _search(d, pool, partial, lists)
+        result = _search(d, step, pool, partial, lists)
         if result is not None:
             return result
     return None
 
 
 def _search(
-    d: Drawing, pool: list[int], partial: Coloring, lists: ListAssignment
+    d: Drawing, step: ReductionStep, pool: list[int], partial: Coloring, lists: ListAssignment
 ) -> Coloring | None:
     work = {v: c for v, c in partial.items() if v not in pool}
     adj = d.adjacency
 
     def rec(i: int) -> Coloring | None:
         if i == len(pool):
-            candidate = dict(work)
-            if verify_dynamic(d, candidate, 3).valid:
-                return candidate
-            return None
+            # the pool holds only deleted vertices and anchors, so the check
+            # around them is verify_dynamic's verdict
+            return dict(work) if _valid_around(d, step, partial, work) else None
         v = pool[i]
         for c in sorted(lists[v]):
             if any(work.get(w) == c for w in adj[v]):

@@ -11,6 +11,7 @@ its own where the oracles need a graph with no drawing.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -220,6 +221,8 @@ def parse_drawing(text: str) -> Drawing:
                 raise DrawingFormatError(f"line {ln}: vertex count is not an integer") from None
             if n < 1:
                 raise DrawingFormatError(f"line {ln}: vertex count must be at least 1")
+            if n > sys.maxsize:
+                raise DrawingFormatError(f"line {ln}: vertex count must be at most {sys.maxsize}")
             continue
         if parts[0] != "e" or len(parts) != 3:
             raise DrawingFormatError(f"line {ln}: expected 'e <u> <v>', got {line!r}")

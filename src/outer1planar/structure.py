@@ -4,16 +4,32 @@ Every connected drawing with minimum degree 2 contains one of the seventeen
 configurations; every drawing at all contains one of ten reducible shapes
 whose deletion the coloring engine can undo.  Both searches are realized by
 exhaustive catalog matching with deterministic tie-breaking, not by the
-inductive case analysis that proves they cannot fail.
+inductive case analysis that proves they cannot fail.  The reduction search
+lives in a peeler that the coloring engine keeps for a whole peel: it holds
+the candidates of every kind and, after each deletion, searches only around
+the vertices whose degree fell.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
+from heapq import heapify, heappop, heappush
 
 from . import oracle
-from .catalog import ConfigPattern, Match, find_matches, get_pattern, light_edge_labels, tight_edge_labels
-from .drawing import AbstractGraph, Drawing
+from .catalog import (
+    ConfigPattern,
+    Match,
+    _degree_range,
+    _occurrences,
+    _rooted_occurrences,
+    find_matches,
+    get_pattern,
+    light_edge_labels,
+    tight_edge_labels,
+)
+from .drawing import AbstractGraph, Drawing, Edge, normalize_edge
 
 
 class StructureNotFound(RuntimeError):
@@ -140,58 +156,193 @@ def find_reduction(d: Drawing) -> ReductionStep:
     Priority: a vertex of degree at most 1, two adjacent degree-2 vertices,
     a triangle with a degree-2 vertex, then configurations 3, 6, 7, 8, 9,
     10, 11.  Within a kind the lexicographically smallest anchor assignment
-    wins, so runs are reproducible.
+    wins, so runs are reproducible.  This is the first pop of a fresh
+    peeler, so the one-off query and the coloring engine's peel agree.
     """
-    degs = d.degrees
-    adj = d.adjacency
+    return _Peeler(d).pop()
 
-    for v in d.vertices:
-        if degs[v] <= 1:
+
+@lru_cache(maxsize=None)
+def _config_kind(pid: int) -> tuple:
+    """(pattern, anchor names, their label positions, each label's degree
+    range, and the labels a drop in degree can newly admit)."""
+    p = get_pattern(pid)
+    names = tuple(sorted(p.anchors))
+    keys = tuple(p.labels.index(p.anchors[a]) for a in names)
+    ranges = tuple(_degree_range(p.roles[l]) for l in p.labels)
+    bounded = tuple((l, lo, hi) for l, (lo, hi) in zip(p.labels, ranges) if hi != math.inf)
+    return p, names, keys, ranges, bounded
+
+
+class _Peeler:
+    """The survivors of a drawing being peeled, with their reduction candidates.
+
+    Works on the drawing's own labels: deleting vertices keeps the
+    survivors' clockwise order, so the induced sub-drawing needs neither
+    relabeling nor a second crossing check.  It never mutates the
+    drawing: a neighbor set is copied before its first change.
+
+    Survivors only lose degree, so the candidates sit in min-heaps that are
+    validated lazily when read: an entry that fails once fails for good.
+    Each heap is filled by one full scan or search the first time every
+    kind above it is empty, so a one-off query pays only for what it
+    reads.  After that the P1/P2/P3 heaps take a vertex when its degree
+    drops into their bucket.  A configuration's heap is keyed like
+    find_reduction's ranking; a new occurrence must put a vertex whose
+    degree dropped on a solid or marked-hollow label that did not admit its
+    old degree (losing degree never satisfies a hollow "at least k"), so
+    the heap is brought up to date by searches rooted at those vertices
+    only, when the kind is read again.  `restore` is for the extension
+    phase, after the last `pop`.
+    """
+
+    def __init__(self, d: Drawing) -> None:
+        self.adjacency = adj = dict(d.adjacency)  # a neighbor set is copied before its first change
+        self._copied: set[int] = set()
+        self.degrees = degs = dict(d.degrees)
+        self._pendant = [v for v, k in degs.items() if k <= 1]
+        heapify(self._pendant)
+        self._pairs: list[Edge] | None = None  # P2 and P3 are scanned together
+        self._triangles: list[tuple[int, int, int]] | None = None
+        self._found: dict[int, list] = {}
+        self._dirty: dict[int, dict[int, int]] = {}  # degree at the kind's last read
+
+    @property
+    def n(self) -> int:
+        return len(self.degrees)
+
+    def pop(self) -> ReductionStep:
+        """The first reducible shape among the survivors (see find_reduction)."""
+        degs, adj = self.degrees, self.adjacency
+        v = _least_valid(self._pendant, lambda v: degs.get(v, 2) <= 1)
+        if v is not None:
             anchors = {"u": v}
             if degs[v] == 1:
                 anchors["v"] = min(adj[v])
             return ReductionStep("P1-pendant", (v,), anchors)
 
-    best = min(((u, v) for u, v in d.edges if degs[u] == 2 and degs[v] == 2), default=None)
-    if best is not None:
-        u, v = best
-        x = min(adj[u] - {v})
-        y = min(adj[v] - {u})
-        return ReductionStep("P2-adjacent-deg2", (u, v), {"u": u, "v": v, "x": x, "y": y})
+        if self._pairs is None:
+            twos = [v for v, k in degs.items() if k == 2]
+            corners = [(u, *sorted(adj[u])) for u in twos]
+            self._pairs = [(u, v) for u in twos for v in adj[u] if u < v and degs[v] == 2]
+            self._triangles = [(u, x, y) for u, x, y in corners if y in adj[x]]
+            heapify(self._pairs)
+            heapify(self._triangles)
+        pair = _least_valid(self._pairs, lambda e: degs.get(e[0]) == 2 == degs.get(e[1]))
+        if pair is not None:
+            u, v = pair
+            x = min(adj[u] - {v})
+            y = min(adj[v] - {u})
+            return ReductionStep("P2-adjacent-deg2", (u, v), {"u": u, "v": v, "x": x, "y": y})
 
-    tri: tuple[int, int, int] | None = None
-    for u in d.vertices:
-        if degs[u] != 2:
-            continue
-        x, y = sorted(adj[u])
-        if d.has_edge(x, y):
-            cand = (u, x, y)
-            if tri is None or cand < tri:
-                tri = cand
-    if tri is not None:
-        u, x, y = tri
-        anchors = {"u": u, "x": x, "y": y}
-        _note_third_neighbor(d, anchors, "x", {u, y})
-        _note_third_neighbor(d, anchors, "y", {u, x})
-        return ReductionStep("P3-triangle-deg2", (u,), anchors)
+        # u keeps degree 2 only while both its neighbors survive
+        triangle = _least_valid(self._triangles, lambda t: degs.get(t[0]) == 2)
+        if triangle is not None:
+            u, x, y = triangle
+            anchors = {"u": u, "x": x, "y": y}
+            _note_third_neighbor(self, anchors, "x", {u, y})
+            _note_third_neighbor(self, anchors, "y", {u, x})
+            return ReductionStep("P3-triangle-deg2", (u,), anchors)
 
-    for pid, kind in _REDUCTION_CONFIGS:
-        p = get_pattern(pid)
-        matches = find_matches(d, p)
-        if not matches:
-            continue
-        names = sorted(p.anchors)
-        m = min(matches, key=lambda m: tuple(m.assignment[p.anchors[a]] for a in names))
-        assignment = {name: m.assignment[p.anchors[name]] for name in names}
-        assignment = _normalize_case(d, pid, assignment)
-        anchors = dict(assignment)
-        _resolve_thirds(d, pid, anchors)
-        deleted = tuple(sorted(anchors[l] for l in _DELETIONS[kind]))
-        return ReductionStep(kind, deleted, anchors)
+        for pid, kind in _REDUCTION_CONFIGS:
+            rep = self._least_occurrence(pid)
+            if rep is None:
+                continue
+            _, names, keys, _, _ = _config_kind(pid)
+            anchors = _normalize_case(self, pid, {a: rep[k] for a, k in zip(names, keys)})
+            _resolve_thirds(self, pid, anchors)
+            deleted = tuple(sorted(anchors[l] for l in _DELETIONS[kind]))
+            return ReductionStep(kind, deleted, anchors)
 
-    raise StructureNotFound(
-        "no reducible configuration: the input is not outer-1-planar, or the catalog is wrong"
-    )
+        raise StructureNotFound(
+            "no reducible configuration: the input is not outer-1-planar, or the catalog is wrong"
+        )
+
+    def _least_occurrence(self, pid: int) -> tuple[int, ...] | None:
+        """The orbit representative with the least anchor key, or None."""
+        p, _, keys, ranges, bounded = _config_kind(pid)
+        degs, adj = self.degrees, self.adjacency
+        heap = self._found.get(pid)
+        if heap is None:
+            reps = {p._representative(t) for t in _occurrences(p, degs, adj, degs)}
+            heap = self._found[pid] = [(tuple([r[k] for k in keys]), r) for r in reps]
+            heapify(heap)
+            self._dirty[pid] = {}
+        else:
+            dirty = self._dirty[pid]
+            fresh = set()
+            for v, old in dirty.items():
+                new = degs.get(v)
+                if new is None:
+                    continue
+                for label, lo, hi in bounded:
+                    if lo <= new <= hi and not lo <= old <= hi:
+                        fresh.update(
+                            p._representative(t) for t in _rooted_occurrences(p, degs, adj, label, v)
+                        )
+            dirty.clear()
+            for r in fresh:
+                heappush(heap, (tuple([r[k] for k in keys]), r))
+        def holds(entry) -> bool:
+            return all(v in degs and lo <= degs[v] <= hi for v, (lo, hi) in zip(entry[1], ranges))
+
+        least = _least_valid(heap, holds)
+        return None if least is None else least[1]
+
+    def remove(self, deleted: tuple[int, ...]) -> list[Edge]:
+        """Delete vertices; returns the edges that went with them."""
+        degs, adj = self.degrees, self.adjacency
+        dropped: list[Edge] = []
+        before: dict[int, int] = {}
+        for v in deleted:
+            del degs[v]
+            for w in adj.pop(v):
+                if w in adj:
+                    if w not in self._copied:
+                        adj[w] = set(adj[w])
+                        self._copied.add(w)
+                    adj[w].remove(v)
+                    before.setdefault(w, degs[w])
+                    degs[w] -= 1
+                    dropped.append(normalize_edge(v, w))
+        for w, old in before.items():
+            if w in degs:
+                self._dropped(w, old)
+        return dropped
+
+    def _dropped(self, w: int, old: int) -> None:
+        """Note that survivor w's degree fell from old to its current value."""
+        degs, adj = self.degrees, self.adjacency
+        new = degs[w]
+        if new <= 1 < old:
+            heappush(self._pendant, w)
+        elif new == 2 < old and self._pairs is not None:
+            x, y = sorted(adj[w])
+            for z in (x, y):
+                if degs[z] == 2:
+                    heappush(self._pairs, normalize_edge(w, z))
+            if y in adj[x]:
+                heappush(self._triangles, (w, x, y))
+        for dirty in self._dirty.values():
+            dirty.setdefault(w, old)
+
+    def restore(self, deleted: tuple[int, ...], dropped: list[Edge]) -> None:
+        """Undo the remove call that deleted these vertices."""
+        for v in deleted:
+            self.adjacency[v] = set()
+        for u, v in dropped:
+            self.adjacency[u].add(v)
+            self.adjacency[v].add(u)
+        for v in {*deleted, *(w for e in dropped for w in e)}:
+            self.degrees[v] = len(self.adjacency[v])
+
+
+def _least_valid(heap: list, valid):
+    """The least entry of heap that passes valid, or None; discards the
+    failing entries above it, which can never pass again."""
+    while heap and not valid(heap[0]):
+        heappop(heap)
+    return heap[0] if heap else None
 
 
 def _normalize_case(d: Drawing, pid: int, a: dict[str, int]) -> dict[str, int]:

@@ -28,20 +28,21 @@ def classes():
 
 
 def naive_matches(d: Drawing, p: ConfigPattern) -> list[tuple[int, ...]]:
-    """Brute-force matcher: every injective map, checked directly, then
-    deduplicated by pattern automorphism.  Kept independent of the
-    production matcher's ordering and pruning."""
+    """Brute-force matcher: every injective map that sends each label to a
+    vertex its role admits, checked directly, then deduplicated by pattern
+    automorphism.  Kept independent of the production matcher's ordering
+    and pruning."""
     labels = p.labels
     autos = p.automorphisms
     idx = {l: i for i, l in enumerate(labels)}
+    admitted = [[v for v in d.vertices if p.roles[l].admits(d.degrees[v])] for l in labels]
     found = set()
-    for perm in itertools.permutations(d.vertices, len(labels)):
-        amap = dict(zip(labels, perm))
-        if any(not p.roles[l].admits(d.degrees[amap[l]]) for l in labels):
+    for tup in itertools.product(*admitted):
+        if len(set(tup)) < len(tup):
             continue
+        amap = dict(zip(labels, tup))
         if any(not d.has_edge(amap[a], amap[b]) for a, b in p.edges):
             continue
-        tup = tuple(amap[l] for l in labels)
         orbit = min(tuple(tup[idx[s[l]]] for l in labels) for s in autos)
         found.add(orbit)
     return sorted(found)

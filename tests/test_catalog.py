@@ -1,6 +1,9 @@
 """Configuration catalog: transcription facts and containment matching."""
 
 import random
+from importlib import resources
+
+import pytest
 
 from outer1planar import (
     Drawing,
@@ -12,7 +15,15 @@ from outer1planar import (
     load_catalog,
     random_outer_1_planar,
 )
-from outer1planar.catalog import MARKED, SOLID, light_edge_labels, tight_edge_labels
+from outer1planar.catalog import (
+    MARKED,
+    SOLID,
+    CatalogError,
+    _check_catalog,
+    _parse_catalog,
+    light_edge_labels,
+    tight_edge_labels,
+)
 
 from .conftest import naive_matches
 
@@ -169,3 +180,16 @@ def test_d2_check_is_noop_below_6():
     c4 = cycle(4)
     p = get_pattern(3)
     assert find_matches(c4, p) == find_matches(c4, p, check_d2=True) != []
+
+
+def test_fact_d_hollow_vertices_touch_bounded_ones():
+    # a hollow vertex of a reducible configuration whose neighbors are all
+    # hollow would let a rooted search reach a hub of any degree
+    text = resources.files("outer1planar").joinpath("data/configurations.txt").read_text()
+    head, rest = text.split("config 11\n")
+    block, tail = rest.split("config 12\n")
+    doctored = block.replace("v z solid 2", "v z hollow 2").replace("v v solid 3", "v v hollow 3")
+    assert doctored != block
+    _check_catalog(_parse_catalog(text))
+    with pytest.raises(CatalogError, match="config 11: hollow x"):
+        _check_catalog(_parse_catalog(f"{head}config 11\n{doctored}config 12\n{tail}"))

@@ -215,3 +215,8 @@ def test_report_digest_hashes_stdin(monkeypatch, capsys):
         assert code == 0
         digests.append(json.loads(err.strip().splitlines()[-1])["input_digest"])
     assert digests[0] != digests[1]
+
+
+def test_vertex_count_past_index_range_exit_2(monkeypatch, capsys):
+    code, out, _ = invoke(["color", "-"], "n 99999999999999999999\n", monkeypatch, capsys)
+    assert code == 2 and "at most" in json.loads(out)["error"]

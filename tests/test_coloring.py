@@ -178,27 +178,30 @@ def test_g11_rainbow_recoloring_branch():
     assert c[2] == 3 and c[6] == 3 and c[3] == 4 and c[5] == 2 and c[4] == 5
 
 
-def test_g10_gap_repair_stays_in_envelope():
+def _g10_gap_case():
     # a reduced coloring with anchors z and y equal defeats the literal
-    # rule for the 10th configuration; the bounded repair fixes it while
-    # only touching the sanctioned envelope
+    # rule for the 10th configuration
     d = double_g10()
     step = find_reduction(d)
     assert step.kind == "P9-G10"
     z, y = step.anchors["z"], step.anchors["y"]
     sub, relabel = delete_vertices_with_map(d, step.deleted)
     inv = {new: old for old, new in relabel.items()}
-    lists = uniform_lists(d, 6)
     rng = random.Random(0)
-    partial = None
     for _ in range(100000):
         cand = {v: rng.randint(1, 6) for v in sub.vertices}
         if verify_dynamic(sub, cand, 3).valid:
             lifted = {inv[nv]: c for nv, c in cand.items()}
             if lifted[z] == lifted[y]:
-                partial = lifted
-                break
-    assert partial is not None
+                return d, step, lifted
+    raise AssertionError("no reduced coloring with z and y equal")
+
+
+def test_g10_gap_repair_stays_in_envelope():
+    # the bounded repair fixes the gap while only touching the sanctioned
+    # envelope
+    d, step, partial = _g10_gap_case()
+    lists = uniform_lists(d, 6)
     out = extend_step(d, step, partial, lists)
     assert verify_dynamic(d, out, 3).valid
     changed = {v for v in partial if partial[v] != out[v]}
@@ -206,6 +209,20 @@ def test_g10_gap_repair_stays_in_envelope():
         step.anchors[l] for l in ("z", "a", "w", "v") if l in step.anchors
     }
     assert changed <= allowed
+
+
+def test_repair_checks_leaves_locally(monkeypatch, caplog):
+    # the repair's leaves are checked around the shape, never by a full
+    # verify_dynamic, so a repair costs the same at any n
+    import outer1planar.coloring as col
+
+    d, step, partial = _g10_gap_case()
+    calls = []
+    monkeypatch.setattr(col, "verify_dynamic", lambda *args: calls.append(args) or verify_dynamic(*args))
+    out = extend_step(d, step, partial, uniform_lists(d, 6))
+    assert "bounded repair" in caplog.text
+    assert calls == []
+    assert verify_dynamic(d, out, 3).valid
 
 
 def test_parse_lists_roundtrip():

@@ -13,9 +13,10 @@ from outer1planar import (
     find_structure,
     get_pattern,
     h_family,
+    random_outer_1_planar,
     sharp_example,
 )
-from outer1planar.structure import StructureNotFound
+from outer1planar.structure import StructureNotFound, _Peeler
 
 from .conftest import double_g10, double_g11, g3_flip_host
 
@@ -146,3 +147,24 @@ def test_check_d1_d1_holds_under_structure_hypotheses(classes):
                 assert check_d1(d, m)
                 checked += 1
     assert checked > 0
+
+
+def _peel_disagreements(d: Drawing) -> int:
+    """Peel d, counting the steps where the long-lived peeler's pop differs
+    from a fresh search over the same survivors."""
+    peeler = _Peeler(d)
+    bad = 0
+    while peeler.n:
+        step = peeler.pop()
+        bad += step != find_reduction(peeler)
+        peeler.remove(step.deleted)
+    return bad
+
+
+def test_incremental_peel_matches_fresh_search(classes):
+    drawings = [d for n in range(1, 8) for d in classes(n, "all")]
+    drawings += [h_family(i) for i in range(2, 18)]
+    drawings += [double_g10(), double_g11(), g3_flip_host()]
+    drawings += [random_outer_1_planar(200, density, seed) for density, seed in ((0.3, 1), (0.6, 2), (0.9, 3))]
+    bad = [d for d in drawings if _peel_disagreements(d)]
+    assert not bad, f"{len(bad)} of {len(drawings)} peels disagree, first {sorted(bad[0].edges)}"
