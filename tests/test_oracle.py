@@ -203,6 +203,14 @@ def test_representatives_golden_digest():
     assert digest.hexdigest() == "f843b334fe5b195c45ec4791370dc43b7db294ba6f195eecf02ce478c116bf1d"
 
 
+def test_enumerate_n8_min_deg_2_pinned(capsys):
+    # measured with the recursive walk and its union-find filter; guards the
+    # filtered walk at the largest size tier-1 can afford
+    code = cli.run(["enumerate", "--n", "8", "--filter", "connected-min-deg-2"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and (payload["count"], payload["classes"]) == (61039, 4028)
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_enumerate_rejects_no_vertices(n):
     for filt in FILTERS:
