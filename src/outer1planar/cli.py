@@ -203,12 +203,15 @@ def _cmd_enumerate(args) -> tuple[int, dict]:
     first_failure = None
     classes = 0
     check = _CHECKS.get(args.check) if args.check else None
-    for d in oracle.enumerate_drawings(args.n, args.filter):
+    for mask in oracle._walk(args.n, args.filter):
         total += 1
-        if not oracle._first_in_class(d):
+        if not oracle._least_in_class(args.n, mask):
             continue
         classes += 1
-        if check is not None and not check(d):
+        if check is None:
+            continue
+        d = oracle._mask_drawing(args.n, mask)
+        if not check(d):
             failures += 1
             if first_failure is None:
                 first_failure = {"n": d.n, "edges": sorted(list(e) for e in d.edges)}

@@ -197,81 +197,82 @@ def enumerate_drawings(n: int, filter: str = "all") -> Iterator[Drawing]:
     """Every valid drawing on n convex-position vertices, in a fixed order.
 
     filter is one of 'all', 'connected', 'connected-min-deg-2'.  Output is
-    per labeled drawing; use canonical_key to quotient by rotations and
-    reflections.  Emitted drawings skip revalidation: the walk maintains
-    the crossing-degree invariant itself.  The walk leaves out each pair
-    of iter_all_pairs(n) before it puts it in, so drawings come in
-    increasing order of their pair bitmask (the first pair is the most
+    per labeled drawing; use enumerate_drawings_deduped for one drawing per
+    rotation/reflection class.  Drawings come in increasing order of their
+    pair bitmask (the first pair of iter_all_pairs(n) is the most
     significant bit).
     """
-    if n > 8:
-        raise SizeLimitExceeded("enumeration capped at n <= 8")
+    for mask in _walk(n, filter):
+        yield _mask_drawing(n, mask)
+
+
+def _walk(n: int, filter: str) -> Iterator[int]:
+    """Pair bitmasks of the drawings enumerate_drawings yields, in its order.
+
+    A depth-first walk with an explicit stack that leaves each pair out
+    before it puts it in.  Its state is a handful of ints, so the stack
+    holds the include branches still to take and nothing is undone.  A
+    subtree is cut once a vertex cannot reach the filter's least degree;
+    the filters hold for all of a class or none of it, so the cut keeps
+    every class whole.
+    """
+    if n > 9:
+        raise SizeLimitExceeded("enumeration capped at n <= 9")
     if n < 1:
         raise ValueError("a drawing needs at least one vertex")
     if filter not in ("all", "connected", "connected-min-deg-2"):
         raise ValueError(f"unknown filter {filter!r}")
-    pairs = list(iter_all_pairs(n))
-    # The earlier pairs that cross pair i: only those are decided when the
-    # walk reaches i.
-    conflicts = [[j for j in range(i) if interleave(n, e, pairs[j])] for i, e in enumerate(pairs)]
-
-    chosen: list[int] = []
-    cross = [0] * len(pairs)
-    in_set = [False] * len(pairs)
-    deg = [0] * (n + 1)
     want_connected = filter != "all"
     # Lowest degree a kept drawing may have: a connected drawing on two or
     # more vertices has no isolated vertex.
     min_deg = 2 if filter == "connected-min-deg-2" else 1 if want_connected and n > 1 else 0
-
-    def passes() -> Drawing | None:
-        # Degrees are kept by the walk and connectivity is a union-find over
-        # the chosen pairs, so a rejected drawing builds nothing.
-        if min_deg and min(deg[1:]) < min_deg:
-            return None
-        if want_connected:
-            parent = list(range(n + 1))
-
-            def find(x: int) -> int:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for i in chosen:
-                u, v = pairs[i]
-                parent[find(u)] = find(v)
-            if len({find(v) for v in range(1, n + 1)}) != 1:
-                return None
-        return _trusted_drawing(n, frozenset(pairs[i] for i in chosen))
-
-    def walk(i: int) -> Iterator[Drawing]:
-        if i == len(pairs):
-            d = passes()
-            if d is not None:
-                yield d
+    if n - 1 < min_deg:
+        return
+    weight, _ = _symmetries(n)
+    pairs = list(iter_all_pairs(n))
+    bit = [weight[e] for e in pairs]
+    # The earlier pairs that cross pair i: only those are decided when the
+    # walk reaches i.
+    conflict = [sum(weight[f] for f in pairs[:i] if interleave(n, e, f)) for i, e in enumerate(pairs)]
+    # The 5-bit field at bit 5(v - 1) of slack holds 16 plus the degree v can
+    # still reach (its pairs not left out) minus min_deg.  Leaving out pair i
+    # subtracts drop[i]; a field that loses its 16 bit has fallen short.
+    drop = [1 << 5 * (u - 1) | 1 << 5 * (v - 1) for u, v in pairs]
+    guard = sum(16 << 5 * k for k in range(n))
+    # The neighbors of v, as a vertex mask, are the n-bit field at n(v - 1).
+    link = [1 << n * (u - 1) + v - 1 | 1 << n * (v - 1) + u - 1 for u, v in pairs]
+    everyone = (1 << n) - 1
+    # depth, chosen pairs, chosen pairs already crossed, slack fields,
+    # neighbor fields
+    i, mask, crossed, slack, nbrs = 0, 0, 0, guard + (n - 1 - min_deg) * (guard >> 4), 0
+    stack: list[tuple[int, int, int, int, int]] = []
+    while True:
+        if i < len(pairs):
+            # pair i may join if it crosses at most one chosen pair, and that
+            # pair is not crossed yet
+            p = conflict[i] & mask
+            if not (p & (p - 1) or p & crossed):
+                w = bit[i]
+                stack.append((i + 1, mask | w, crossed | p | w if p else crossed, slack, nbrs | link[i]))
+            left = slack - drop[i]
+            if left & guard == guard:
+                i, slack = i + 1, left
+                continue
+        else:
+            seen = everyone
+            if want_connected:
+                seen = todo = 1
+                while todo:
+                    low = todo & -todo
+                    todo ^= low
+                    new = nbrs >> n * (low.bit_length() - 1) & (everyone ^ seen)
+                    seen |= new
+                    todo |= new
+            if seen == everyone:
+                yield mask
+        if not stack:
             return
-        yield from walk(i + 1)
-        partners = [j for j in conflicts[i] if in_set[j]]
-        if len(partners) <= 1 and all(cross[j] == 0 for j in partners):
-            u, v = pairs[i]
-            in_set[i] = True
-            cross[i] = len(partners)
-            for j in partners:
-                cross[j] += 1
-            deg[u] += 1
-            deg[v] += 1
-            chosen.append(i)
-            yield from walk(i + 1)
-            chosen.pop()
-            deg[u] -= 1
-            deg[v] -= 1
-            for j in partners:
-                cross[j] -= 1
-            cross[i] = 0
-            in_set[i] = False
-
-    yield from walk(0)
+        i, mask, crossed, slack, nbrs = stack.pop()
 
 
 def _trusted_drawing(n: int, edges: frozenset[Edge]) -> Drawing:
@@ -320,19 +321,17 @@ def _image(chunks: tuple[array, ...], mask: int) -> int:
     return image
 
 
-def _first_in_class(d: Drawing) -> bool:
-    """Is d's pair mask at most each of its rotation/reflection images?
-
-    enumerate_drawings emits masks in increasing order, and its filters hold
-    for all of a class or none of it, so this holds exactly for the first
-    drawing of each class that it emits.
-    """
-    weight, tables = _symmetries(d.n)
-    mask = sum(map(weight.__getitem__, d.edges))
-    for chunks in tables:
+def _least_in_class(n: int, mask: int) -> bool:
+    """Is mask at most each of its rotation/reflection images?"""
+    for chunks in _symmetries(n)[1]:
         if _image(chunks, mask) < mask:
             return False
     return True
+
+
+def _mask_drawing(n: int, mask: int) -> Drawing:
+    weight, _ = _symmetries(n)
+    return _trusted_drawing(n, frozenset(e for e, w in weight.items() if mask & w))
 
 
 def canonical_key(d: Drawing) -> tuple[int, int]:
@@ -341,8 +340,8 @@ def canonical_key(d: Drawing) -> tuple[int, int]:
     Two drawings have equal keys iff one is a rotation or reflection of
     the other.
     """
-    if d.n > 8:
-        raise SizeLimitExceeded("canonical key capped at n <= 8")
+    if d.n > 9:
+        raise SizeLimitExceeded("canonical key capped at n <= 9")
     weight, tables = _symmetries(d.n)
     mask = sum(map(weight.__getitem__, d.edges))
     return (d.n, min([mask] + [_image(chunks, mask) for chunks in tables]))
@@ -352,8 +351,9 @@ def enumerate_drawings_deduped(n: int, filter: str = "all") -> Iterator[Drawing]
     """Representatives of rotation/reflection classes of enumerate_drawings.
 
     Each class is represented by its first labeled drawing in walk order,
-    and representatives come in that order.
+    the one whose pair mask is least in its orbit, and representatives come
+    in that order.  Only representatives are built.
     """
-    for d in enumerate_drawings(n, filter):
-        if _first_in_class(d):
-            yield d
+    for mask in _walk(n, filter):
+        if _least_in_class(n, mask):
+            yield _mask_drawing(n, mask)

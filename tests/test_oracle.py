@@ -25,6 +25,8 @@ from outer1planar import (
     solve_list_r_dynamic,
 )
 
+from outer1planar.drawing import iter_all_pairs
+
 from .conftest import plain_chromatic
 
 FILTERS = ("all", "connected", "connected-min-deg-2")
@@ -131,30 +133,32 @@ def test_enumerate_n4_min_deg_2_frozen():
     assert sum(1 for _ in enumerate_drawings(4, "connected-min-deg-2")) == 10
 
 
-def test_enumerate_matches_brute_force_n4():
-    pairs = list(itertools.combinations(range(1, 5), 2))
-    brute = 0
-    for r in range(len(pairs) + 1):
-        for sub in itertools.combinations(pairs, r):
+def test_enumerate_is_every_valid_subset_in_mask_order():
+    # brute side: every subset of the pairs, counted with the first pair as
+    # the most significant bit, kept if it is a drawing and passes the
+    # filter; independent of the walk and its pruning
+    keep = {
+        "all": lambda d: True,
+        "connected": lambda d: d.is_connected(),
+        "connected-min-deg-2": lambda d: d.is_connected() and d.min_degree >= 2,
+    }
+    for n in range(1, 7):
+        pairs = list(iter_all_pairs(n))
+        valid = []
+        for mask in range(1 << len(pairs)):
+            subset = [e for i, e in enumerate(pairs) if mask >> (len(pairs) - 1 - i) & 1]
             try:
-                Drawing.from_edges(4, sub)
-                brute += 1
+                valid.append(Drawing.from_edges(n, subset))
             except ValueError:
                 pass
-    assert brute == sum(1 for _ in enumerate_drawings(4, "all"))
-
-
-def test_enumerate_no_duplicates_and_valid():
-    seen = set()
-    for d in enumerate_drawings(5, "all"):
-        assert d.edges not in seen
-        seen.add(d.edges)
-        Drawing(d.n, d.edges)  # revalidate
+        for filt in FILTERS:
+            expected = [d.edges for d in valid if keep[filt](d)]
+            assert [d.edges for d in enumerate_drawings(n, filt)] == expected, (n, filt)
 
 
 def test_enumerate_guard():
     with pytest.raises(SizeLimitExceeded):
-        list(enumerate_drawings(9, "all"))
+        list(enumerate_drawings(10, "all"))
 
 
 def brute_orbit_key(d):
@@ -222,7 +226,7 @@ def test_enumerate_rejects_no_vertices(n):
 
 def test_canonical_key_size_guard():
     with pytest.raises(SizeLimitExceeded):
-        canonical_key(cycle(9))
+        canonical_key(cycle(10))
 
 
 def test_canonical_key_invariance():
