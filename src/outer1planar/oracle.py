@@ -198,9 +198,10 @@ def enumerate_drawings(n: int, filter: str = "all") -> Iterator[Drawing]:
 
     filter is one of 'all', 'connected', 'connected-min-deg-2'.  Output is
     per labeled drawing; use enumerate_drawings_deduped for one drawing per
-    rotation/reflection class.  Drawings come in increasing order of their
-    pair bitmask (the first pair of iter_all_pairs(n) is the most
-    significant bit).
+    rotation/reflection class.  Emitted drawings skip revalidation: the
+    walk maintains the crossing-degree invariant itself.  Drawings come in
+    increasing order of their pair bitmask (the first pair of
+    iter_all_pairs(n) is the most significant bit).
     """
     for mask in _walk(n, filter):
         yield _mask_drawing(n, mask)
@@ -231,8 +232,8 @@ def _walk(n: int, filter: str) -> Iterator[int]:
     weight, _ = _symmetries(n)
     pairs = list(iter_all_pairs(n))
     bit = [weight[e] for e in pairs]
-    # The earlier pairs that cross pair i: only those are decided when the
-    # walk reaches i.
+    # The mask of the earlier pairs that cross pair i: only those are
+    # decided when the walk reaches i.
     conflict = [sum(weight[f] for f in pairs[:i] if interleave(n, e, f)) for i, e in enumerate(pairs)]
     # The 5-bit field at bit 5(v - 1) of slack holds 16 plus the degree v can
     # still reach (its pairs not left out) minus min_deg.  Leaving out pair i
@@ -351,8 +352,10 @@ def enumerate_drawings_deduped(n: int, filter: str = "all") -> Iterator[Drawing]
     """Representatives of rotation/reflection classes of enumerate_drawings.
 
     Each class is represented by its first labeled drawing in walk order,
-    the one whose pair mask is least in its orbit, and representatives come
-    in that order.  Only representatives are built.
+    and representatives come in that order.  Masks come in increasing
+    order and the filters hold for all of a class or none of it, so the
+    first drawing of a class is the one whose mask is least in its orbit.
+    Only representatives are built.
     """
     for mask in _walk(n, filter):
         if _least_in_class(n, mask):

@@ -208,8 +208,8 @@ def test_representatives_golden_digest():
 
 
 def test_enumerate_n8_min_deg_2_pinned(capsys):
-    # measured with the recursive walk and its union-find filter; guards the
-    # filtered walk at the largest size tier-1 can afford
+    # measured with the recursive walk and its union-find filter, before the
+    # walk pruned on degrees; guards the pruning where it cuts the most
     code = cli.run(["enumerate", "--n", "8", "--filter", "connected-min-deg-2"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0 and (payload["count"], payload["classes"]) == (61039, 4028)
