@@ -133,6 +133,27 @@ def test_enumerate_n4_min_deg_2_frozen():
     assert sum(1 for _ in enumerate_drawings(4, "connected-min-deg-2")) == 10
 
 
+def test_enumerate_matches_brute_force_n4():
+    pairs = list(itertools.combinations(range(1, 5), 2))
+    brute = 0
+    for r in range(len(pairs) + 1):
+        for sub in itertools.combinations(pairs, r):
+            try:
+                Drawing.from_edges(4, sub)
+                brute += 1
+            except ValueError:
+                pass
+    assert brute == sum(1 for _ in enumerate_drawings(4, "all"))
+
+
+def test_enumerate_no_duplicates_and_valid():
+    seen = set()
+    for d in enumerate_drawings(5, "all"):
+        assert d.edges not in seen
+        seen.add(d.edges)
+        Drawing(d.n, d.edges)  # revalidate
+
+
 def test_enumerate_is_every_valid_subset_in_mask_order():
     # brute side: every subset of the pairs, counted with the first pair as
     # the most significant bit, kept if it is a drawing and passes the
