@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from functools import cache
 
 from . import catalog, coloring, generators, oracle, structure
 from .drawing import Drawing, DrawingError, emit_dot, emit_drawing, parse_drawing
@@ -248,7 +249,12 @@ def _cmd_generate(args) -> tuple[int, dict]:
     return EXIT_OK, {}
 
 
-def build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The o1p argument parser, built on first use and shared by every run.
+
+    parse_args fills a fresh namespace per call, so no state carries over.
+    """
     parser = argparse.ArgumentParser(
         prog="o1p",
         description="Structure and list 3-dynamic coloring of outer-1-plane drawings.",
@@ -323,9 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     args.inputs = []

@@ -193,20 +193,8 @@ def extend_step(
 def _extend(d: Drawing, step: ReductionStep, colors: Coloring, lists: ListAssignment) -> None:
     """extend_step on colors itself, so a peel copies nothing per step."""
     before = {v: colors[v] for v in (*step.deleted, *step.anchors.values()) if v in colors}
-    handler = {
-        "P1-pendant": _extend_p1,
-        "P2-adjacent-deg2": _extend_p2,
-        "P3-triangle-deg2": _extend_p3,
-        "P4-G3": _extend_g3,
-        "P5-G6": _extend_g6,
-        "P6-G7": _extend_g7,
-        "P7-G8": _extend_g8,
-        "P8-G9": _extend_g9,
-        "P9-G10": _extend_g10,
-        "P10-G11": _extend_g11,
-    }[step.kind]
     try:
-        handler(d, step.anchors, colors, lists)
+        _HANDLERS[step.kind](d, step.anchors, colors, lists)
         rule_failed = not _valid_around(d, step, before, colors)
     except ExtensionFailure:
         rule_failed = True
@@ -422,6 +410,20 @@ def _extend_g11(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssi
     colors[a["w"]] = _pick(lists, a["w"], {cx, cw, cy, cy1})
     colors[a["v"]] = _pick(lists, a["v"], {cx, cw, cy, colors[a["w"]], cx1})
     colors[a["u"]] = _pick(lists, a["u"], {cx, cw, cy, colors[a["v"]], colors[a["w"]]})
+
+
+_HANDLERS = {
+    "P1-pendant": _extend_p1,
+    "P2-adjacent-deg2": _extend_p2,
+    "P3-triangle-deg2": _extend_p3,
+    "P4-G3": _extend_g3,
+    "P5-G6": _extend_g6,
+    "P6-G7": _extend_g7,
+    "P7-G8": _extend_g8,
+    "P8-G9": _extend_g9,
+    "P9-G10": _extend_g10,
+    "P10-G11": _extend_g11,
+}
 
 
 def _repair(

@@ -116,22 +116,28 @@ class Drawing(AbstractGraph):
 
     Vertices are the integers 1..n in clockwise boundary order.  Validation
     happens at construction: at least one vertex, the graph checks, and
-    every edge interleaves with at most one other edge.
+    every edge interleaves with at most one other edge.  The pairs that
+    sweep finds are kept as `crossing_pairs`.
     """
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise InvalidDrawingError("a drawing needs at least one vertex")
         super().__post_init__()
-        counts: dict[Edge, int] = {}
+        pairs = []
+        crossed: set[Edge] = set()
         for pair in self._interleaving_pairs():
             for e in pair:
-                counts[e] = counts.get(e, 0) + 1
-                if counts[e] > 1:
+                if e in crossed:
                     count = sum(interleave(self.n, e, f) for f in self.edges)
                     raise InvalidDrawingError(
                         f"edge {e} is crossed {count} times: not outer-1-plane in given order"
                     )
+                crossed.add(e)
+            pairs.append(pair)
+        # fills the cached property below; oracle._trusted_drawing skips this
+        # method, so its drawings still compute the pairs on first read
+        object.__setattr__(self, "crossing_pairs", frozenset(pairs))
 
     def _interleaving_pairs(self) -> Iterator[tuple[Edge, Edge]]:
         """Every crossing pair (e, f) with e < f, by one sweep over the boundary.
@@ -208,13 +214,12 @@ def parse_drawing(text: str) -> Drawing:
     n: int | None = None
     edges: set[Edge] = set()
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         if n is None:
             if parts[0] != "n" or len(parts) != 2:
-                raise DrawingFormatError(f"line {ln}: expected 'n <count>', got {line!r}")
+                raise DrawingFormatError(f"line {ln}: expected 'n <count>', got {raw.strip()!r}")
             try:
                 n = int(parts[1])
             except ValueError:
@@ -225,7 +230,7 @@ def parse_drawing(text: str) -> Drawing:
                 raise DrawingFormatError(f"line {ln}: vertex count must be at most {sys.maxsize}")
             continue
         if parts[0] != "e" or len(parts) != 3:
-            raise DrawingFormatError(f"line {ln}: expected 'e <u> <v>', got {line!r}")
+            raise DrawingFormatError(f"line {ln}: expected 'e <u> <v>', got {raw.strip()!r}")
         try:
             u, v = int(parts[1]), int(parts[2])
         except ValueError:

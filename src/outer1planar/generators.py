@@ -9,10 +9,9 @@ self-checks so a mistranscription fails loudly at construction.
 from __future__ import annotations
 
 import random
-from itertools import islice
 
 from .catalog import HOLLOW, MARKED, SOLID, get_pattern
-from .drawing import Drawing, Edge, interleave, iter_all_pairs, normalize_edge
+from .drawing import Drawing, Edge, iter_all_pairs, normalize_edge
 
 # Degree targets when a configuration is planted inside a witness drawing:
 # hollow vertices are pushed past every exact role and past the marked cap,
@@ -91,10 +90,16 @@ def random_outer_1_planar(n: int, density: float, seed: int) -> Drawing:
 
     Chords from the full candidate pool are tried in a seeded random order,
     stopping once the accepted count reaches density times the pool size.
-    The drawing grows incrementally: each accepted chord carries a crossed
-    flag, and a candidate is accepted iff it interleaves with at most one
-    accepted chord and that chord is not crossed yet, which is exactly when
-    the grown drawing stays valid (boundary edges never cross anything).
+    The drawing grows incrementally: a candidate is accepted iff it
+    interleaves with at most one accepted chord and that chord is not
+    crossed yet, which is exactly when the grown drawing stays valid
+    (boundary edges never cross anything).
+
+    An accepted chord (c, d) interleaves a candidate (a, b), a < b, iff one
+    of c, d lies strictly between a and b and the other outside [a, b].  So
+    each vertex keeps a bitmask of its accepted chord neighbors, and the
+    test walks the vertices strictly between a and b, masking each one's
+    neighbors to those outside [a, b], until it has seen a second crossing.
     """
     if n < 3:
         raise ValueError("need at least 3 vertices")
@@ -105,14 +110,27 @@ def random_outer_1_planar(n: int, density: float, seed: int) -> Drawing:
     rng = random.Random(seed)
     rng.shuffle(pool)
     target = int(density * len(pool))
-    crossed: dict[Edge, bool] = {}
-    for chord in pool:
-        if len(crossed) >= target:
+    full = (1 << (n + 1)) - 2  # bits 1..n
+    nbrs = [0] * (n + 1)
+    chords: list[Edge] = []
+    crossed: set[Edge] = set()
+    for a, b in pool:
+        if len(chords) >= target:
             break
-        hits = list(islice((f for f in crossed if interleave(n, chord, f)), 2))
-        if len(hits) > 1 or (hits and crossed[hits[0]]):
-            continue
-        for f in hits:
-            crossed[f] = True
-        crossed[chord] = bool(hits)
-    return Drawing(n, frozenset(boundary | crossed.keys()))
+        outside = full ^ ((1 << (b + 1)) - (1 << a))  # bits not in a..b
+        hit = None
+        for v in range(a + 1, b):
+            m = nbrs[v] & outside
+            if m:
+                if hit is not None or m & (m - 1):
+                    break  # crossed twice
+                hit = normalize_edge(v, m.bit_length() - 1)
+        else:
+            if hit is not None:
+                if hit in crossed:
+                    continue
+                crossed.update((hit, (a, b)))
+            chords.append((a, b))
+            nbrs[a] |= 1 << b
+            nbrs[b] |= 1 << a
+    return Drawing(n, frozenset(boundary.union(chords)))

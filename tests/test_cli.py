@@ -220,3 +220,33 @@ def test_report_digest_hashes_stdin(monkeypatch, capsys):
 def test_vertex_count_past_index_range_exit_2(monkeypatch, capsys):
     code, out, _ = invoke(["color", "-"], "n 99999999999999999999\n", monkeypatch, capsys)
     assert code == 2 and "at most" in json.loads(out)["error"]
+
+
+def test_parser_reuse_keeps_no_state(tmp_path, capsys):
+    # one parser serves every run of a process, so each call must see only
+    # its own arguments and defaults, whatever ran before it
+    f = tmp_path / "sharp.txt"
+    f.write_text(emit_drawing(sharp_example()))
+    calls = [
+        ["enumerate", "--check", "reduce"],  # no --n: an argparse error
+        ["color", str(f), "--palette", "5"],
+        ["color", str(f)],
+        ["enumerate", "--n", "4", "--check", "reduce"],
+        ["enumerate", "--n", "4"],
+        ["generate", "random", "--n", "12", "--seed", "3"],
+        ["generate", "random", "--n", "12"],
+    ]
+
+    def outcomes(order):
+        seen = {}
+        for i in order:
+            code = run(calls[i])
+            seen[i] = (code, capsys.readouterr()[0])
+        return seen
+
+    forward = outcomes(range(len(calls)))
+    assert forward == outcomes(reversed(range(len(calls))))
+    assert [forward[i][0] for i in range(len(calls))] == [2, 2, 0, 0, 0, 0, 0]
+    assert json.loads(forward[3][1])["check"] == "reduce"
+    assert "check" not in json.loads(forward[4][1])
+    assert forward[5][1] != forward[6][1]

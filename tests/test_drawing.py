@@ -18,6 +18,7 @@ from outer1planar import (
     random_outer_1_planar,
 )
 from outer1planar.drawing import emit_drawing, interleave, iter_all_pairs, normalize_edge
+from outer1planar.oracle import _trusted_drawing
 
 from .conftest import brute_crossing_pairs
 
@@ -219,3 +220,26 @@ def test_planted_chord_verdict_matches_brute():
         missing = [e for e in iter_all_pairs(n) if e not in d.edges]
         if missing:
             _check_against_brute(n, set(d.edges) | {rng.choice(missing)})
+
+
+def test_drawing_is_swept_once(monkeypatch):
+    calls = []
+    sweep = Drawing._interleaving_pairs
+
+    def counted(self):
+        calls.append(self)
+        return sweep(self)
+
+    monkeypatch.setattr(Drawing, "_interleaving_pairs", counted)
+    d = Drawing.from_edges(7, [(1, 4), (2, 4), (3, 4), (1, 3), (4, 7), (4, 6), (5, 7)])
+    assert d.crossing_pairs == brute_crossing_pairs(d)
+    assert len(calls) == 1
+    # the enumerator's drawings skip validation and sweep on first read
+    calls.clear()
+    t = _trusted_drawing(d.n, d.edges)
+    assert t.crossing_pairs == d.crossing_pairs and len(calls) == 1
+    calls.clear()
+    message = "edge (1, 4) is crossed 2 times: not outer-1-plane in given order"
+    with pytest.raises(InvalidDrawingError, match=re.escape(message)):
+        Drawing.from_edges(6, [(1, 4), (2, 6), (3, 5)])
+    assert len(calls) == 1

@@ -1,6 +1,8 @@
 """Witness generators and random inputs."""
 
 import hashlib
+import random
+from itertools import islice
 
 import pytest
 
@@ -11,7 +13,7 @@ from outer1planar import (
     random_outer_1_planar,
     sharp_example,
 )
-from outer1planar.drawing import emit_drawing
+from outer1planar.drawing import emit_drawing, interleave, iter_all_pairs, normalize_edge
 
 
 def test_cycle_basics():
@@ -72,3 +74,31 @@ def test_random_golden_digest():
             for seed in range(4):
                 h.update(emit_drawing(random_outer_1_planar(n, density, seed)).encode())
     assert h.hexdigest() == "3567b3097107e080b32dbf58b5c97360639d5a829eef90f22c90647605a7790d"
+
+
+def _reference_random_edges(n: int, density: float, seed: int) -> frozenset:
+    """The generator's acceptance rule tested against every accepted chord."""
+    boundary = {normalize_edge(i, i % n + 1) for i in range(1, n + 1)}
+    pool = [e for e in iter_all_pairs(n) if e not in boundary]
+    rng = random.Random(seed)
+    rng.shuffle(pool)
+    target = int(density * len(pool))
+    crossed: dict = {}
+    for chord in pool:
+        if len(crossed) >= target:
+            break
+        hits = list(islice((f for f in crossed if interleave(n, chord, f)), 2))
+        if len(hits) > 1 or (hits and crossed[hits[0]]):
+            continue
+        for f in hits:
+            crossed[f] = True
+        crossed[chord] = bool(hits)
+    return frozenset(boundary | crossed.keys())
+
+
+def test_random_bitmask_chord_test_matches_reference():
+    cases = [(n, density, n % 5) for n in range(3, 61) for density in (0.1, 0.5, 1.0)]
+    cases += [(40, 0.5, seed) for seed in range(6)] + [(60, 0.3, 7), (57, 0.7, 8)]
+    for n, density, seed in cases:
+        want = _reference_random_edges(n, density, seed)
+        assert random_outer_1_planar(n, density, seed).edges == want, (n, density, seed)
