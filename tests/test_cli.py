@@ -106,6 +106,30 @@ def test_find_config_h7(monkeypatch, capsys):
     assert code == 0 and json.loads(out)["config"] == 7
 
 
+@pytest.mark.parametrize("i", [6, 9, 11, 17])
+def test_find_config_check_d2_on_witness(i, monkeypatch, capsys):
+    code, draw, _ = invoke(["generate", f"h{i}"], "", monkeypatch, capsys)
+    code, out, _ = invoke(["find-config", "--check-d2", "-"], draw, monkeypatch, capsys)
+    payload = json.loads(out)
+    assert code == 0 and payload["config"] == i and payload["d2_checked"] is True
+
+
+def test_light_edge_maximal_skips_the_third_configuration(monkeypatch, capsys):
+    # the third configuration is found first; maximal mode reads the edge
+    # off the next configuration instead
+    draw = "n 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 4\ne 2 5\n"
+    code, out, _ = invoke(["light-edge", "-"], draw, monkeypatch, capsys)
+    assert code == 0 and json.loads(out) == {"edge": [1, 4], "degree_sum": 5, "maximal_mode": False}
+    code, out, _ = invoke(["light-edge", "--maximal", "-"], draw, monkeypatch, capsys)
+    assert code == 0 and json.loads(out) == {"edge": [2, 3], "degree_sum": 5, "maximal_mode": True}
+
+
+def test_light_edge_falls_back_on_a_path(monkeypatch, capsys):
+    # a path contains no configuration: the least degree sum is reported
+    code, out, _ = invoke(["light-edge", "-"], "n 3\ne 1 2\ne 2 3\n", monkeypatch, capsys)
+    assert code == 0 and json.loads(out) == {"edge": [1, 2], "degree_sum": 3, "maximal_mode": False}
+
+
 def test_light_edge_and_reduce(monkeypatch, capsys):
     code, draw, _ = invoke(["generate", "cycle", "9"], "", monkeypatch, capsys)
     code, out, _ = invoke(["light-edge", "-"], draw, monkeypatch, capsys)

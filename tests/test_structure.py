@@ -1,12 +1,17 @@
 """Structure finder, light edges, reductions, and the edge-addition check."""
 
+import hashlib
+import io
+
 import pytest
 
 from outer1planar import (
     Drawing,
+    cli,
     check_d1,
     cycle,
     delete_vertices,
+    emit_drawing,
     find_light_edge,
     find_matches,
     find_reduction,
@@ -168,3 +173,40 @@ def test_incremental_peel_matches_fresh_search(classes):
     drawings += [random_outer_1_planar(200, density, seed) for density, seed in ((0.3, 1), (0.6, 2), (0.9, 3))]
     bad = [d for d in drawings if _peel_disagreements(d)]
     assert not bad, f"{len(bad)} of {len(drawings)} peels disagree, first {sorted(bad[0].edges)}"
+
+
+# SHA-256 over the structure layer's answers below: find_structure,
+# find_light_edge in both modes, the first match of `o1p find-config
+# --check-d2` and find_reduction.  Their tie-breaks are fixed, so any change
+# of an answer, by design or by accident, shows up here.
+GOLDEN_STRUCTURE_SHA256 = "db86a61d1ff01e1895d559656780f4f2c2550d2977e4bf09024d6df7b6cb1989"
+
+
+def test_structure_layer_golden_digest(classes, monkeypatch, capsys):
+    drawings = [d for n in range(1, 7) for d in classes(n, "all")]
+    drawings += [h_family(i) for i in range(2, 18)] + [sharp_example()]
+    drawings += [double_g10(), double_g11(), g3_flip_host()]
+    drawings += [
+        random_outer_1_planar(n, density, seed)
+        for n, density, seed in ((12, 0.4, 1), (20, 0.7, 2), (30, 0.5, 3), (40, 0.9, 4))
+    ]
+
+    def answer(fn, d) -> str:
+        try:
+            return repr(fn(d))
+        except StructureNotFound:
+            return "StructureNotFound"
+
+    def first_d2_match(d) -> str:
+        monkeypatch.setattr("sys.stdin", io.StringIO(emit_drawing(d)))
+        code = cli.run(["find-config", "--check-d2", "-"])
+        out = capsys.readouterr()[0]
+        return out if code == 0 else f"exit {code}"
+
+    digest = hashlib.sha256()
+    for d in drawings:
+        digest.update(f"{sorted(d.edges)}\n".encode())
+        for fn in (find_structure, find_light_edge, lambda d: find_light_edge(d, True), find_reduction):
+            digest.update(f"{answer(fn, d)}\n".encode())
+        digest.update(first_d2_match(d).encode())
+    assert digest.hexdigest() == GOLDEN_STRUCTURE_SHA256
