@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 from importlib import resources
 from itertools import permutations
 
-from .drawing import Drawing
+from .drawing import Drawing, interleave
 
 SOLID = "solid"
 HOLLOW = "hollow"
@@ -92,15 +92,20 @@ class ConfigPattern:
 
     @cached_property
     def _rooted_plans(self) -> dict[str, tuple]:
-        """For each label, a plan that places it first and grows along
-        edges, solid and marked-hollow labels before hollow ones."""
+        """For each label, what _rooted_occurrences needs to place it first
+        and grow along edges, solid and marked-hollow labels before hollow
+        ones: the order, each label's placed neighbors and degree range, and
+        where each of labels sits in the order."""
         plans = {}
         for root in self.labels:
             order = [root]
             while len(order) < len(self.labels):
                 touching = [l for l in self.labels if l not in order and self.neighbors(l) & set(order)]
                 order.append(min(touching, key=lambda l: (self.roles[l].kind == HOLLOW, l)))
-            plans[root] = _plan(self, order)
+            at = {l: k for k, l in enumerate(order)}
+            prior = [[at[m] for m in self.neighbors(l) if at[m] < k] for k, l in enumerate(order)]
+            ranges = [_degree_range(self.roles[l]) for l in order]
+            plans[root] = order, prior, ranges, [at[l] for l in self.labels]
         return plans
 
 
@@ -175,9 +180,10 @@ def _check_catalog(patterns: list[ConfigPattern]) -> None:
         solid-2 to a forced <= 5 endpoint or solid-3 to solid-3;
     (c) exactly configurations 3, 6, 7 and 12 carry a marked-hollow vertex,
         labeled y;
-    (d) configurations 3 and 6-11, the reducible ones, are connected and
-        every hollow vertex has a solid or marked-hollow neighbor, so a
-        search rooted at a host vertex of bounded degree stays local.
+    (d) every configuration is connected, so a search rooted at one label
+        reaches all of them; in configurations 3 and 6-11, the reducible
+        ones, every hollow vertex has a solid or marked-hollow neighbor, so
+        a search rooted at a host vertex of bounded degree stays local.
     """
     if [p.id for p in patterns] != list(range(1, 18)):
         raise CatalogError("expected configurations 1..17 in order")
@@ -190,15 +196,12 @@ def _check_catalog(patterns: list[ConfigPattern]) -> None:
         for a, b in p.edges:
             if a not in p.roles or b not in p.roles:
                 raise CatalogError(f"config {p.id}: edge ({a},{b}) uses unknown label")
+        pos = {l: k for k, l in enumerate(p.labels)}
         for i, j in p.crossings:
             if not (0 <= i < len(p.edges) and 0 <= j < len(p.edges)):
                 raise CatalogError(f"config {p.id}: crossing indexes missing edge")
-            pos = {l: k for k, l in enumerate(p.labels)}
-            m = len(p.labels)
             (a, b), (c, d) = p.edges[i], p.edges[j]
-            pa, pb, pc, pd = pos[a], pos[b], pos[c], pos[d]
-            ba, ca, da = (pb - pa) % m, (pc - pa) % m, (pd - pa) % m
-            if not ((0 < ca < ba) != (0 < da < ba)):
+            if not interleave(len(p.labels), (pos[a], pos[b]), (pos[c], pos[d])):
                 raise CatalogError(
                     f"config {p.id}: declared crossing does not interleave"
                 )
@@ -208,12 +211,12 @@ def _check_catalog(patterns: list[ConfigPattern]) -> None:
             raise CatalogError(f"config {p.id}: marked-hollow vertex mismatch")
         if p.id in (3, 6, 7, 12) and p.roles.get("y", VertexRole(SOLID, 0)).kind != MARKED:
             raise CatalogError(f"config {p.id}: the marked vertex must be labeled y")
+        reach = {p.labels[0]}
+        for _ in p.labels:
+            reach.update(*(p.neighbors(l) for l in reach))
+        if len(reach) < len(p.labels):
+            raise CatalogError(f"config {p.id}: a configuration must be connected")
         if p.id in (3, 6, 7, 8, 9, 10, 11):
-            reach = {p.labels[0]}
-            for _ in p.labels:
-                reach.update(*(p.neighbors(l) for l in reach))
-            if len(reach) < len(p.labels):
-                raise CatalogError(f"config {p.id}: a reducible configuration must be connected")
             for label in p.labels:
                 if p.roles[label].kind == HOLLOW and all(
                     p.roles[m].kind == HOLLOW for m in p.neighbors(label)
@@ -227,16 +230,9 @@ def _check_catalog(patterns: list[ConfigPattern]) -> None:
             raise CatalogError(f"config {p.id}: no light edge with a <=5 endpoint (or 3+3)")
 
 
-def _forced_max_degree(role: VertexRole) -> int | None:
-    """Largest host degree the role can put at this vertex, if bounded."""
-    if role.kind == SOLID:
-        return role.drawn_degree
-    return role.degree_cap
-
-
 def _degree_range(role: VertexRole) -> tuple[int, float]:
     """The host degrees a role admits, as (least, greatest)."""
-    hi = _forced_max_degree(role)
+    hi = role.drawn_degree if role.kind == SOLID else role.degree_cap
     return role.drawn_degree, (math.inf if hi is None else hi)
 
 
@@ -245,9 +241,8 @@ def light_edge_labels(p: ConfigPattern) -> tuple[str, str] | None:
     best = None
     for a, b in sorted(tuple(sorted(e)) for e in p.edges):
         for s, t in ((a, b), (b, a)):
-            rs, rt = p.roles[s], p.roles[t]
-            cap = _forced_max_degree(rt)
-            if rs.kind == SOLID and rs.drawn_degree == 2 and cap is not None and cap <= 7:
+            rs = p.roles[s]
+            if rs.kind == SOLID and rs.drawn_degree == 2 and _degree_range(p.roles[t])[1] <= 7:
                 if best is None:
                     best = (s, t)
     return best
@@ -264,9 +259,8 @@ def tight_edge_labels(p: ConfigPattern) -> tuple[str, str] | None:
         ):
             return (a, b)
         for s, t in ((a, b), (b, a)):
-            rs, rt = p.roles[s], p.roles[t]
-            cap = _forced_max_degree(rt)
-            if rs.kind == SOLID and rs.drawn_degree == 2 and cap is not None and cap <= 5:
+            rs = p.roles[s]
+            if rs.kind == SOLID and rs.drawn_degree == 2 and _degree_range(p.roles[t])[1] <= 5:
                 return (s, t)
     return None
 
@@ -308,10 +302,11 @@ def _d2_holds(d: Drawing, p: ConfigPattern, assignment: dict[str, int]) -> bool:
 def find_matches(d: Drawing, p: ConfigPattern, check_d2: bool = False) -> list[Match]:
     """All occurrences of p in d, deduplicated by pattern automorphism.
 
-    Backtracking over pattern vertices, most-constrained first, pruning by
-    degree roles and by adjacency to already-placed neighbors.  When
-    check_d2 is set and p.id >= 6, occurrences must also realize the
-    pattern's crossings and cyclic order in the drawing.
+    Backtracking rooted at the label with the fewest admitted host vertices
+    and growing along pattern edges, pruning by degree roles and by
+    adjacency to already-placed neighbors.  When check_d2 is set and
+    p.id >= 6, occurrences must also realize the pattern's crossings and
+    cyclic order in the drawing.
     """
     found = _occurrences(p, d.degrees, d.adjacency, d.vertices)
     reps = sorted({p._representative(tup) for tup in found})
@@ -323,46 +318,30 @@ def find_matches(d: Drawing, p: ConfigPattern, check_d2: bool = False) -> list[M
 
 def _occurrences(p: ConfigPattern, degs, adj, vertices) -> list[tuple[int, ...]]:
     """Every occurrence of p among the given vertices, as tuples in labels
-    order, once per automorphic image (degs and adj describe the host)."""
-    candidates: dict[str, list[int]] = {}
+    order, once per automorphic image (degs and adj describe the host).
+
+    The search is rooted at the label that admits the fewest vertices."""
+    pools = {}
     for label in p.labels:
         lo, hi = _degree_range(p.roles[label])
-        cands = [v for v in vertices if lo <= degs[v] <= hi]
-        if not cands:
-            return []
-        candidates[label] = cands
-    found: list[tuple[int, ...]] = []
-    _embed(_plan(p, _search_order(p, candidates)), degs, adj, candidates, found)
-    return found
+        pools[label] = [v for v in vertices if lo <= degs[v] <= hi]
+    root = min(p.labels, key=lambda l: (len(pools[l]), l))
+    return _rooted_occurrences(p, degs, adj, root, pools[root])
 
 
-def _rooted_occurrences(p: ConfigPattern, degs, adj, label: str, v: int) -> list[tuple[int, ...]]:
-    """Every occurrence of p that puts label on host vertex v; p must be connected."""
-    found: list[tuple[int, ...]] = []
-    _embed(p._rooted_plans[label], degs, adj, {label: (v,)}, found)
-    return found
+def _rooted_occurrences(p: ConfigPattern, degs, adj, label: str, roots) -> list[tuple[int, ...]]:
+    """Every occurrence of p that puts label on a vertex of roots, as
+    tuples in labels order.
 
-
-def _plan(p: ConfigPattern, order: list[str]) -> tuple:
-    """What _embed needs to place p's labels in this order: the order, each
-    label's placed neighbors and degree range, and where each of p.labels sits."""
-    at = {l: k for k, l in enumerate(order)}
-    prior = [[at[m] for m in p.neighbors(l) if at[m] < k] for k, l in enumerate(order)]
-    ranges = [_degree_range(p.roles[l]) for l in order]
-    return order, prior, ranges, [at[l] for l in p.labels]
-
-
-def _embed(plan: tuple, degs, adj, pools, found: list) -> None:
-    """Append every occurrence to found, as a tuple in labels order.
-
-    A label with placed neighbors draws from their common neighborhood,
-    any other label from pools[label]; each vertex must pass its label's
-    degree range, and no vertex is used twice.
+    Every other label draws from the common neighborhood of its placed
+    neighbors; each vertex must pass its label's degree range, and no
+    vertex is used twice.
     """
-    order, prior, ranges, positions = plan
+    order, prior, ranges, positions = p._rooted_plans[label]
     last = len(order)
     placed = [0] * last
     used: set[int] = set()
+    found: list[tuple[int, ...]] = []
 
     def place(k: int) -> None:
         if k == last:
@@ -370,7 +349,7 @@ def _embed(plan: tuple, degs, adj, pools, found: list) -> None:
             return
         before = prior[k]
         if not before:
-            pool = pools[order[k]]
+            pool = roots
         elif len(before) == 1:
             pool = adj[placed[before[0]]]
         else:
@@ -384,19 +363,7 @@ def _embed(plan: tuple, degs, adj, pools, found: list) -> None:
                 used.remove(v)
 
     place(0)
-
-
-def _search_order(p: ConfigPattern, candidates: dict[str, list[int]]) -> list[str]:
-    """Static search order: fewest candidates first, then staying connected."""
-    remaining = set(p.labels)
-    order: list[str] = []
-    while remaining:
-        touching = [l for l in remaining if p.neighbors(l) & set(order)]
-        pool = touching or sorted(remaining)
-        label = min(pool, key=lambda l: (len(candidates[l]), l))
-        order.append(label)
-        remaining.remove(label)
-    return order
+    return found
 
 
 def contains(d: Drawing, pid: int) -> bool:

@@ -16,7 +16,7 @@ import sys
 import time
 from functools import cache
 
-from . import catalog, coloring, generators, oracle, structure
+from . import coloring, generators, oracle, structure
 from .drawing import Drawing, DrawingError, emit_dot, emit_drawing, parse_drawing
 
 EXIT_OK = 0
@@ -64,21 +64,15 @@ def _cmd_validate(args) -> tuple[int, dict]:
 def _cmd_find_config(args) -> tuple[int, dict]:
     d = _drawing_from(args)
     if args.check_d2:
-        for pid in range(1, 18):
-            matches = catalog.find_matches(d, catalog.get_pattern(pid), check_d2=True)
-            if matches:
-                m = matches[0]
-                return EXIT_OK, {
-                    "config": m.pattern_id,
-                    "assignment": {l: v for l, v in sorted(m.assignment.items())},
-                    "d2_checked": True,
-                }
-        raise structure.StructureNotFound("no configuration with drawing correspondence")
-    m = structure.find_structure(d)
+        m = structure._first_match(d, range(1, 18), check_d2=True)
+        if m is None:
+            raise structure.StructureNotFound("no configuration with drawing correspondence")
+    else:
+        m = structure.find_structure(d)
     return EXIT_OK, {
         "config": m.pattern_id,
         "assignment": {l: v for l, v in sorted(m.assignment.items())},
-        "d2_checked": False,
+        "d2_checked": args.check_d2,
     }
 
 
@@ -108,11 +102,10 @@ def _cmd_color(args) -> tuple[int, dict]:
         lists = coloring.parse_lists(_read_input(args, args.lists))
     else:
         lists = coloring.uniform_lists(d, args.palette)
-    colors = coloring.color_list_3_dynamic(d, lists)
-    verdict = coloring.verify_dynamic(d, colors, 3)
+    colors = coloring.color_list_3_dynamic(d, lists)  # verified in full, or ExtensionFailure
     return EXIT_OK, {
         "colors": {str(v): colors[v] for v in sorted(colors)},
-        "valid": verdict.valid,
+        "valid": True,
         "r": 3,
     }
 
@@ -120,10 +113,7 @@ def _cmd_color(args) -> tuple[int, dict]:
 def _cmd_verify(args) -> tuple[int, dict]:
     d = _drawing_from(args)
     colors = coloring.parse_coloring_json(_read_input(args, args.coloring))
-    try:
-        verdict = coloring.verify_dynamic(d, colors, args.r)
-    except KeyError as exc:
-        raise DrawingError(f"coloring does not cover vertex {exc}") from exc
+    verdict = coloring.verify_dynamic(d, colors, args.r)
     payload: dict = {"valid": verdict.valid, "r": args.r}
     if not verdict.valid:
         first = verdict.violations[0]
@@ -337,11 +327,7 @@ def run(argv: list[str] | None = None) -> int:
     start = time.monotonic()
     try:
         code, payload = args.fn(args)
-    except (DrawingError, coloring.ListTooSmall, oracle.SizeLimitExceeded, ValueError) as exc:
-        _emit({"error": str(exc)})
-        _note(f"input error: {exc}")
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except (ValueError, OSError) as exc:  # input errors are ValueErrors; unreadable paths raise OSError
         _emit({"error": str(exc)})
         _note(f"input error: {exc}")
         return EXIT_INPUT

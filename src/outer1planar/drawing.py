@@ -45,7 +45,7 @@ def interleave(n: int, e: Edge, f: Edge) -> bool:
     """
     a, b = e
     c, d = f
-    if len({a, b, c, d}) < 4:
+    if a in (c, d) or b in (c, d):
         return False
     ba = (b - a) % n
     ca = (c - a) % n

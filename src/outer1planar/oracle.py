@@ -106,18 +106,6 @@ def solve_list_r_dynamic(
     return _solve_r_dynamic(g, r, norm, symmetry_break=False)
 
 
-def _pos_interleave(m: int, e: tuple[int, int], f: tuple[int, int]) -> bool:
-    """Interleaving of 0-based position pairs on a circle of m positions."""
-    a, b = e
-    c, d = f
-    if a in (c, d) or b in (c, d):
-        return False
-    ba = (b - a) % m
-    ca = (c - a) % m
-    da = (d - a) % m
-    return (0 < ca < ba) != (0 < da < ba)
-
-
 def is_outer_1_planar(g: AbstractGraph) -> bool:
     """Does some cyclic vertex order make every edge's crossing degree <= 1?
 
@@ -153,7 +141,7 @@ def is_outer_1_planar(g: AbstractGraph) -> bool:
             for e in new_edges:
                 cnt = 0
                 for idx in range(old_len):
-                    if _pos_interleave(m_now, e, placed[idx]):
+                    if interleave(m_now, e, placed[idx]):
                         cross[idx] += 1
                         bumped.append(idx)
                         cnt += 1

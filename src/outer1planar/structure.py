@@ -19,7 +19,6 @@ from heapq import heapify, heappop, heappush
 
 from . import oracle
 from .catalog import (
-    ConfigPattern,
     Match,
     _degree_range,
     _occurrences,
@@ -90,42 +89,33 @@ def find_structure(d: Drawing) -> Match:
     still attempted on other inputs and raises StructureNotFound if nothing
     matches.
     """
-    for pid in range(1, 18):
-        matches = find_matches(d, get_pattern(pid))
-        if matches:
-            return matches[0]
-    raise StructureNotFound(
-        "no configuration found: the input is not a valid outer-1-plane "
-        "drawing with minimum degree 2, or the catalog is wrong"
-    )
+    m = _first_match(d, range(1, 18))
+    if m is None:
+        raise StructureNotFound(
+            "no configuration found: the input is not a valid outer-1-plane "
+            "drawing with minimum degree 2, or the catalog is wrong"
+        )
+    return m
 
 
 def find_light_edge(d: Drawing, maximal_mode: bool = False) -> LightEdge:
     """An edge with degree sum at most 9 (at most 7 in maximal mode).
 
     Scans the configurations in id order and reads the light edge off the
-    first match: the solid degree-2 endpoint with its bounded partner, or
-    the 3+3 edge of the 6th configuration.  Maximal drawings never carry
-    the 3rd configuration, so maximal mode skips it and uses the sharper
-    per-configuration edge.  Falls back to a direct minimum-sum scan.
+    first match: the solid degree-2 vertex of the 3rd configuration with
+    its partner capped at 7, or another configuration's edge of sum at most
+    7 (catalog facts (a) and (b)).  Maximal drawings never carry the 3rd
+    configuration, so maximal mode skips it.  Falls back to a direct
+    minimum-sum scan on inputs that break the hypotheses.
     """
-    bound = 7 if maximal_mode else 9
     degs = d.degrees
-    for pid in range(1, 18):
-        if maximal_mode and pid == 3:
-            continue
-        p = get_pattern(pid)
-        labels = _designated_edge(p, maximal_mode)
-        if labels is None:
-            continue
-        matches = find_matches(d, p)
-        if not matches:
-            continue
-        m = matches[0]
-        u, v = m.assignment[labels[0]], m.assignment[labels[1]]
-        edge = LightEdge((min(u, v), max(u, v)), degs[u] + degs[v])
-        if edge.degree_sum <= bound:
-            return edge
+    m = _first_match(d, [pid for pid in range(1, 18) if not (maximal_mode and pid == 3)])
+    if m is not None:
+        p = get_pattern(m.pattern_id)
+        a, b = light_edge_labels(p) if p.id == 3 else tight_edge_labels(p)
+        u, v = m.assignment[a], m.assignment[b]
+        return LightEdge((min(u, v), max(u, v)), degs[u] + degs[v])
+    bound = 7 if maximal_mode else 9
     best = None
     for u, v in sorted(d.edges):
         s = degs[u] + degs[v]
@@ -140,14 +130,13 @@ def find_light_edge(d: Drawing, maximal_mode: bool = False) -> LightEdge:
     )
 
 
-def _designated_edge(p: ConfigPattern, maximal_mode: bool) -> tuple[str, str] | None:
-    if p.id == 6:
-        return tight_edge_labels(p)  # the 3+3 edge
-    if maximal_mode:
-        return tight_edge_labels(p)
-    if p.id == 3:
-        return light_edge_labels(p)  # solid-2 against the capped vertex
-    return tight_edge_labels(p)
+def _first_match(d: Drawing, ids, check_d2: bool = False) -> Match | None:
+    """The first match of the first configuration in ids that d contains."""
+    for pid in ids:
+        matches = find_matches(d, get_pattern(pid), check_d2)
+        if matches:
+            return matches[0]
+    return None
 
 
 def find_reduction(d: Drawing) -> ReductionStep:
@@ -278,7 +267,7 @@ class _Peeler:
                 for label, lo, hi in bounded:
                     if lo <= new <= hi and not lo <= old <= hi:
                         fresh.update(
-                            p._representative(t) for t in _rooted_occurrences(p, degs, adj, label, v)
+                            p._representative(t) for t in _rooted_occurrences(p, degs, adj, label, (v,))
                         )
             dirty.clear()
             for r in fresh:

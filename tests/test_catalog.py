@@ -193,3 +193,24 @@ def test_fact_d_hollow_vertices_touch_bounded_ones():
     _check_catalog(_parse_catalog(text))
     with pytest.raises(CatalogError, match="config 11: hollow x"):
         _check_catalog(_parse_catalog(f"{head}config 11\n{doctored}config 12\n{tail}"))
+
+
+@pytest.mark.parametrize(
+    "pid, old, new, message",
+    [
+        # the 7th configuration's crossing moved onto two edges that do not cross
+        (7, "x 4 5", "x 0 2", "declared crossing does not interleave"),
+        # the 14th configuration with an isolated vertex: a search rooted at
+        # one label could never place it
+        (14, "v f hollow 2\n", "v f hollow 2\nv g hollow 2\n", "a configuration must be connected"),
+    ],
+    ids=["crossing-interleaves", "connected"],
+)
+def test_doctored_configuration_is_refused(pid, old, new, message):
+    text = resources.files("outer1planar").joinpath("data/configurations.txt").read_text()
+    head, rest = text.split(f"config {pid}\n")
+    block, tail = rest.split(f"config {pid + 1}\n")
+    doctored = block.replace(old, new)
+    assert doctored != block
+    with pytest.raises(CatalogError, match=f"config {pid}: {message}"):
+        _check_catalog(_parse_catalog(f"{head}config {pid}\n{doctored}config {pid + 1}\n{tail}"))

@@ -217,6 +217,35 @@ def test_missing_file_exit_2(capsys):
     assert run(["validate", "/nonexistent/file.txt"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{dir}"],
+        ["color", "{file}", "--lists", "{dir}"],
+        ["verify", "{file}", "--coloring", "{dir}"],
+    ],
+    ids=["validate", "color", "verify"],
+)
+def test_directory_as_input_exit_2(argv, tmp_path, capsys):
+    f = tmp_path / "c5.txt"
+    f.write_text(emit_drawing(cycle(5)))
+    code = run([a.format(dir=tmp_path, file=f) for a in argv])
+    out, _ = capsys.readouterr()
+    assert code == 2 and list(json.loads(out)) == ["error"]
+
+
+def test_verify_coloring_missing_a_vertex_exit_1(tmp_path, capsys):
+    f = tmp_path / "c5.txt"
+    f.write_text(emit_drawing(cycle(5)))
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps({"colors": {"1": 1, "2": 2, "3": 3, "4": 1}}))
+    code = run(["verify", str(f), "--coloring", str(partial)])
+    out, _ = capsys.readouterr()
+    payload = json.loads(out)
+    assert code == 1 and payload["valid"] is False
+    assert payload["violation"]["kind"] == "missing-color" and payload["violation"]["vertex"] == 5
+
+
 def test_guarantee_violation_exit_3(monkeypatch, capsys):
     # an edgeless drawing has no configuration: exit 3
     code, out, _ = invoke(["find-config", "-"], "n 2\n", monkeypatch, capsys)
