@@ -84,7 +84,8 @@ def verify_dynamic(d: Drawing, colors: Coloring, r: int) -> Verdict:
 
 
 def uniform_lists(d: Drawing, k: int) -> ListAssignment:
-    return {v: frozenset(range(1, k + 1)) for v in d.vertices}
+    """Every vertex gets the list 1..k, all as one shared frozenset."""
+    return dict.fromkeys(d.vertices, frozenset(range(1, k + 1)))
 
 
 def parse_lists(text: str) -> ListAssignment:

@@ -183,14 +183,6 @@ def delete_vertices(d: Drawing, remove: Iterable[int]) -> Drawing:
     Survivors are relabeled 1..n' in their original clockwise order, which
     can only remove crossings, so the result is always a valid drawing.
     """
-    sub, _ = delete_vertices_with_map(d, remove)
-    return sub
-
-
-def delete_vertices_with_map(
-    d: Drawing, remove: Iterable[int]
-) -> tuple[Drawing, dict[int, int]]:
-    """Like delete_vertices but also returns the old->new vertex relabeling."""
     gone = set(remove)
     if not gone <= set(d.vertices):
         raise ValueError("can only delete existing vertices")
@@ -201,7 +193,7 @@ def delete_vertices_with_map(
     edges = frozenset(
         (relabel[u], relabel[v]) for u, v in d.edges if u not in gone and v not in gone
     )
-    return Drawing(len(keep), edges), relabel
+    return Drawing(len(keep), edges)
 
 
 def parse_drawing(text: str) -> Drawing:

@@ -2,12 +2,13 @@
 
 Every connected drawing with minimum degree 2 contains one of the seventeen
 configurations; every drawing at all contains one of ten reducible shapes
-whose deletion the coloring engine can undo.  Both searches are realized by
-exhaustive catalog matching with deterministic tie-breaking, not by the
-inductive case analysis that proves they cannot fail.  The reduction search
-lives in a peeler that the coloring engine keeps for a whole peel: it holds
-the candidates of every kind and, after each deletion, searches only around
-the vertices whose degree fell.
+whose deletion the coloring engine can undo: three primitive shapes, or one
+of the seven reducible configurations of the `_SHAPES` table.  Both searches
+are realized by exhaustive catalog matching with deterministic tie-breaking,
+not by the inductive case analysis that proves they cannot fail.  The
+reduction search lives in a peeler that the coloring engine keeps for a
+whole peel: it holds the candidates of every kind and, after each deletion,
+searches only around the vertices whose degree fell.
 """
 
 from __future__ import annotations
@@ -50,36 +51,20 @@ class ReductionStep:
     anchors: dict[str, int]
 
 
-# Reductions delete these anchor labels (the rest stay and steer recoloring).
-_DELETIONS = {
-    "P4-G3": ("u",),
-    "P5-G6": ("u",),
-    "P6-G7": ("u", "v"),
-    "P7-G8": ("u", "w"),
-    "P8-G9": ("u", "w"),
-    "P9-G10": ("u", "w"),
-    "P10-G11": ("u", "v", "a"),
-}
-
-_REDUCTION_CONFIGS = (
-    (3, "P4-G3"),
-    (6, "P5-G6"),
-    (7, "P6-G7"),
-    (8, "P7-G8"),
-    (9, "P8-G9"),
-    (10, "P9-G10"),
-    (11, "P10-G11"),
+# The reducible configurations, in priority order.  A row holds the
+# configuration id, the reduction kind, the labels a reduction deletes, the
+# label pairs whose swap mirrors the configuration (so the extension rules'
+# degree cases, stated for the d(x) >= d(y) side, always apply), and the
+# labels that x's and y's third neighbors x1 and y1 must avoid.
+_SHAPES = (
+    (3, "P4-G3", ("u",), (("x", "y"),), (("u", "v"), ("u", "v"))),
+    (6, "P5-G6", ("u",), (("x", "y"),), (("u", "v"), ("u", "v"))),
+    (7, "P6-G7", ("u", "v"), (("x", "y"), ("v", "w")), (("v", "w"), ("v", "w"))),
+    (8, "P7-G8", ("u", "w"), (), (("u", "v"), ("v", "w"))),
+    (9, "P8-G9", ("u", "w"), (("x", "y"), ("z", "u"), ("v", "w")), (("u", "v"), ("w", "z"))),
+    (10, "P9-G10", ("u", "w"), (), (("v", "z"), ("v", "w"))),
+    (11, "P10-G11", ("u", "v", "a"), (("x", "y"), ("z", "a"), ("w", "v")), (("v", "z"), ("w", "a"))),
 )
-
-# Label swaps that mirror a configuration, used to normalize matches so the
-# extension rules' degree cases (stated for d(x) >= d(y)-side) always apply.
-_FLIPS = {
-    3: {"x": "y", "y": "x"},
-    6: {"x": "y", "y": "x"},
-    7: {"x": "y", "y": "x", "v": "w", "w": "v"},
-    9: {"x": "y", "y": "x", "z": "u", "u": "z", "v": "w", "w": "v"},
-    11: {"x": "y", "y": "x", "z": "a", "a": "z", "w": "v", "v": "w"},
-}
 
 
 def find_structure(d: Drawing) -> Match:
@@ -183,6 +168,9 @@ class _Peeler:
     the heap is brought up to date by searches rooted at those vertices
     only, when the kind is read again.  `restore` is for the extension
     phase, after the last `pop`.
+
+    The configurations are read in `_SHAPES` order; a row says how `pop`
+    turns an occurrence into a step.
     """
 
     def __init__(self, d: Drawing) -> None:
@@ -229,19 +217,23 @@ class _Peeler:
         if triangle is not None:
             u, x, y = triangle
             anchors = {"u": u, "x": x, "y": y}
-            _note_third_neighbor(self, anchors, "x", {u, y})
-            _note_third_neighbor(self, anchors, "y", {u, x})
+            self._note_thirds(anchors, (("u", "y"), ("u", "x")))
             return ReductionStep("P3-triangle-deg2", (u,), anchors)
 
-        for pid, kind in _REDUCTION_CONFIGS:
+        for pid, kind, deletes, swaps, avoid in _SHAPES:
             rep = self._least_occurrence(pid)
             if rep is None:
                 continue
             _, names, keys, _, _ = _config_kind(pid)
-            anchors = _normalize_case(self, pid, {a: rep[k] for a, k in zip(names, keys)})
-            _resolve_thirds(self, pid, anchors)
-            deleted = tuple(sorted(anchors[l] for l in _DELETIONS[kind]))
-            return ReductionStep(kind, deleted, anchors)
+            anchors = {a: rep[k] for a, k in zip(names, keys)}
+            if swaps and degs[anchors["x"]] == 3 and degs[anchors["y"]] >= 4:
+                # The mirror is again an occurrence: the swap preserves the
+                # configuration graph, and where a degree cap moves onto the
+                # old x its degree is 3, comfortably inside every cap.
+                for a, b in swaps:
+                    anchors[a], anchors[b] = anchors[b], anchors[a]
+            self._note_thirds(anchors, avoid)
+            return ReductionStep(kind, tuple(sorted(anchors[l] for l in deletes)), anchors)
 
         raise StructureNotFound(
             "no reducible configuration: the input is not outer-1-planar, or the catalog is wrong"
@@ -315,6 +307,16 @@ class _Peeler:
         for dirty in self._dirty.values():
             dirty.setdefault(w, old)
 
+    def _note_thirds(self, anchors: dict[str, int], avoid) -> None:
+        """Record x1 and y1, the third neighbors the extension rules use: the
+        one neighbor of a degree-3 x (y) outside the labels avoid names."""
+        for label, skip in zip(("x", "y"), avoid):
+            v = anchors[label]
+            if self.degrees[v] == 3:
+                rest = self.adjacency[v] - {anchors[o] for o in skip}
+                if len(rest) == 1:
+                    anchors[label + "1"] = next(iter(rest))
+
     def restore(self, deleted: tuple[int, ...], dropped: list[Edge]) -> None:
         """Undo the remove call that deleted these vertices."""
         for v in deleted:
@@ -332,44 +334,6 @@ def _least_valid(heap: list, valid):
     while heap and not valid(heap[0]):
         heappop(heap)
     return heap[0] if heap else None
-
-
-def _normalize_case(d: Drawing, pid: int, a: dict[str, int]) -> dict[str, int]:
-    """Mirror the match when d(x)=3 and d(y)>=4 so the rule's cases apply.
-
-    The mirrored assignment is again a valid occurrence: the swap preserves
-    the configuration graph, and where a degree cap moves onto the old x
-    its degree is 3, comfortably inside every cap.
-    """
-    flip = _FLIPS.get(pid)
-    if flip is None:
-        return a
-    degs = d.degrees
-    if degs[a["x"]] == 3 and degs[a["y"]] >= 4:
-        return {name: a[flip.get(name, name)] for name in a}
-    return a
-
-
-def _resolve_thirds(d: Drawing, pid: int, anchors: dict[str, int]) -> None:
-    """Record x1/y1, the third neighbors used by the extension rules."""
-    excl = {
-        3: {"x": ("u", "v"), "y": ("u", "v")},
-        6: {"x": ("u", "v"), "y": ("u", "v")},
-        7: {"x": ("v", "w"), "y": ("v", "w")},
-        8: {"x": ("u", "v"), "y": ("v", "w")},
-        9: {"x": ("u", "v"), "y": ("w", "z")},
-        10: {"x": ("v", "z"), "y": ("v", "w")},
-        11: {"x": ("v", "z"), "y": ("w", "a")},
-    }[pid]
-    for label, others in excl.items():
-        _note_third_neighbor(d, anchors, label, {anchors[o] for o in others})
-
-
-def _note_third_neighbor(d: Drawing, anchors: dict[str, int], label: str, skip: set[int]) -> None:
-    if d.degrees[anchors[label]] == 3:
-        rest = d.adjacency[anchors[label]] - skip
-        if len(rest) == 1:
-            anchors[label + "1"] = next(iter(rest))
 
 
 def check_d1(d: Drawing, m: Match) -> bool:

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import pytest
 
-from outer1planar import AbstractGraph, Drawing, enumerate_drawings_deduped
+from outer1planar import AbstractGraph, Drawing, delete_vertices, enumerate_drawings_deduped
 from outer1planar.catalog import ConfigPattern
 
 
@@ -46,6 +46,14 @@ def naive_matches(d: Drawing, p: ConfigPattern) -> list[tuple[int, ...]]:
         orbit = min(tuple(tup[idx[s[l]]] for l in labels) for s in autos)
         found.add(orbit)
     return sorted(found)
+
+
+def delete_with_map(d: Drawing, remove) -> tuple[Drawing, dict[int, int]]:
+    """delete_vertices plus the old -> new labels of the survivors, which
+    keep their clockwise order."""
+    gone = set(remove)
+    keep = [v for v in d.vertices if v not in gone]
+    return delete_vertices(d, gone), {old: i + 1 for i, old in enumerate(keep)}
 
 
 def plain_chromatic(g: AbstractGraph) -> int:

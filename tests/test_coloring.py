@@ -22,10 +22,9 @@ from outer1planar import (
     verify_dynamic,
 )
 from outer1planar.coloring import coloring_to_json, parse_coloring_json
-from outer1planar.drawing import delete_vertices_with_map
 from outer1planar.structure import ReductionStep
 
-from .conftest import double_g10, double_g11, g3_flip_host, polygon_drawing
+from .conftest import delete_with_map, double_g10, double_g11, g3_flip_host, polygon_drawing
 
 
 def test_verify_c6_valid():
@@ -76,6 +75,12 @@ def test_list_too_small():
     d = cycle(4)
     with pytest.raises(ListTooSmall):
         color_list_3_dynamic(d, {v: frozenset({1, 2, 3}) for v in d.vertices})
+
+
+def test_uniform_lists_share_one_palette():
+    lists = uniform_lists(cycle(50), 2000)
+    assert lists[1] == frozenset(range(1, 2001))
+    assert len({id(palette) for palette in lists.values()}) == 1
 
 
 def test_sharp_example_colors_with_six():
@@ -137,7 +142,7 @@ def test_locality_outside_recolor_branch(classes):
             step = find_reduction(d)
             if len(step.deleted) == d.n:
                 continue
-            sub, relabel = delete_vertices_with_map(d, step.deleted)
+            sub, relabel = delete_with_map(d, step.deleted)
             lists = {v: frozenset(rng.sample(range(1, 13), 6)) for v in d.vertices}
             sub_lists = {new: lists[old] for old, new in relabel.items()}
             sub_colors = col._color(sub, sub_lists)
@@ -185,7 +190,7 @@ def _g10_gap_case():
     step = find_reduction(d)
     assert step.kind == "P9-G10"
     z, y = step.anchors["z"], step.anchors["y"]
-    sub, relabel = delete_vertices_with_map(d, step.deleted)
+    sub, relabel = delete_with_map(d, step.deleted)
     inv = {new: old for old, new in relabel.items()}
     rng = random.Random(0)
     for _ in range(100000):
@@ -286,7 +291,7 @@ def test_local_check_agrees_with_full_verify(classes):
             step = find_reduction(d)
             if len(step.deleted) == d.n:
                 continue
-            sub, relabel = delete_vertices_with_map(d, step.deleted)
+            sub, relabel = delete_with_map(d, step.deleted)
             sub_colors = col._color(sub, uniform_lists(sub, 6))
             partial = {old: sub_colors[new] for old, new in relabel.items()}
             for _ in range(5):

@@ -118,6 +118,23 @@ def test_reduction_flip_normalization():
     assert "y1" in s.anchors
 
 
+def test_shapes_table_fits_the_catalog():
+    from outer1planar.coloring import _HANDLERS
+    from outer1planar.structure import _SHAPES
+
+    for pid, kind, deletes, swaps, avoid in _SHAPES:
+        p = get_pattern(pid)
+        assert {*deletes, *(l for skip in avoid for l in skip)} <= set(p.anchors), kind
+        # the mirror used for the degree cases is an automorphism of the edges
+        sigma = {p.anchors[l]: p.anchors[m] for a, b in swaps for l, m in ((a, b), (b, a))}
+        edges = {frozenset(e) for e in p.edges}
+        assert {frozenset(sigma.get(l, l) for l in e) for e in edges} == edges, kind
+    # the reducible configurations of catalog fact (d), in priority order
+    assert [row[0] for row in _SHAPES] == [3, 6, 7, 8, 9, 10, 11]
+    kinds = [row[1] for row in _SHAPES] + ["P1-pendant", "P2-adjacent-deg2", "P3-triangle-deg2"]
+    assert sorted(kinds) == sorted(_HANDLERS)
+
+
 def test_reduction_delete_keeps_drawing_valid(classes):
     for n in range(1, 7):
         for d in classes(n, "all"):
