@@ -125,7 +125,9 @@ def test_shapes_table_fits_the_catalog():
     for pid, kind, deletes, swaps, avoid in _SHAPES:
         p = get_pattern(pid)
         assert {*deletes, *(l for skip in avoid for l in skip)} <= set(p.anchors), kind
-        # the mirror used for the degree cases is an automorphism of the edges
+        # the mirror used for the degree cases is an automorphism of the
+        # edges; pop swaps pair by pair, so the pairs must be disjoint
+        assert len({l for pair in swaps for l in pair}) == 2 * len(swaps), kind
         sigma = {p.anchors[l]: p.anchors[m] for a, b in swaps for l, m in ((a, b), (b, a))}
         edges = {frozenset(e) for e in p.edges}
         assert {frozenset(sigma.get(l, l) for l in e) for e in edges} == edges, kind
