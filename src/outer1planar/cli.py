@@ -194,10 +194,12 @@ def _cmd_enumerate(args) -> tuple[int, dict]:
     first_failure = None
     classes = 0
     check = _CHECKS.get(args.check) if args.check else None
-    for mask in oracle._walk(args.n, args.filter):
-        total += 1
-        if not oracle._least_in_class(args.n, mask):
+    # the labeled count is the sum of the representatives' orbit sizes
+    for mask in oracle._walk(args.n, args.filter, classes=True):
+        size = oracle._orbit_size(args.n, mask)
+        if not size:
             continue
+        total += size
         classes += 1
         if check is None:
             continue

@@ -5,6 +5,12 @@ backtracking, outer-1-planarity recognition by searching cyclic orders,
 maximality testing, and exhaustive enumeration of convex-position drawings.
 Every operation carries an explicit size guard; nothing here is meant to
 scale past it.
+
+Enumeration up to rotation and reflection is orderly: the walk decides
+pairs from the most significant mask bit down and never enters a subtree
+whose decided bits already lose to one of their images.  The labeled count
+of a class is 2n over the size of its representative's stabilizer, so
+counting labeled drawings needs no labeled walk.
 """
 
 from __future__ import annotations
@@ -191,22 +197,26 @@ def enumerate_drawings(n: int, filter: str = "all") -> Iterator[Drawing]:
     increasing order of their pair bitmask (the first pair of
     iter_all_pairs(n) is the most significant bit).
     """
-    for mask in _walk(n, filter):
+    for mask in _walk(n, filter, classes=False):
         yield _mask_drawing(n, mask)
 
 
-def _walk(n: int, filter: str) -> Iterator[int]:
-    """Pair bitmasks of the drawings enumerate_drawings yields, in its order.
+def _walk(n: int, filter: str, classes: bool) -> Iterator[int]:
+    """Pair bitmasks of valid drawings that pass filter, in increasing order.
 
     A depth-first walk with an explicit stack that leaves each pair out
     before it puts it in.  Its state is a handful of ints, so the stack
     holds the include branches still to take and nothing is undone.  A
     subtree is cut once a vertex cannot reach the filter's least degree;
     the filters hold for all of a class or none of it, so the cut keeps
-    every class whole.
+    every class whole.  Without classes the walk yields every such mask.
+    With classes it also cuts, by the table of _symmetries, each subtree
+    whose decided top bits already lose to a rotation or reflection of
+    them (Read's orderly generation): every mask the walk yields then
+    still needs _orbit_size, but every orbit-least mask is yielded.
     """
-    if n > 9:
-        raise SizeLimitExceeded("enumeration capped at n <= 9")
+    if n > 10:
+        raise SizeLimitExceeded("enumeration capped at n <= 10")
     if n < 1:
         raise ValueError("a drawing needs at least one vertex")
     if filter not in ("all", "connected", "connected-min-deg-2"):
@@ -217,8 +227,10 @@ def _walk(n: int, filter: str) -> Iterator[int]:
     min_deg = 2 if filter == "connected-min-deg-2" else 1 if want_connected and n > 1 else 0
     if n - 1 < min_deg:
         return
-    weight, _ = _symmetries(n)
+    weight, _, cuts = _symmetries(n)
     pairs = list(iter_all_pairs(n))
+    if not classes:
+        cuts = ((),) * (len(pairs) + 1)
     bit = [weight[e] for e in pairs]
     # The mask of the earlier pairs that cross pair i: only those are
     # decided when the walk reaches i.
@@ -236,29 +248,33 @@ def _walk(n: int, filter: str) -> Iterator[int]:
     i, mask, crossed, slack, nbrs = 0, 0, 0, guard + (n - 1 - min_deg) * (guard >> 4), 0
     stack: list[tuple[int, int, int, int, int]] = []
     while True:
-        if i < len(pairs):
-            # pair i may join if it crosses at most one chosen pair, and that
-            # pair is not crossed yet
-            p = conflict[i] & mask
-            if not (p & (p - 1) or p & crossed):
-                w = bit[i]
-                stack.append((i + 1, mask | w, crossed | p | w if p else crossed, slack, nbrs | link[i]))
-            left = slack - drop[i]
-            if left & guard == guard:
-                i, slack = i + 1, left
-                continue
+        for chunks, shift in cuts[i]:
+            if _image(chunks, mask) >> shift < mask >> shift:
+                break
         else:
-            seen = everyone
-            if want_connected:
-                seen = todo = 1
-                while todo:
-                    low = todo & -todo
-                    todo ^= low
-                    new = nbrs >> n * (low.bit_length() - 1) & (everyone ^ seen)
-                    seen |= new
-                    todo |= new
-            if seen == everyone:
-                yield mask
+            if i < len(pairs):
+                # pair i may join if it crosses at most one chosen pair, and
+                # that pair is not crossed yet
+                p = conflict[i] & mask
+                if not (p & (p - 1) or p & crossed):
+                    w = bit[i]
+                    stack.append((i + 1, mask | w, crossed | p | w if p else crossed, slack, nbrs | link[i]))
+                left = slack - drop[i]
+                if left & guard == guard:
+                    i, slack = i + 1, left
+                    continue
+            else:
+                seen = everyone
+                if want_connected:
+                    seen = todo = 1
+                    while todo:
+                        low = todo & -todo
+                        todo ^= low
+                        new = nbrs >> n * (low.bit_length() - 1) & (everyone ^ seen)
+                        seen |= new
+                        todo |= new
+                if seen == everyone:
+                    yield mask
         if not stack:
             return
         i, mask, crossed, slack, nbrs = stack.pop()
@@ -272,25 +288,40 @@ def _trusted_drawing(n: int, edges: frozenset[Edge]) -> Drawing:
     return d
 
 
+_Tables = tuple[array, ...]  # one symmetry's byte tables
+
+
 @cache
-def _symmetries(n: int) -> tuple[dict[Edge, int], tuple[tuple[array, ...], ...]]:
-    """Pair weights, and byte tables for each non-identity rotation/reflection.
+def _symmetries(n: int) -> tuple[dict[Edge, int], tuple[_Tables, ...], tuple[tuple[tuple[_Tables, int], ...], ...]]:
+    """Pair weights, byte tables for each non-identity rotation/reflection,
+    and the walk's cut table.
 
     Pair i of iter_all_pairs(n) weighs 1 << (P - 1 - i), so enumerate_drawings
     emits masks in increasing order.  A symmetry's k-th table maps byte k of
     a mask (bits 8k..8k+7) to the mask of those pairs' images.
+
+    Once the walk has decided pairs 0..d-1, the top d bits of its mask are
+    fixed.  For a symmetry g, let L be the longest top run of positions
+    whose preimages under g are all decided; then the top L bits of g's
+    image are fixed too, and if they are less than the mask's top L bits,
+    no mask below is least in its orbit.  cuts[d] lists, as (tables,
+    P - L), each g whose L grows at depth d.  Depth P is left out: the
+    leaf's orbit test compares the whole masks.
     """
     pairs = list(iter_all_pairs(n))
     size = len(pairs)
+    index = {e: i for i, e in enumerate(pairs)}
     weight = {e: 1 << (size - 1 - i) for i, e in enumerate(pairs)}
     tables = []
+    cuts: list[list[tuple[_Tables, int]]] = [[] for _ in range(size + 1)]
     for sign in (1, -1):
         for rot in range(n):
             if sign == 1 and rot == 0:
                 continue
             relabel = [0] + [(rot + sign * (v - 1)) % n + 1 for v in range(1, n + 1)]
+            target = [index[normalize_edge(relabel[u], relabel[v])] for u, v in pairs]
             # image[p]: the weight of the image of the pair at bit p
-            image = [weight[normalize_edge(relabel[u], relabel[v])] for u, v in reversed(pairs)]
+            image = [1 << (size - 1 - t) for t in reversed(target)]
             chunks = []
             for low in range(0, size, 8):
                 table = array("L", bytes(8 * 256))
@@ -299,10 +330,21 @@ def _symmetries(n: int) -> tuple[dict[Edge, int], tuple[tuple[array, ...], ...]]
                     table[b] = table[b & (b - 1)] | (image[bit] if bit < size else 0)
                 chunks.append(table)
             tables.append(tuple(chunks))
-    return weight, tuple(tables)
+            source = [0] * size  # source[k]: the pair that g maps to pair k
+            for i, t in enumerate(target):
+                source[t] = i
+            fixed = 0
+            for d in range(1, size):
+                grown = fixed
+                while grown < d and source[grown] < d:
+                    grown += 1
+                if grown > fixed:
+                    fixed = grown
+                    cuts[d].append((tables[-1], size - fixed))
+    return weight, tuple(tables), tuple(map(tuple, cuts))
 
 
-def _image(chunks: tuple[array, ...], mask: int) -> int:
+def _image(chunks: _Tables, mask: int) -> int:
     image = low = 0
     for table in chunks:
         image |= table[(mask >> low) & 0xFF]
@@ -310,16 +352,23 @@ def _image(chunks: tuple[array, ...], mask: int) -> int:
     return image
 
 
-def _least_in_class(n: int, mask: int) -> bool:
-    """Is mask at most each of its rotation/reflection images?"""
+def _orbit_size(n: int, mask: int) -> int:
+    """Size of mask's rotation/reflection orbit if mask is least in it, else 0.
+
+    By orbit-stabilizer the size is 2n over the number of the 2n
+    rotations and reflections that fix mask.
+    """
+    fixed = 1
     for chunks in _symmetries(n)[1]:
-        if _image(chunks, mask) < mask:
-            return False
-    return True
+        image = _image(chunks, mask)
+        if image < mask:
+            return 0
+        fixed += image == mask
+    return 2 * n // fixed
 
 
 def _mask_drawing(n: int, mask: int) -> Drawing:
-    weight, _ = _symmetries(n)
+    weight = _symmetries(n)[0]
     return _trusted_drawing(n, frozenset(e for e, w in weight.items() if mask & w))
 
 
@@ -329,9 +378,9 @@ def canonical_key(d: Drawing) -> tuple[int, int]:
     Two drawings have equal keys iff one is a rotation or reflection of
     the other.
     """
-    if d.n > 9:
-        raise SizeLimitExceeded("canonical key capped at n <= 9")
-    weight, tables = _symmetries(d.n)
+    if d.n > 10:
+        raise SizeLimitExceeded("canonical key capped at n <= 10")
+    weight, tables, _ = _symmetries(d.n)
     mask = sum(map(weight.__getitem__, d.edges))
     return (d.n, min([mask] + [_image(chunks, mask) for chunks in tables]))
 
@@ -343,8 +392,10 @@ def enumerate_drawings_deduped(n: int, filter: str = "all") -> Iterator[Drawing]
     and representatives come in that order.  Masks come in increasing
     order and the filters hold for all of a class or none of it, so the
     first drawing of a class is the one whose mask is least in its orbit.
-    Only representatives are built.
+    The class walk never enters a subtree that the cut table of
+    _symmetries shows to hold no such mask, and _orbit_size drops the
+    rest.  Only representatives are built.
     """
-    for mask in _walk(n, filter):
-        if _least_in_class(n, mask):
+    for mask in _walk(n, filter, classes=True):
+        if _orbit_size(n, mask):
             yield _mask_drawing(n, mask)

@@ -7,10 +7,10 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from outer1planar import emit_drawing, random_outer_1_planar
+from outer1planar import emit_drawing, oracle, random_outer_1_planar
 from outer1planar.cli import run
 
 TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=60)
@@ -75,9 +75,68 @@ def test_cli_fuzz_never_raises(command, drawing, lists, coloring, r):
             argv += ["--lists", str(paths["lists"])]
         elif command == "verify":
             argv += ["--coloring", str(paths["coloring"]), "--r", str(r)]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(argv)
+        _run_one_object(argv)
+
+
+def _run_one_object(argv):
+    """Run the CLI; check the exit code contract and that stdout is exactly
+    one JSON object, and return both."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
     assert code in (0, 1, 2, 3)
     lines = out.getvalue().splitlines()
     assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict), out.getvalue()
+    return code, json.loads(lines[0])
+
+
+# valid vertex counts stay at 7 or less, so that each example is quick
+ENUMERATE_N = st.one_of(
+    st.integers(-3, 5),
+    st.sampled_from([7, 11]),
+    st.integers(11, 10**12),
+    st.integers(-(10**12), -1),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    n=ENUMERATE_N,
+    filt=st.sampled_from(["all", "connected", "connected-min-deg-2"]),
+    check=st.sampled_from([None, "structure", "light", "reduce"]),
+)
+@example(n=0, filt="all", check=None)
+@example(n=-1, filt="connected", check="structure")
+@example(n=11, filt="all", check="reduce")
+@example(n=10**9, filt="connected-min-deg-2", check=None)
+def test_cli_fuzz_enumerate_n(n, filt, check):
+    argv = ["enumerate", "--n", str(n), "--filter", filt] + (["--check", check] if check else [])
+    built = oracle._symmetries.cache_info().misses
+    code, payload = _run_one_object(argv)
+    if 1 <= n <= 10:
+        assert code == 0 and payload["count"] >= payload["classes"] >= 0
+    else:
+        # rejected by the size and count guards, before any table is built
+        assert code == 2 and "error" in payload
+        assert oracle._symmetries.cache_info().misses == built
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    k_max=st.one_of(st.integers(-3, 8), st.sampled_from([10**9, -(10**9)])),
+    r=st.integers(-1, 4),
+    n=st.integers(3, 7),
+    density=st.floats(0, 1),
+    seed=st.integers(0, 99),
+)
+@example(k_max=10**9, r=3, n=7, density=1.0, seed=0)
+@example(k_max=-(10**9), r=3, n=3, density=0.0, seed=0)
+def test_cli_fuzz_oracle_chi_k_max(k_max, r, n, density, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "drawing.txt"
+        path.write_text(emit_drawing(random_outer_1_planar(n, density, seed)), encoding="utf-8")
+        code, payload = _run_one_object(["oracle", "chi", str(path), "--k-max", str(k_max), "--r", str(r)])
+    if code == 0:
+        assert 1 <= payload["chi"] <= k_max
+    else:
+        assert code == 1 and payload["chi"] is None and payload["k_max"] == k_max

@@ -179,24 +179,27 @@ def test_enumerate_is_every_valid_subset_in_mask_order():
 
 def test_enumerate_guard():
     with pytest.raises(SizeLimitExceeded):
-        list(enumerate_drawings(10, "all"))
+        list(enumerate_drawings(11, "all"))
 
 
-def brute_orbit_key(d):
-    """Least sorted edge tuple over every rotation and reflection of d,
-    each relabeling written out; independent of the package's bitmasks."""
+def brute_orbit(d):
+    """Sorted edge tuples of every rotation and reflection of d, each
+    relabeling written out; independent of the package's bitmasks."""
     n = d.n
-    best = None
+    orbit = set()
     for flip in (False, True):
         for rot in range(n):
             if flip:
                 relabel = [0] + [((rot - (v - 1)) % n) + 1 for v in range(1, n + 1)]
             else:
                 relabel = [0] + [((v - 1 + rot) % n) + 1 for v in range(1, n + 1)]
-            key = tuple(sorted(tuple(sorted((relabel[u], relabel[v]))) for u, v in d.edges))
-            if best is None or key < best:
-                best = key
-    return best
+            orbit.add(tuple(sorted(tuple(sorted((relabel[u], relabel[v]))) for u, v in d.edges)))
+    return orbit
+
+
+def brute_orbit_key(d):
+    """Least sorted edge tuple over every rotation and reflection of d."""
+    return min(brute_orbit(d))
 
 
 def test_dedup_matches_brute_orbits(capsys):
@@ -215,6 +218,25 @@ def test_dedup_matches_brute_orbits(capsys):
             assert len(pairs) == len(firsts) == len({key for _, key in pairs})
             code = cli.run(["enumerate", "--n", str(n), "--filter", filt])
             assert code == 0 and json.loads(capsys.readouterr().out)["classes"] == len(firsts)
+
+
+def test_enumerate_count_and_classes_match_labeled_walk(capsys):
+    # the CLI count is a sum of orbit sizes over representatives; pin it to
+    # the labeled walk and its classes to the independent orbit keys
+    for n in range(1, 8):
+        for filt in FILTERS:
+            count, seen, keys = 0, set(), set()
+            for d in enumerate_drawings(n, filt):
+                count += 1
+                if tuple(sorted(d.edges)) not in seen:
+                    # the first drawing of an orbit: its key is new
+                    orbit = brute_orbit(d)
+                    seen |= orbit
+                    keys.add(min(orbit))
+            code = cli.run(["enumerate", "--n", str(n), "--filter", filt])
+            payload = json.loads(capsys.readouterr().out)
+            assert code == 0, (n, filt)
+            assert (payload["count"], payload["classes"]) == (count, len(keys)), (n, filt)
 
 
 def test_representatives_golden_digest():
@@ -247,7 +269,7 @@ def test_enumerate_rejects_no_vertices(n):
 
 def test_canonical_key_size_guard():
     with pytest.raises(SizeLimitExceeded):
-        canonical_key(cycle(10))
+        canonical_key(cycle(11))
 
 
 def test_canonical_key_invariance():

@@ -18,6 +18,7 @@ from outer1planar import (
     find_structure,
     get_pattern,
     h_family,
+    is_maximal,
     random_outer_1_planar,
     sharp_example,
 )
@@ -75,6 +76,40 @@ def test_light_edge_sharp_regression():
     assert le.degree_sum <= 9
     # frozen: the 8th configuration's 3+3 edge in the sharp example
     assert le.endpoints == (4, 5) and le.degree_sum == 6
+
+
+def min_edge_degree_sum(d):
+    degs = d.degrees
+    return min(degs[u] + degs[v] for u, v in d.edges)
+
+
+def hub_witness():
+    """12 vertices: hubs 1, 4, 7, 10 form a K4, and between each hub h and
+    the next hub sit h + 1 and h + 2, joined to both so that h-(h + 2) and
+    (h + 1)-(next hub) cross.  Hubs have degree 7, the rest degree 2."""
+    hubs = (1, 4, 7, 10)
+    edges = [(1, 4), (4, 7), (7, 10), (1, 10), (1, 7), (4, 10)]
+    for h, nxt in zip(hubs, hubs[1:] + hubs[:1]):
+        edges += [(h, h + 1), (h + 1, nxt), (h, h + 2), (h + 2, nxt)]
+    return Drawing.from_edges(12, edges)
+
+
+def test_light_edge_bound_9_is_sharp():
+    d = hub_witness()
+    assert (len(d.edges), len(d.crossing_pairs), d.min_degree) == (22, 5, 2)
+    assert d.is_connected() and min_edge_degree_sum(d) == 9
+    le = find_light_edge(d)
+    assert le.endpoints in d.edges and le.degree_sum == min_edge_degree_sum(d)
+
+
+def test_light_edge_bound_7_is_sharp_for_maximal_drawings():
+    d = Drawing.from_edges(
+        8,
+        [(1, 2), (1, 8), (2, 3), (2, 4), (2, 6), (2, 8), (3, 4), (4, 5), (4, 6), (4, 8), (5, 6), (6, 7), (6, 8), (7, 8)],
+    )
+    assert is_maximal(d) and min_edge_degree_sum(d) == 7
+    le = find_light_edge(d, maximal_mode=True)
+    assert le.endpoints in d.edges and le.degree_sum == min_edge_degree_sum(d)
 
 
 def test_reduction_single_vertex():
