@@ -333,13 +333,12 @@ def _symmetries(n: int) -> tuple[dict[Edge, int], tuple[_Tables, ...], tuple[tup
             source = [0] * size  # source[k]: the pair that g maps to pair k
             for i, t in enumerate(target):
                 source[t] = i
-            fixed = 0
+            fixed = 0  # L: the top positions of g's image fixed so far
             for d in range(1, size):
-                grown = fixed
-                while grown < d and source[grown] < d:
-                    grown += 1
-                if grown > fixed:
-                    fixed = grown
+                before = fixed
+                while fixed < d and source[fixed] < d:
+                    fixed += 1
+                if fixed > before:
                     cuts[d].append((tables[-1], size - fixed))
     return weight, tuple(tables), tuple(map(tuple, cuts))
 
