@@ -290,3 +290,26 @@ def test_all_small_drawings_six_colorable(classes):
     for n in range(1, 7):
         for d in classes(n, "all"):
             assert has_r_dynamic_k_coloring(d, 3, 6)
+
+
+# SHA-256 over the r-dynamic search's answers below, computed before the
+# search kept its state in per-vertex lists.
+R_DYNAMIC_SEARCH_SHA256 = "cd384faecdef61a4d48e7194986957e38d2ba31781adc9f74c8944af78128284"
+
+
+def test_r_dynamic_search_golden_digest(classes):
+    # pins the r-dynamic search's answers and its witnesses, key order
+    # included, on every class with n <= 6
+    from outer1planar import has_r_dynamic_k_coloring
+
+    rng = random.Random(1212)
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        for d in classes(n, "all"):
+            chi = [chromatic_r_dynamic(d, r, 7) for r in (1, 2, 3)]
+            six = has_r_dynamic_k_coloring(d, 3, 6)
+            lists = {v: frozenset(rng.sample(range(1, 10), 6)) for v in d.vertices}
+            witness = solve_list_r_dynamic(d, lists, 3)
+            pairs = None if witness is None else list(witness.items())
+            digest.update(f"{sorted(d.edges)} {chi} {six} {pairs}\n".encode())
+    assert digest.hexdigest() == R_DYNAMIC_SEARCH_SHA256
