@@ -223,17 +223,29 @@ def _cmd_enumerate(args) -> tuple[int, dict]:
     return EXIT_OK, payload
 
 
+# The largest vertex counts o1p generate accepts.  The random generator's
+# candidate pool is quadratic in n and a cycle is written out edge by edge,
+# so a larger count would only end in running out of memory.
+_RANDOM_MAX_N = 2000
+_CYCLE_MAX_N = 10**5
+
+
 def _cmd_generate(args) -> tuple[int, dict]:
     what = args.what
     if what == "cycle":
         if args.arg is None:
             raise DrawingError("generate cycle needs a vertex count")
-        d = generators.cycle(int(args.arg))
+        n = int(args.arg)
+        if n > _CYCLE_MAX_N:
+            raise DrawingError(f"generate cycle is capped at {_CYCLE_MAX_N} vertices, got {n}")
+        d = generators.cycle(n)
     elif what == "sharp":
         d = generators.sharp_example()
     elif what.startswith("h"):
         d = generators.h_family(int(what[1:]))
     elif what == "random":
+        if args.n > _RANDOM_MAX_N:
+            raise DrawingError(f"generate random is capped at --n {_RANDOM_MAX_N}, got {args.n}")
         d = generators.random_outer_1_planar(args.n, args.density, args.seed)
     else:
         raise DrawingError(f"unknown generator {what!r}")

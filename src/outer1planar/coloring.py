@@ -8,10 +8,11 @@ the 11th configuration, whose rule has a recoloring branch for the rainbow
 worst case.  Peeling works on the original labels, so no sub-drawing is
 ever rebuilt, and the structure module's peeler finds each shape by
 searching only around the previous deletion.  Every extension is checked
-around the vertices it touched; if a rule ever leaves a violation, a
-bounded exhaustive repair over the shape's vertices runs before giving up,
-with its candidates checked the same local way.  The finished coloring is
-verified once in full.
+around the vertices it touched, in one pass that stops at the first
+uncolored vertex, improper edge or short neighborhood; if a rule ever
+leaves a violation, a bounded exhaustive repair over the shape's vertices
+runs before giving up, with its candidates checked the same local way.
+The finished coloring is verified once in full.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 
-from .drawing import Drawing, Edge
+from .drawing import Drawing
 from .structure import ReductionStep, _Peeler
 
 logger = logging.getLogger("outer1planar.coloring")
@@ -64,11 +65,10 @@ def verify_dynamic(d: Drawing, colors: Coloring, r: int) -> Verdict:
             violations.append(Violation("missing-color", vertex=v, detail="uncolored vertex"))
     if violations:
         return Verdict(False, tuple(violations))
-    for u, v in sorted(d.edges):
-        if colors[u] == colors[v]:
-            violations.append(
-                Violation("proper", edge=(u, v), detail=f"both endpoints colored {colors[u]}")
-            )
+    for u, v in sorted([(u, v) for u, v in d.edges if colors[u] == colors[v]]):
+        violations.append(
+            Violation("proper", edge=(u, v), detail=f"both endpoints colored {colors[u]}")
+        )
     for v in d.vertices:
         need = min(r, d.degrees[v])
         got = len({colors[w] for w in d.adjacency[v]})
@@ -151,7 +151,7 @@ def color_list_3_dynamic(d: Drawing, lists: ListAssignment) -> Coloring:
 
 def _color(d: Drawing, lists: ListAssignment) -> Coloring:
     peeler = _Peeler(d)
-    peeled: list[tuple[ReductionStep, list[Edge]]] = []
+    peeled: list[tuple[ReductionStep, list[tuple[int, int]]]] = []
     while peeler.n:
         step = peeler.pop()
         peeled.append((step, peeler.remove(step.deleted)))
@@ -217,17 +217,26 @@ def _valid_around(d: Drawing, step: ReductionStep, partial: Coloring, colors: Co
     write anchors only).  With partial valid on d minus step.deleted, a
     vertex outside T and N(T) keeps its neighborhood and its neighbors'
     colors, so properness at T and the dynamic condition on T and N(T)
-    decide the whole verdict.  Only partial's colors at the anchors are read.
+    decide the whole verdict.  One pass over T reads each vertex of T and of
+    N(T) once and stops at the first uncolored vertex, improper edge or
+    short neighborhood.  Only partial's colors at the anchors are read.
     """
-    adj = d.adjacency
+    adj, degs, get = d.adjacency, d.degrees, colors.get
     touched = set(step.deleted)
-    touched.update(v for v in step.anchors.values() if v in partial and colors[v] != partial[v])
-    around = touched.union(*(adj[v] for v in touched))
-    if any(v not in colors for v in around):
-        return False
-    if any(colors[v] == colors[w] for v in touched for w in adj[v]):
-        return False
-    return all(len({colors[w] for w in adj[v]}) >= min(3, d.degrees[v]) for v in around)
+    touched.update(v for v in step.anchors.values() if v in partial and get(v) != partial[v])
+    done = set(touched)
+    for v in touched:
+        c = get(v)
+        seen = {get(w) for w in adj[v]}
+        if c is None or c in seen or None in seen or len(seen) < min(3, degs[v]):
+            return False
+        for w in adj[v]:
+            if w not in done:
+                done.add(w)
+                seen = {get(x) for x in adj[w]}
+                if None in seen or len(seen) < min(3, degs[w]):
+                    return False
+    return True
 
 
 def _colors_of(d: Drawing, colors: Coloring, vs) -> set[int]:

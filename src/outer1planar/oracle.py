@@ -34,51 +34,55 @@ def _solve_r_dynamic(
 ) -> dict[int, int] | None:
     """Find an r-dynamic coloring with colors from per-vertex lists, or None.
 
-    Chronological backtracking over vertices in degree-descending order.
-    Feasibility pruning per vertex: distinct colored-neighbor colors plus
-    remaining uncolored neighbors must still be able to reach min(r, deg).
+    Chronological backtracking over vertices in degree-descending order,
+    each trying its list in increasing order.  Feasibility pruning per
+    vertex: distinct colored-neighbor colors plus remaining uncolored
+    neighbors must still be able to reach min(r, deg).  The state is kept
+    in lists indexed by vertex, and each distinct list is sorted once.
     """
-    adj = g.adjacency
-    verts = sorted(range(1, g.n + 1), key=lambda v: (-len(adj[v]), v))
-    need = {v: min(r, len(adj[v])) for v in verts}
-    color: dict[int, int] = {}
-    seen: dict[int, dict[int, int]] = {v: {} for v in verts}  # color -> multiplicity
-    uncolored_nbrs = {v: len(adj[v]) for v in verts}
-    palette_order = {v: sorted(lists[v]) for v in verts}
-
-    def feasible(v: int) -> bool:
-        return len(seen[v]) + uncolored_nbrs[v] >= need[v]
+    n = g.n
+    nbrs = [()] + [tuple(g.adjacency[v]) for v in range(1, n + 1)]
+    verts = sorted(range(1, n + 1), key=lambda v: (-len(nbrs[v]), v))
+    need = [min(r, len(ns)) for ns in nbrs]
+    uncolored = [len(ns) for ns in nbrs]
+    seen: list[dict[int, int]] = [{} for _ in nbrs]  # color -> multiplicity
+    color: list[int | None] = [None] * (n + 1)
+    order = {colors: sorted(colors) for colors in set(lists.values())}
+    palette = [[]] + [order[lists[v]] for v in range(1, n + 1)]
 
     def assign(i: int, max_used: int) -> bool:
-        if i == len(verts):
+        if i == n:
             return True
         v = verts[i]
-        options = palette_order[v]
-        if symmetry_break:
-            options = [c for c in options if c <= max_used + 1]
-        for c in options:
-            if any(color.get(w) == c for w in adj[v]):
+        vn = nbrs[v]
+        taken = {color[w] for w in vn}
+        for c in palette[v]:
+            if symmetry_break and c > max_used + 1:
+                break
+            if c in taken:
                 continue
             color[v] = c
             ok = True
-            for w in adj[v]:
-                uncolored_nbrs[w] -= 1
-                seen[w][c] = seen[w].get(c, 0) + 1
-                if not feasible(w):
+            for w in vn:
+                uncolored[w] -= 1
+                s = seen[w]
+                s[c] = s.get(c, 0) + 1
+                if len(s) + uncolored[w] < need[w]:
                     ok = False
-            if ok and feasible(v) and assign(i + 1, max(max_used, c)):
+            if ok and assign(i + 1, max(max_used, c)):
                 return True
-            for w in adj[v]:
-                uncolored_nbrs[w] += 1
-                if seen[w][c] == 1:
-                    del seen[w][c]
+            for w in vn:
+                uncolored[w] += 1
+                s = seen[w]
+                if s[c] == 1:
+                    del s[c]
                 else:
-                    seen[w][c] -= 1
-            del color[v]
+                    s[c] -= 1
+        color[v] = None
         return False
 
     if assign(0, 0):
-        return dict(color)
+        return {v: color[v] for v in verts}
     return None
 
 
@@ -86,7 +90,7 @@ def has_r_dynamic_k_coloring(g: AbstractGraph, r: int, k: int) -> bool:
     """Does g admit an r-dynamic coloring with colors 1..k?"""
     if g.n > 12:
         raise SizeLimitExceeded("r-dynamic search capped at n <= 12")
-    lists = {v: frozenset(range(1, k + 1)) for v in range(1, g.n + 1)}
+    lists = dict.fromkeys(range(1, g.n + 1), frozenset(range(1, k + 1)))
     return _solve_r_dynamic(g, r, lists, symmetry_break=True) is not None
 
 

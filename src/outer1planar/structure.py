@@ -154,7 +154,7 @@ class _Peeler:
     Works on the drawing's own labels: deleting vertices keeps the
     survivors' clockwise order, so the induced sub-drawing needs neither
     relabeling nor a second crossing check.  It never mutates the
-    drawing: a neighbor set is copied before its first change.
+    drawing: it starts from its own copy of every neighbor set.
 
     Survivors only lose degree, so the candidates sit in min-heaps that are
     validated lazily when read: an entry that fails once fails for good.
@@ -174,8 +174,7 @@ class _Peeler:
     """
 
     def __init__(self, d: Drawing) -> None:
-        self.adjacency = adj = dict(d.adjacency)  # a neighbor set is copied before its first change
-        self._copied: set[int] = set()
+        self.adjacency = {v: set(ns) for v, ns in d.adjacency.items()}
         self.degrees = degs = dict(d.degrees)
         self._pendant = [v for v, k in degs.items() if k <= 1]
         heapify(self._pendant)
@@ -270,22 +269,20 @@ class _Peeler:
         least = _least_valid(heap, holds)
         return None if least is None else least[1]
 
-    def remove(self, deleted: tuple[int, ...]) -> list[Edge]:
-        """Delete vertices; returns the edges that went with them."""
+    def remove(self, deleted: tuple[int, ...]) -> list[tuple[int, int]]:
+        """Delete vertices; returns the edges that went with them, each as
+        (deleted vertex, other end)."""
         degs, adj = self.degrees, self.adjacency
-        dropped: list[Edge] = []
+        dropped: list[tuple[int, int]] = []
         before: dict[int, int] = {}
         for v in deleted:
             del degs[v]
             for w in adj.pop(v):
                 if w in adj:
-                    if w not in self._copied:
-                        adj[w] = set(adj[w])
-                        self._copied.add(w)
                     adj[w].remove(v)
                     before.setdefault(w, degs[w])
                     degs[w] -= 1
-                    dropped.append(normalize_edge(v, w))
+                    dropped.append((v, w))
         for w, old in before.items():
             if w in degs:
                 self._dropped(w, old)
@@ -317,15 +314,17 @@ class _Peeler:
                 if len(rest) == 1:
                     anchors[label + "1"] = next(iter(rest))
 
-    def restore(self, deleted: tuple[int, ...], dropped: list[Edge]) -> None:
+    def restore(self, deleted: tuple[int, ...], dropped: list[tuple[int, int]]) -> None:
         """Undo the remove call that deleted these vertices."""
+        degs, adj = self.degrees, self.adjacency
         for v in deleted:
-            self.adjacency[v] = set()
-        for u, v in dropped:
-            self.adjacency[u].add(v)
-            self.adjacency[v].add(u)
-        for v in {*deleted, *(w for e in dropped for w in e)}:
-            self.degrees[v] = len(self.adjacency[v])
+            adj[v] = set()
+            degs[v] = 0
+        for v, w in dropped:
+            adj[v].add(w)
+            adj[w].add(v)
+            degs[v] += 1
+            degs[w] += 1
 
 
 def _least_valid(heap: list, valid):

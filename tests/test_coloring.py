@@ -305,6 +305,29 @@ def test_local_check_agrees_with_full_verify(classes):
     assert verdicts == {True, False}
 
 
+def test_local_check_rejects_uncolored(classes):
+    # a deleted vertex, a neighbor of T or a vertex two steps from T
+    # without a color fails the check, as it fails verify_dynamic.  A
+    # neighbor that partial colors joins T (its color changed); one that
+    # partial leaves out is read as a neighbor only, so both ways are tried.
+    import outer1planar.coloring as col
+
+    cases = 0
+    for n in range(2, 7):
+        for d in classes(n, "all"):
+            step = find_reduction(d)
+            colors = color_list_3_dynamic(d, uniform_lists(d, 6))
+            partial = {v: c for v, c in colors.items() if v not in step.deleted}
+            ring = set().union(*(d.adjacency[v] for v in step.deleted)) - set(step.deleted)
+            far = set().union(*(d.adjacency[v] for v in ring)) - ring - set(step.deleted)
+            for v in (*step.deleted, *sorted(ring), *sorted(far)):
+                missing = {w: c for w, c in colors.items() if w != v}
+                assert not verify_dynamic(d, missing, 3).valid
+                for before in (partial, {w: c for w, c in partial.items() if w != v}):
+                    assert not col._valid_around(d, step, before, missing), (sorted(d.edges), v)
+                    cases += 1
+    assert cases > 1000
+
 # SHA-256 over colorings of three large drawings, computed with the
 # full-scan reduction search before the incremental one replaced it.
 LARGE_COLORINGS_SHA256 = "17fb6ff03e8e3269e1c7039f8b336cbe330ced8e9740dd5d80184dd86a5ffd85"

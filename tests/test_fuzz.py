@@ -6,11 +6,12 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from outer1planar import emit_drawing, oracle, random_outer_1_planar
+from outer1planar import cli, emit_drawing, generators, oracle, parse_drawing, random_outer_1_planar
 from outer1planar.cli import run
 
 TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=60)
@@ -140,3 +141,50 @@ def test_cli_fuzz_oracle_chi_k_max(k_max, r, n, density, seed):
         assert 1 <= payload["chi"] <= k_max
     else:
         assert code == 1 and payload["chi"] is None and payload["k_max"] == k_max
+
+
+# the generators run for real on at most 60 vertices; a larger count that
+# passes the caps reaches a stand-in that builds 3 vertices instead
+GENERATE_N = st.one_of(
+    st.integers(-3, 60),
+    st.integers(61, 10**12),
+    st.integers(-(10**12), -4),
+)
+GENERATORS = {"random": "random_outer_1_planar", "cycle": "cycle"}
+
+
+def _generate_examples(test):
+    caps = {"random": cli._RANDOM_MAX_N, "cycle": cli._CYCLE_MAX_N}
+    for what, cap in caps.items():
+        for n in (0, 2, 3, cap, cap + 1, 10**9):
+            test = example(what=what, n=n)(test)
+    return test
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(what=st.sampled_from(sorted(GENERATORS)), n=GENERATE_N)
+@_generate_examples
+def test_cli_fuzz_generate_n(what, n):
+    cap = cli._RANDOM_MAX_N if what == "random" else cli._CYCLE_MAX_N
+    real = getattr(generators, GENERATORS[what])
+    reached = []
+
+    def stand_in(size, *rest):
+        reached.append(size)
+        return real(size if size <= 60 else 3, *rest)
+
+    argv = ["generate", "random", "--n", str(n)] if what == "random" else ["generate", "cycle", str(n)]
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(generators, GENERATORS[what], stand_in):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    if 3 <= n <= cap:
+        assert code == 0 and reached == [n]
+        assert parse_drawing(out.getvalue()).n == (n if n <= 60 else 3)
+        return
+    assert code == 2
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1 and "error" in json.loads(lines[0]), out.getvalue()
+    if n > cap:
+        # refused by the cap, before any generator runs, with the cap named
+        assert reached == [] and str(cap) in json.loads(lines[0])["error"]
