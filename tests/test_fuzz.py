@@ -150,12 +150,15 @@ GENERATE_N = st.one_of(
     st.integers(61, 10**12),
     st.integers(-(10**12), -4),
 )
-GENERATORS = {"random": "random_outer_1_planar", "cycle": "cycle"}
+# the generator each command calls, and the command's cap
+GENERATORS = {
+    "random": ("random_outer_1_planar", cli._RANDOM_MAX_N),
+    "cycle": ("cycle", cli._CYCLE_MAX_N),
+}
 
 
 def _generate_examples(test):
-    caps = {"random": cli._RANDOM_MAX_N, "cycle": cli._CYCLE_MAX_N}
-    for what, cap in caps.items():
+    for what, (_, cap) in GENERATORS.items():
         for n in (0, 2, 3, cap, cap + 1, 10**9):
             test = example(what=what, n=n)(test)
     return test
@@ -165,8 +168,8 @@ def _generate_examples(test):
 @given(what=st.sampled_from(sorted(GENERATORS)), n=GENERATE_N)
 @_generate_examples
 def test_cli_fuzz_generate_n(what, n):
-    cap = cli._RANDOM_MAX_N if what == "random" else cli._CYCLE_MAX_N
-    real = getattr(generators, GENERATORS[what])
+    name, cap = GENERATORS[what]
+    real = getattr(generators, name)
     reached = []
 
     def stand_in(size, *rest):
@@ -175,7 +178,7 @@ def test_cli_fuzz_generate_n(what, n):
 
     argv = ["generate", "random", "--n", str(n)] if what == "random" else ["generate", "cycle", str(n)]
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.object(generators, GENERATORS[what], stand_in):
+    with mock.patch.object(generators, name, stand_in):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(argv)
     if 3 <= n <= cap:
