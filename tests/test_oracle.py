@@ -258,6 +258,22 @@ def test_enumerate_n8_min_deg_2_pinned(capsys):
     assert code == 0 and (payload["count"], payload["classes"]) == (61039, 4028)
 
 
+@pytest.mark.parametrize(
+    "n, filt, expected",
+    [
+        (8, "all", (1296128, 82255)),
+        (8, "connected", (624607, 39637)),
+        (9, "connected-min-deg-2", (624235, 35137)),
+    ],
+)
+def test_enumerate_large_counts_pinned(n, filt, expected, capsys):
+    # measured with the per-symmetry byte tables of the class walk, before
+    # the walk carried every symmetry's image in one packed int
+    code = cli.run(["enumerate", "--n", str(n), "--filter", filt])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and (payload["count"], payload["classes"]) == expected
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_enumerate_rejects_no_vertices(n):
     for filt in FILTERS:
