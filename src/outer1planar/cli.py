@@ -100,6 +100,8 @@ def _cmd_color(args) -> tuple[int, dict]:
     d = _drawing_from(args)
     if args.lists:
         lists = coloring.parse_lists(_read_input(args, args.lists))
+    elif args.palette > _PALETTE_MAX:
+        raise DrawingError(f"color --palette is capped at {_PALETTE_MAX} colors, got {args.palette}")
     else:
         lists = coloring.uniform_lists(d, args.palette)
     colors = coloring.color_list_3_dynamic(d, lists)  # verified in full, or ExtensionFailure
@@ -195,10 +197,7 @@ def _cmd_enumerate(args) -> tuple[int, dict]:
     classes = 0
     check = _CHECKS.get(args.check) if args.check else None
     # the labeled count is the sum of the representatives' orbit sizes
-    for mask in oracle._walk(args.n, args.filter, classes=True):
-        size = oracle._orbit_size(args.n, mask)
-        if not size:
-            continue
+    for mask, size in oracle._walk(args.n, args.filter, classes=True):
         total += size
         classes += 1
         if check is None:
@@ -223,11 +222,13 @@ def _cmd_enumerate(args) -> tuple[int, dict]:
     return EXIT_OK, payload
 
 
-# The largest vertex counts o1p generate accepts.  The random generator's
-# candidate pool is quadratic in n and a cycle is written out edge by edge,
-# so a larger count would only end in running out of memory.
+# The largest vertex counts o1p generate accepts, and the largest uniform
+# palette o1p color builds.  The random generator's candidate pool is
+# quadratic in n, a cycle is written out edge by edge and a palette color by
+# color, so a larger count would only end in running out of memory.
 _RANDOM_MAX_N = 2000
 _CYCLE_MAX_N = 10**5
+_PALETTE_MAX = 10**5
 
 
 def _cmd_generate(args) -> tuple[int, dict]:

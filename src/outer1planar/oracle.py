@@ -10,12 +10,14 @@ Enumeration up to rotation and reflection is orderly: the walk decides
 pairs from the most significant mask bit down and never enters a subtree
 whose decided bits already lose to one of their images.  The labeled count
 of a class is 2n over the size of its representative's stabilizer, so
-counting labeled drawings needs no labeled walk.
+counting labeled drawings needs no labeled walk.  The images of a mask
+under all 2n - 1 non-identity rotations and reflections travel packed in
+one int, a field of P + 1 bits per symmetry (P pairs) whose top bit is a
+guard, so one subtraction compares the mask with every image at once.
 """
 
 from __future__ import annotations
 
-from array import array
 from functools import cache
 from typing import Iterator
 
@@ -205,7 +207,7 @@ def enumerate_drawings(n: int, filter: str = "all") -> Iterator[Drawing]:
         yield _mask_drawing(n, mask)
 
 
-def _walk(n: int, filter: str, classes: bool) -> Iterator[int]:
+def _walk(n: int, filter: str, classes: bool) -> Iterator[int | tuple[int, int]]:
     """Pair bitmasks of valid drawings that pass filter, in increasing order.
 
     A depth-first walk with an explicit stack that leaves each pair out
@@ -214,10 +216,21 @@ def _walk(n: int, filter: str, classes: bool) -> Iterator[int]:
     subtree is cut once a vertex cannot reach the filter's least degree;
     the filters hold for all of a class or none of it, so the cut keeps
     every class whole.  Without classes the walk yields every such mask.
-    With classes it also cuts, by the table of _symmetries, each subtree
-    whose decided top bits already lose to a rotation or reflection of
-    them (Read's orderly generation): every mask the walk yields then
-    still needs _orbit_size, but every orbit-least mask is yielded.
+
+    With classes it yields (mask, orbit size), and only for masks least in
+    their rotation/reflection orbit (Read's orderly generation).  It
+    carries images, the OR of the chosen pairs' packed images (see
+    _symmetries), and copies, the mask repeated in every field.  Field by
+    field, (images | guards) - copies is 2^P plus that symmetry's image
+    minus the mask, which lies in (0, 2^(P + 1)): no field borrows from
+    the next, and a guard bit survives iff its image is not less than the
+    mask.  At depth d the same subtraction under fields[d] compares the
+    decided top bits only, and a cleared guard cuts the subtree.  A
+    symmetry left out of fields[d] compares the same bits as at the depth
+    where it last entered, where an ancestor passed, so the walk visits
+    the nodes that a cut by every symmetry at every depth would.  At a
+    leaf the whole-field subtraction is the orbit test, and each zero
+    field of images ^ copies is a symmetry that fixes the mask.
     """
     if n > 10:
         raise SizeLimitExceeded("enumeration capped at n <= 10")
@@ -231,11 +244,13 @@ def _walk(n: int, filter: str, classes: bool) -> Iterator[int]:
     min_deg = 2 if filter == "connected-min-deg-2" else 1 if want_connected and n > 1 else 0
     if n - 1 < min_deg:
         return
-    weight, _, cuts = _symmetries(n)
+    weight, image, lows, fields = _symmetries(n)
     pairs = list(iter_all_pairs(n))
-    if not classes:
-        cuts = ((),) * (len(pairs) + 1)
     bit = [weight[e] for e in pairs]
+    image, copy = [image[e] for e in pairs], [w * lows for w in bit]
+    if not classes:
+        fields = (0,) * (len(pairs) + 1)
+    guards = lows << len(pairs)
     # The mask of the earlier pairs that cross pair i: only those are
     # decided when the walk reaches i.
     conflict = [sum(weight[f] for f in pairs[:i] if interleave(n, e, f)) for i, e in enumerate(pairs)]
@@ -248,26 +263,25 @@ def _walk(n: int, filter: str, classes: bool) -> Iterator[int]:
     link = [1 << n * (u - 1) + v - 1 | 1 << n * (v - 1) + u - 1 for u, v in pairs]
     everyone = (1 << n) - 1
     # depth, chosen pairs, chosen pairs already crossed, slack fields,
-    # neighbor fields
-    i, mask, crossed, slack, nbrs = 0, 0, 0, guard + (n - 1 - min_deg) * (guard >> 4), 0
-    stack: list[tuple[int, int, int, int, int]] = []
+    # neighbor fields, packed images, packed copies
+    i, mask, crossed, slack, nbrs, images, copies = 0, 0, 0, guard + (n - 1 - min_deg) * (guard >> 4), 0, 0, 0
+    stack: list[tuple[int, int, int, int, int, int, int]] = []
     while True:
-        for chunks, shift in cuts[i]:
-            if _image(chunks, mask) >> shift < mask >> shift:
-                break
-        else:
+        f = fields[i]
+        if not f or ((images & f | guards) - (copies & f)) & guards == guards:
             if i < len(pairs):
                 # pair i may join if it crosses at most one chosen pair, and
                 # that pair is not crossed yet
                 p = conflict[i] & mask
                 if not (p & (p - 1) or p & crossed):
                     w = bit[i]
-                    stack.append((i + 1, mask | w, crossed | p | w if p else crossed, slack, nbrs | link[i]))
+                    cross = crossed | p | w if p else crossed
+                    stack.append((i + 1, mask | w, cross, slack, nbrs | link[i], images | image[i], copies | copy[i]))
                 left = slack - drop[i]
                 if left & guard == guard:
                     i, slack = i + 1, left
                     continue
-            else:
+            elif not classes or ((images | guards) - copies) & guards == guards:
                 seen = everyone
                 if want_connected:
                     seen = todo = 1
@@ -278,10 +292,12 @@ def _walk(n: int, filter: str, classes: bool) -> Iterator[int]:
                         seen |= new
                         todo |= new
                 if seen == everyone:
-                    yield mask
+                    # orbit size: 2n over the stabilizer, the identity and each zero field
+                    moved = (((images ^ copies | guards) - lows) & guards).bit_count()
+                    yield (mask, 2 * n // (2 * n - moved)) if classes else mask
         if not stack:
             return
-        i, mask, crossed, slack, nbrs = stack.pop()
+        i, mask, crossed, slack, nbrs, images, copies = stack.pop()
 
 
 def _trusted_drawing(n: int, edges: frozenset[Edge]) -> Drawing:
@@ -292,50 +308,42 @@ def _trusted_drawing(n: int, edges: frozenset[Edge]) -> Drawing:
     return d
 
 
-_Tables = tuple[array, ...]  # one symmetry's byte tables
-
-
 @cache
-def _symmetries(n: int) -> tuple[dict[Edge, int], tuple[_Tables, ...], tuple[tuple[tuple[_Tables, int], ...], ...]]:
-    """Pair weights, byte tables for each non-identity rotation/reflection,
-    and the walk's cut table.
+def _symmetries(n: int) -> tuple[dict[Edge, int], dict[Edge, int], int, tuple[int, ...]]:
+    """Pair weights, packed pair images, the fields' low bits, and the
+    walk's field mask per depth.
 
     Pair i of iter_all_pairs(n) weighs 1 << (P - 1 - i), so enumerate_drawings
-    emits masks in increasing order.  A symmetry's k-th table maps byte k of
-    a mask (bits 8k..8k+7) to the mask of those pairs' images.
+    emits masks in increasing order.  The k-th non-identity rotation or
+    reflection g owns bits k(P + 1) .. k(P + 1) + P of a packed int: P bits
+    for a mask's image under g, then a guard bit.  A pair's packed image
+    holds, in each field, the weight of the pair's image under that
+    field's symmetry; lows holds bit 0 of every field.
 
     Once the walk has decided pairs 0..d-1, the top d bits of its mask are
     fixed.  For a symmetry g, let L be the longest top run of positions
     whose preimages under g are all decided; then the top L bits of g's
     image are fixed too, and if they are less than the mask's top L bits,
-    no mask below is least in its orbit.  cuts[d] lists, as (tables,
-    P - L), each g whose L grows at depth d.  Depth P is left out: the
-    leaf's orbit test compares the whole masks.
+    no mask below is least in its orbit.  fields[d] keeps the top L bits
+    of each g whose L grows at depth d, and is 0 where none grows.  Depth
+    P is left out: the leaf's orbit test compares the whole masks.
     """
     pairs = list(iter_all_pairs(n))
     size = len(pairs)
     index = {e: i for i, e in enumerate(pairs)}
     weight = {e: 1 << (size - 1 - i) for i, e in enumerate(pairs)}
-    tables = []
-    cuts: list[list[tuple[_Tables, int]]] = [[] for _ in range(size + 1)]
+    image = dict.fromkeys(pairs, 0)
+    lows, shift = 0, 0
+    fields = [0] * (size + 1)
     for sign in (1, -1):
         for rot in range(n):
             if sign == 1 and rot == 0:
                 continue
             relabel = [0] + [(rot + sign * (v - 1)) % n + 1 for v in range(1, n + 1)]
-            target = [index[normalize_edge(relabel[u], relabel[v])] for u, v in pairs]
-            # image[p]: the weight of the image of the pair at bit p
-            image = [1 << (size - 1 - t) for t in reversed(target)]
-            chunks = []
-            for low in range(0, size, 8):
-                table = array("L", bytes(8 * 256))
-                for b in range(1, 256):
-                    bit = low + (b & -b).bit_length() - 1
-                    table[b] = table[b & (b - 1)] | (image[bit] if bit < size else 0)
-                chunks.append(table)
-            tables.append(tuple(chunks))
             source = [0] * size  # source[k]: the pair that g maps to pair k
-            for i, t in enumerate(target):
+            for i, e in enumerate(pairs):
+                t = index[normalize_edge(relabel[e[0]], relabel[e[1]])]
+                image[e] |= 1 << shift + size - 1 - t
                 source[t] = i
             fixed = 0  # L: the top positions of g's image fixed so far
             for d in range(1, size):
@@ -343,31 +351,10 @@ def _symmetries(n: int) -> tuple[dict[Edge, int], tuple[_Tables, ...], tuple[tup
                 while fixed < d and source[fixed] < d:
                     fixed += 1
                 if fixed > before:
-                    cuts[d].append((tables[-1], size - fixed))
-    return weight, tuple(tables), tuple(map(tuple, cuts))
-
-
-def _image(chunks: _Tables, mask: int) -> int:
-    image = low = 0
-    for table in chunks:
-        image |= table[(mask >> low) & 0xFF]
-        low += 8
-    return image
-
-
-def _orbit_size(n: int, mask: int) -> int:
-    """Size of mask's rotation/reflection orbit if mask is least in it, else 0.
-
-    By orbit-stabilizer the size is 2n over the number of the 2n
-    rotations and reflections that fix mask.
-    """
-    fixed = 1
-    for chunks in _symmetries(n)[1]:
-        image = _image(chunks, mask)
-        if image < mask:
-            return 0
-        fixed += image == mask
-    return 2 * n // fixed
+                    fields[d] |= ((1 << fixed) - 1 << size - fixed) << shift
+            lows |= 1 << shift
+            shift += size + 1
+    return weight, image, lows, tuple(fields)
 
 
 def _mask_drawing(n: int, mask: int) -> Drawing:
@@ -383,9 +370,11 @@ def canonical_key(d: Drawing) -> tuple[int, int]:
     """
     if d.n > 10:
         raise SizeLimitExceeded("canonical key capped at n <= 10")
-    weight, tables, _ = _symmetries(d.n)
+    weight, image, lows, _ = _symmetries(d.n)
     mask = sum(map(weight.__getitem__, d.edges))
-    return (d.n, min([mask] + [_image(chunks, mask) for chunks in tables]))
+    images = sum(map(image.__getitem__, d.edges))  # the pairs' images never share a bit
+    size = len(weight)
+    return (d.n, min(mask, *(images >> k & (1 << size) - 1 for k in range(0, lows.bit_length(), size + 1))))
 
 
 def enumerate_drawings_deduped(n: int, filter: str = "all") -> Iterator[Drawing]:
@@ -394,11 +383,9 @@ def enumerate_drawings_deduped(n: int, filter: str = "all") -> Iterator[Drawing]
     Each class is represented by its first labeled drawing in walk order,
     and representatives come in that order.  Masks come in increasing
     order and the filters hold for all of a class or none of it, so the
-    first drawing of a class is the one whose mask is least in its orbit.
-    The class walk never enters a subtree that the cut table of
-    _symmetries shows to hold no such mask, and _orbit_size drops the
-    rest.  Only representatives are built.
+    first drawing of a class is the one whose mask is least in its orbit,
+    and the class walk yields exactly those.  Only representatives are
+    built.
     """
-    for mask in _walk(n, filter, classes=True):
-        if _orbit_size(n, mask):
-            yield _mask_drawing(n, mask)
+    for mask, _ in _walk(n, filter, classes=True):
+        yield _mask_drawing(n, mask)

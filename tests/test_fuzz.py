@@ -11,7 +11,7 @@ from unittest import mock
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from outer1planar import cli, emit_drawing, generators, oracle, parse_drawing, random_outer_1_planar
+from outer1planar import cli, coloring, emit_drawing, generators, oracle, parse_drawing, random_outer_1_planar
 from outer1planar.cli import run
 
 TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=60)
@@ -191,3 +191,47 @@ def test_cli_fuzz_generate_n(what, n):
     if n > cap:
         # refused by the cap, before any generator runs, with the cap named
         assert reached == [] and str(cap) in json.loads(lines[0])["error"]
+
+
+# palettes up to the cap run for real, on at most 12 vertices; a larger one
+# is refused before any list is built, so huge values cost nothing
+PALETTE = st.one_of(
+    st.integers(-3, 12),
+    st.integers(13, cli._PALETTE_MAX),
+    st.integers(cli._PALETTE_MAX + 1, 10**18),
+    st.integers(-(10**18), -4),
+)
+
+
+def _palette_examples(test):
+    cap = cli._PALETTE_MAX
+    for palette in (-(10**18), 0, 5, 6, cap - 1, cap, cap + 1, 10**9, 10**18):
+        test = example(palette=palette, n=12, density=1.0, seed=0)(test)
+    return test
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(palette=PALETTE, n=st.integers(3, 12), density=st.floats(0, 1), seed=st.integers(0, 99))
+@_palette_examples
+def test_cli_fuzz_color_palette(palette, n, density, seed):
+    real = coloring.uniform_lists
+    built = []
+
+    def recorder(d, k):
+        built.append(k)
+        return real(d, k)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "drawing.txt"
+        path.write_text(emit_drawing(random_outer_1_planar(n, density, seed)), encoding="utf-8")
+        with mock.patch.object(coloring, "uniform_lists", recorder):
+            code, payload = _run_one_object(["color", str(path), "--palette", str(palette)])
+    if palette > cli._PALETTE_MAX:
+        # refused by the cap, before any list is built, with the cap named
+        assert code == 2 and built == [] and str(cli._PALETTE_MAX) in payload["error"]
+    elif palette >= 6:
+        assert code == 0 and built == [palette] and payload["valid"] is True
+        assert all(1 <= c <= palette for c in payload["colors"].values())
+    else:
+        # fewer than six colors per list: refused as an input error
+        assert code == 2 and built == [palette] and "error" in payload

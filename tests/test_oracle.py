@@ -274,6 +274,17 @@ def test_enumerate_large_counts_pinned(n, filt, expected, capsys):
     assert code == 0 and (payload["count"], payload["classes"]) == expected
 
 
+def test_representatives_are_their_own_canonical_keys():
+    # the class walk's orbit test and canonical_key read the same packed
+    # images; a representative is least in its orbit, so it is its own key
+    for n in range(1, 8):
+        pairs = list(iter_all_pairs(n))
+        for filt in FILTERS:
+            for d in enumerate_drawings_deduped(n, filt):
+                mask = sum(1 << (len(pairs) - 1 - i) for i, e in enumerate(pairs) if e in d.edges)
+                assert canonical_key(d) == (n, mask), (n, filt, sorted(d.edges))
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_enumerate_rejects_no_vertices(n):
     for filt in FILTERS:
