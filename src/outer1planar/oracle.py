@@ -247,8 +247,10 @@ def _walk(n: int, filter: str, classes: bool) -> Iterator[int | tuple[int, int]]
     weight, image, lows, fields = _symmetries(n)
     pairs = list(iter_all_pairs(n))
     bit = [weight[e] for e in pairs]
-    image, copy = [image[e] for e in pairs], [w * lows for w in bit]
-    if not classes:
+    if classes:
+        image, copy = [image[e] for e in pairs], [w * lows for w in bit]
+    else:
+        image = copy = [0] * len(pairs)
         fields = (0,) * (len(pairs) + 1)
     guards = lows << len(pairs)
     # The mask of the earlier pairs that cross pair i: only those are
@@ -291,10 +293,12 @@ def _walk(n: int, filter: str, classes: bool) -> Iterator[int | tuple[int, int]]
                         new = nbrs >> n * (low.bit_length() - 1) & (everyone ^ seen)
                         seen |= new
                         todo |= new
-                if seen == everyone:
+                if seen == everyone and not classes:
+                    yield mask
+                elif seen == everyone:
                     # orbit size: 2n over the stabilizer, the identity and each zero field
                     moved = (((images ^ copies | guards) - lows) & guards).bit_count()
-                    yield (mask, 2 * n // (2 * n - moved)) if classes else mask
+                    yield mask, 2 * n // (2 * n - moved)
         if not stack:
             return
         i, mask, crossed, slack, nbrs, images, copies = stack.pop()
