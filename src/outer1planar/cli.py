@@ -45,7 +45,10 @@ def _note(message: str) -> None:
 
 
 def _drawing_from(args) -> Drawing:
-    return parse_drawing(_read_input(args, args.file))
+    d = parse_drawing(_read_input(args, args.file))
+    if d.n > _MAX_N:
+        raise DrawingError(f"drawings are capped at {_MAX_N} vertices, got {d.n}")
+    return d
 
 
 def _cmd_validate(args) -> tuple[int, dict]:
@@ -222,12 +225,13 @@ def _cmd_enumerate(args) -> tuple[int, dict]:
     return EXIT_OK, payload
 
 
-# The largest vertex counts o1p generate accepts, and the largest uniform
-# palette o1p color builds.  The random generator's candidate pool is
-# quadratic in n, a cycle is written out edge by edge and a palette color by
-# color, so a larger count would only end in running out of memory.
+# The largest vertex counts o1p reads or generates, and the largest uniform
+# palette o1p color builds.  Most commands build per-vertex tables, the
+# random generator's candidate pool is quadratic in n, a cycle is written
+# out edge by edge and a palette color by color, so a larger count would
+# only end in running out of memory.
+_MAX_N = 10**5
 _RANDOM_MAX_N = 2000
-_CYCLE_MAX_N = 10**5
 _PALETTE_MAX = 10**5
 
 
@@ -237,8 +241,8 @@ def _cmd_generate(args) -> tuple[int, dict]:
         if args.arg is None:
             raise DrawingError("generate cycle needs a vertex count")
         n = int(args.arg)
-        if n > _CYCLE_MAX_N:
-            raise DrawingError(f"generate cycle is capped at {_CYCLE_MAX_N} vertices, got {n}")
+        if n > _MAX_N:
+            raise DrawingError(f"generate cycle is capped at {_MAX_N} vertices, got {n}")
         d = generators.cycle(n)
     elif what == "sharp":
         d = generators.sharp_example()

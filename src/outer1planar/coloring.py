@@ -3,16 +3,17 @@
 The engine peels one reducible shape at a time until nothing is left,
 then puts the shapes back in reverse order and extends by each shape's
 local rule: each deleted vertex gets the smallest list color outside a
-small forbidden set assembled from its surroundings.  The one exception is
-the 11th configuration, whose rule has a recoloring branch for the rainbow
-worst case.  Peeling works on the original labels, so no sub-drawing is
-ever rebuilt, and the structure module's peeler finds each shape by
-searching only around the previous deletion.  Every extension is checked
-around the vertices it touched, in one pass that stops at the first
-uncolored vertex, improper edge or short neighborhood; if a rule ever
-leaves a violation, a bounded exhaustive repair over the shape's vertices
-runs before giving up, with its candidates checked the same local way.
-The finished coloring is verified once in full.
+small forbidden set assembled from its surroundings.  Two rules may first
+recolor a surviving vertex of the shape: the 10th configuration's, when
+its z repeats a color that a deleted vertex must see twice, and the 11th
+configuration's recoloring branch for the rainbow worst case.  Peeling
+works on the original labels, so no sub-drawing is ever rebuilt, and the
+structure module's peeler finds each shape by searching only around the
+previous deletion.  Every extension is checked around the vertices it
+touched, in one pass that stops at the first uncolored vertex, improper
+edge or short neighborhood; a rule that leaves a violation raises
+ExtensionFailure naming its shape.  The finished coloring is verified
+once in full.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class ColoringError(RuntimeError):
 
 
 class ExtensionFailure(ColoringError):
-    """A local rule (and the bounded repair) failed: bad input or a bug."""
+    """A shape's local rule failed: bad input or a bug."""
 
 
 class ListTooSmall(ValueError):
@@ -169,11 +170,19 @@ def _color(d: Drawing, lists: ListAssignment) -> Coloring:
     return colors
 
 
-def _pick(lists: ListAssignment, v: int, forbidden: set[int]) -> int:
+def _first(lists: ListAssignment, v: int, forbidden: set[int]) -> int | None:
+    """The least color of v's list outside forbidden, or None if there is none."""
     for c in sorted(lists[v]):
         if c not in forbidden:
             return c
-    raise ExtensionFailure(f"list of vertex {v} exhausted by {sorted(forbidden)}")
+    return None
+
+
+def _pick(lists: ListAssignment, v: int, forbidden: set[int]) -> int:
+    c = _first(lists, v, forbidden)
+    if c is None:
+        raise ExtensionFailure(f"list of vertex {v} exhausted by {sorted(forbidden)}")
+    return c
 
 
 def extend_step(
@@ -181,10 +190,9 @@ def extend_step(
 ) -> Coloring:
     """Extend a valid coloring of d minus step.deleted to all of d.
 
-    Implements the per-shape rules; outside the rainbow branch of the 11th
-    configuration only deleted vertices receive colors.  If the literal
-    rule leaves a violation (possible only off the rules' intended cases),
-    a bounded exhaustive repair over the shape's vertices takes over.
+    Implements the per-shape rules; only deleted vertices receive colors,
+    except for the recolorings of the 10th and 11th configurations' rules.
+    A rule that leaves a violation raises ExtensionFailure naming the shape.
     """
     colors = dict(partial)
     _extend(d, step, colors, lists)
@@ -193,21 +201,13 @@ def extend_step(
 
 def _extend(d: Drawing, step: ReductionStep, colors: Coloring, lists: ListAssignment) -> None:
     """extend_step on colors itself, so a peel copies nothing per step."""
-    before = {v: colors[v] for v in (*step.deleted, *step.anchors.values()) if v in colors}
+    before = {v: colors[v] for v in step.anchors.values() if v in colors}
     try:
         _HANDLERS[step.kind](d, step.anchors, colors, lists)
-        rule_failed = not _valid_around(d, step, before, colors)
-    except ExtensionFailure:
-        rule_failed = True
-    if rule_failed:
-        logger.warning("rule for %s failed; running bounded repair", step.kind)
-        for v in step.deleted:
-            colors.pop(v, None)
-        colors.update(before)
-        repaired = _repair(d, step, colors, lists)
-        if repaired is None:
-            raise ExtensionFailure(f"bounded repair failed for {step.kind}")
-        colors.update(repaired)
+    except ExtensionFailure as exc:
+        raise ExtensionFailure(f"rule for {step.kind} failed: {exc}") from None
+    if not _valid_around(d, step, before, colors):
+        raise ExtensionFailure(f"rule for {step.kind} left a violation")
 
 
 def _valid_around(d: Drawing, step: ReductionStep, partial: Coloring, colors: Coloring) -> bool:
@@ -359,18 +359,21 @@ def _extend_g9(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssig
 
 
 def _extend_g10(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
-    dy = d.degrees[a["y"]]
-    fw = {colors[a["x"]], colors[a["y"]], colors[a["z"]], colors[a["v"]]}
-    if dy == 3:
+    x, z = a["x"], a["z"]
+    if colors[z] in (colors[a["v"]], colors[a["y"]]):
+        # u must see v and z apart, w must see z and y apart: recolor z
+        # first.  Of z's neighbors only x survives, and x needs z's new
+        # color only if its other neighbors show too few colors.
+        fz = {colors[x], colors[a["v"]], colors[a["y"]]}
+        others = _colors_of(d, colors, d.adjacency[x] - {z})
+        if len(others) < min(3, d.degrees[x]):
+            fz |= others
+        colors[z] = _pick(lists, z, fz)
+    fw = {colors[x], colors[a["y"]], colors[z], colors[a["v"]]}
+    if d.degrees[a["y"]] == 3:
         fw.add(colors[a["y1"]])
     colors[a["w"]] = _pick(lists, a["w"], fw)
-    fu = {
-        colors[a["x"]],
-        colors[a["y"]],
-        colors[a["w"]],
-        colors[a["v"]],
-        colors[a["z"]],
-    }
+    fu = {colors[x], colors[a["y"]], colors[a["w"]], colors[a["v"]], colors[z]}
     colors[a["u"]] = _pick(lists, a["u"], fu)
 
 
@@ -396,20 +399,20 @@ def _extend_g11(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssi
     colors[a["v"]] = _pick(lists, a["v"], {cx, cx1, cz, cw, cy})
     colors[a["a"]] = _pick(lists, a["a"], {colors[a["v"]], cy, cy1, cw, cx})
     cv, ca = colors[a["v"]], colors[a["a"]]
-    rest = sorted(set(lists[a["u"]]) - {cx, cz, cw, cv, ca, cy})
-    if rest:
-        colors[a["u"]] = rest[0]
+    cu = _first(lists, a["u"], {cx, cz, cw, cv, ca, cy})
+    if cu is not None:
+        colors[a["u"]] = cu
         return
     logger.debug("rainbow case at configuration 11; trying recolorings")
-    z_options = sorted(set(lists[a["z"]]) - {cx, cz, cw, cv, cy, cx1})
-    if z_options:
+    cz_new = _first(lists, a["z"], {cx, cz, cw, cv, cy, cx1})
+    if cz_new is not None:
         colors[a["u"]] = cz
-        colors[a["z"]] = z_options[0]
+        colors[a["z"]] = cz_new
         return
-    a_options = sorted(set(lists[a["a"]]) - {cx, cw, cv, ca, cy, cy1})
-    if a_options:
+    ca_new = _first(lists, a["a"], {cx, cw, cv, ca, cy, cy1})
+    if ca_new is not None:
         colors[a["u"]] = ca
-        colors[a["a"]] = a_options[0]
+        colors[a["a"]] = ca_new
         return
     # the difficult case: both short lists are pinned; pull z and a onto
     # w's old color, then recolor w, v, u in this order
@@ -435,51 +438,3 @@ _HANDLERS = {
     "P10-G11": _extend_g11,
 }
 
-
-def _repair(
-    d: Drawing, step: ReductionStep, partial: Coloring, lists: ListAssignment
-) -> Coloring | None:
-    """Bounded exhaustive recoloring, escalating through small vertex pools.
-
-    Pools grow from the deleted vertices through the anchors z, v, w, a, so
-    repairs stay inside the locality envelope the recoloring branch of the
-    11th configuration already uses.  Properness is pruned during the
-    search and every leaf is checked around the vertices it touched.
-    """
-    deleted = set(step.deleted)
-    pools = [sorted(deleted)]
-    grow = set(deleted)
-    for label in ("z", "v", "w", "a"):
-        if label in step.anchors and step.anchors[label] not in grow:
-            grow.add(step.anchors[label])
-            pools.append(sorted(grow))
-    for pool in pools:
-        result = _search(d, step, pool, partial, lists)
-        if result is not None:
-            return result
-    return None
-
-
-def _search(
-    d: Drawing, step: ReductionStep, pool: list[int], partial: Coloring, lists: ListAssignment
-) -> Coloring | None:
-    work = {v: c for v, c in partial.items() if v not in pool}
-    adj = d.adjacency
-
-    def rec(i: int) -> Coloring | None:
-        if i == len(pool):
-            # the pool holds only deleted vertices and anchors, so the check
-            # around them is verify_dynamic's verdict
-            return dict(work) if _valid_around(d, step, partial, work) else None
-        v = pool[i]
-        for c in sorted(lists[v]):
-            if any(work.get(w) == c for w in adj[v]):
-                continue
-            work[v] = c
-            result = rec(i + 1)
-            if result is not None:
-                return result
-            del work[v]
-        return None
-
-    return rec(0)

@@ -1,6 +1,7 @@
 """Verifier and the reduce-and-extend coloring engine."""
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -216,18 +217,24 @@ def test_g10_gap_repair_stays_in_envelope():
     assert changed <= allowed
 
 
-def test_repair_checks_leaves_locally(monkeypatch, caplog):
-    # the repair's leaves are checked around the shape, never by a full
-    # verify_dynamic, so a repair costs the same at any n
+def test_rule_leaving_a_violation_raises(monkeypatch, tmp_path, capsys):
+    # the local check catches a rule that leaves an improper edge; the
+    # failure names the shape, and o1p color exits 3 with a JSON error
     import outer1planar.coloring as col
+    from outer1planar import emit_drawing
+    from outer1planar.cli import run
 
-    d, step, partial = _g10_gap_case()
-    calls = []
-    monkeypatch.setattr(col, "verify_dynamic", lambda *args: calls.append(args) or verify_dynamic(*args))
-    out = extend_step(d, step, partial, uniform_lists(d, 6))
-    assert "bounded repair" in caplog.text
-    assert calls == []
-    assert verify_dynamic(d, out, 3).valid
+    def improper(d, a, colors, lists):
+        colors[a["u"]] = colors[a["v"]] if "v" in a else 1
+
+    monkeypatch.setitem(col._HANDLERS, "P1-pendant", improper)
+    d = Drawing.from_edges(3, [(1, 2), (2, 3)])
+    with pytest.raises(ExtensionFailure, match="P1-pendant"):
+        color_list_3_dynamic(d, uniform_lists(d, 6))
+    path = tmp_path / "path.txt"
+    path.write_text(emit_drawing(d), encoding="utf-8")
+    assert run(["color", str(path)]) == 3
+    assert "P1-pendant" in json.loads(capsys.readouterr().out)["error"]
 
 
 def test_parse_lists_roundtrip():
@@ -244,7 +251,7 @@ def test_coloring_json_roundtrip():
 
 # SHA-256 over every coloring below.  The engine's tie-breaks are fixed, so
 # any change of a coloring, by design or by accident, shows up here.
-GOLDEN_COLORINGS_SHA256 = "0512c9b6e3903612182cd547a411e8037612ea23f92e5ee1aeeda9e44948ff8d"
+GOLDEN_COLORINGS_SHA256 = "a46be421b05bf08e85ecb0819d6da0c77479ae411dd57fb2b081f230d596200f"
 
 
 def test_colorings_golden_digest(classes):
@@ -328,9 +335,11 @@ def test_local_check_rejects_uncolored(classes):
                     cases += 1
     assert cases > 1000
 
-# SHA-256 over colorings of three large drawings, computed with the
-# full-scan reduction search before the incremental one replaced it.
-LARGE_COLORINGS_SHA256 = "17fb6ff03e8e3269e1c7039f8b336cbe330ced8e9740dd5d80184dd86a5ffd85"
+# SHA-256 over colorings of three large drawings, first computed with the
+# full-scan reduction search before the incremental one replaced it.  Both
+# colorings of the second drawing changed when the 10th configuration's
+# rule began to recolor z, at the steps where the rule used to fail.
+LARGE_COLORINGS_SHA256 = "d13f56887887853f2144a00a77b77a60a91648b5adaa7d8c6f1db018bfc212ab"
 
 
 def test_large_colorings_digest():

@@ -4,6 +4,9 @@ object on stdout and an exit code in {0, 1, 2, 3}, never a traceback."""
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -11,6 +14,7 @@ from unittest import mock
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import outer1planar
 from outer1planar import cli, coloring, emit_drawing, generators, oracle, parse_drawing, random_outer_1_planar
 from outer1planar.cli import run
 
@@ -153,7 +157,7 @@ GENERATE_N = st.one_of(
 # the generator each command calls, and the command's cap
 GENERATORS = {
     "random": ("random_outer_1_planar", cli._RANDOM_MAX_N),
-    "cycle": ("cycle", cli._CYCLE_MAX_N),
+    "cycle": ("cycle", cli._MAX_N),
 }
 
 
@@ -235,3 +239,58 @@ def test_cli_fuzz_color_palette(palette, n, density, seed):
     else:
         # fewer than six colors per list: refused as an input error
         assert code == 2 and built == [palette] and "error" in payload
+
+
+# Runs the CLI in a child process under a 1 GB address-space limit, so that
+# a command which builds per-vertex tables fails there instead of taking
+# the machine's memory.
+_CAPPED_CHILD = """
+import contextlib, io, json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from outer1planar.cli import run
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        results.append([run(argv), out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_cli_caps_the_vertex_count(tmp_path):
+    coloring_file = tmp_path / "coloring.json"
+    coloring_file.write_text('{"colors": {"1": 1, "2": 2}}', encoding="utf-8")
+    cases = []
+    for n in (cli._MAX_N, cli._MAX_N + 1, 10**9, 10**18):
+        path = tmp_path / f"n{n}.txt"
+        path.write_text(f"n {n}\ne 1 2\n", encoding="utf-8")
+        f = str(path)
+        commands = [["validate", f]]
+        if n > cli._MAX_N:
+            commands += [
+                ["find-config", f],
+                ["light-edge", f],
+                ["reduce", f],
+                ["color", f],
+                ["verify", f, "--coloring", str(coloring_file)],
+                ["oracle", "chi", f],
+                ["oracle", "recognize", f],
+                ["oracle", "maximal", f],
+            ]
+        cases += [(n, argv) for argv in commands]
+    src = os.path.dirname(os.path.dirname(outer1planar.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CHILD, json.dumps([argv for _, argv in cases])],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    for (n, argv), (code, out) in zip(cases, json.loads(done.stdout)):
+        payload = json.loads(out)
+        if n == cli._MAX_N:
+            assert code == 0 and payload["n"] == n
+        else:
+            # refused with the cap named, before any per-vertex table is built
+            assert code == 2 and str(cli._MAX_N) in payload["error"], (argv, payload)
