@@ -94,8 +94,15 @@ class ConfigPattern:
     def _rooted_plans(self) -> dict[str, tuple]:
         """For each label, what _rooted_occurrences needs to place it first
         and grow along edges, solid and marked-hollow labels before hollow
-        ones: the order, each label's placed neighbors and degree range, and
-        where each of labels sits in the order."""
+        ones: the order, each label's placed neighbors and degree range,
+        where each of labels sits in the order, and the leader bounds.
+
+        Occurrences are injective, so t (in labels order) leads its orbit iff
+        t[j] < t[sigma(j)] for each automorphism sigma but the identity, j the
+        first label sigma moves.  Where the later label of such a pair is
+        placed, a bound holds the earlier position and whether it is smaller."""
+        pairs = {next((self.labels[i], self.labels[s]) for i, s in enumerate(perm) if s != i)
+                 for perm in self._orbit_perms if perm != tuple(range(len(perm)))}
         plans = {}
         for root in self.labels:
             order = [root]
@@ -105,7 +112,9 @@ class ConfigPattern:
             at = {l: k for k, l in enumerate(order)}
             prior = [[at[m] for m in self.neighbors(l) if at[m] < k] for k, l in enumerate(order)]
             ranges = [_degree_range(self.roles[l]) for l in order]
-            plans[root] = order, prior, ranges, [at[l] for l in self.labels]
+            bounds = [tuple((at[a] if at[b] == k else at[b], at[b] == k) for a, b in pairs if max(at[a], at[b]) == k)
+                      for k in range(len(order))]
+            plans[root] = order, prior, ranges, [at[l] for l in self.labels], bounds
         return plans
 
 
@@ -183,7 +192,9 @@ def _check_catalog(patterns: list[ConfigPattern]) -> None:
     (d) every configuration is connected, so a search rooted at one label
         reaches all of them; in configurations 3 and 6-11, the reducible
         ones, every hollow vertex has a solid or marked-hollow neighbor, so
-        a search rooted at a host vertex of bounded degree stays local.
+        a search rooted at a host vertex of bounded degree stays local;
+    (e) every other one carries P2 (adjacent solid degree-2 vertices) or P3
+        (a solid degree-2 vertex with two edges, to adjacent ends).
     """
     if [p.id for p in patterns] != list(range(1, 18)):
         raise CatalogError("expected configurations 1..17 in order")
@@ -216,6 +227,7 @@ def _check_catalog(patterns: list[ConfigPattern]) -> None:
             reach.update(*(p.neighbors(l) for l in reach))
         if len(reach) < len(p.labels):
             raise CatalogError(f"config {p.id}: a configuration must be connected")
+        twos = {l for l in p.labels if p.roles[l] == VertexRole(SOLID, 2)}
         if p.id in (3, 6, 7, 8, 9, 10, 11):
             for label in p.labels:
                 if p.roles[label].kind == HOLLOW and all(
@@ -224,6 +236,8 @@ def _check_catalog(patterns: list[ConfigPattern]) -> None:
                     raise CatalogError(
                         f"config {p.id}: hollow {label} has no solid or marked-hollow neighbor"
                     )
+        elif not any(ns & twos or len(ns) == 2 and min(ns) in p.neighbors(max(ns)) for ns in map(p.neighbors, twos)):
+            raise CatalogError(f"config {p.id}: carries neither P2 nor P3")
         if p.id != 6 and light_edge_labels(p) is None:
             raise CatalogError(f"config {p.id}: no light edge with a <=7 endpoint")
         if p.id != 3 and tight_edge_labels(p) is None:
@@ -308,36 +322,36 @@ def find_matches(d: Drawing, p: ConfigPattern, check_d2: bool = False) -> list[M
     p.id >= 6, occurrences must also realize the pattern's crossings and
     cyclic order in the drawing.
     """
-    found = _occurrences(p, d.degrees, d.adjacency, d.vertices)
-    reps = sorted({p._representative(tup) for tup in found})
-    matches = [Match(p.id, dict(zip(p.labels, tup))) for tup in reps]
+    leaders = sorted(_occurrences(p, d.degrees, d.adjacency, d.degrees))
+    matches = [Match(p.id, dict(zip(p.labels, tup))) for tup in leaders]
     if check_d2 and p.id >= 6:
         matches = [m for m in matches if _d2_holds(d, p, m.assignment)]
     return matches
 
 
 def _occurrences(p: ConfigPattern, degs, adj, vertices) -> list[tuple[int, ...]]:
-    """Every occurrence of p among the given vertices, as tuples in labels
-    order, once per automorphic image (degs and adj describe the host).
+    """Every occurrence of p among the given vertices that leads its orbit,
+    as a tuple in labels order (degs and adj describe the host).
 
     The search is rooted at the label that admits the fewest vertices."""
     pools = {}
-    for label in p.labels:
-        lo, hi = _degree_range(p.roles[label])
+    for label, plan in p._rooted_plans.items():
+        lo, hi = plan[2][0]  # the label's own degree range
         pools[label] = [v for v in vertices if lo <= degs[v] <= hi]
     root = min(p.labels, key=lambda l: (len(pools[l]), l))
-    return _rooted_occurrences(p, degs, adj, root, pools[root])
+    return _rooted_occurrences(p, degs, adj, root, pools[root], leaders=True)
 
 
-def _rooted_occurrences(p: ConfigPattern, degs, adj, label: str, roots) -> list[tuple[int, ...]]:
+def _rooted_occurrences(p: ConfigPattern, degs, adj, label: str, roots, leaders=False) -> list[tuple[int, ...]]:
     """Every occurrence of p that puts label on a vertex of roots, as
-    tuples in labels order.
+    tuples in labels order; with leaders, only those least in their orbit.
 
     Every other label draws from the common neighborhood of its placed
-    neighbors; each vertex must pass its label's degree range, and no
-    vertex is used twice.
+    neighbors; each vertex must pass its label's degree range (and its
+    leader bounds), and no vertex is used twice.  Rooted re-searches keep
+    every image, since a leader may put another label on the root vertex.
     """
-    order, prior, ranges, positions = p._rooted_plans[label]
+    order, prior, ranges, positions, bounds = p._rooted_plans[label]
     last = len(order)
     placed = [0] * last
     used: set[int] = set()
@@ -354,6 +368,9 @@ def _rooted_occurrences(p: ConfigPattern, degs, adj, label: str, roots) -> list[
             pool = adj[placed[before[0]]]
         else:
             pool = adj[placed[before[0]]].intersection(*[adj[placed[i]] for i in before[1:]])
+        for i, larger in bounds[k] if leaders else ():
+            w = placed[i]
+            pool = [v for v in pool if v > w] if larger else [v for v in pool if v < w]
         lo, hi = ranges[k]
         for v in pool:
             if v not in used and lo <= degs[v] <= hi:

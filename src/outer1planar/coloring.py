@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .drawing import Drawing
 from .structure import ReductionStep, _Peeler
@@ -170,9 +171,12 @@ def _color(d: Drawing, lists: ListAssignment) -> Coloring:
     return colors
 
 
+_sorted = lru_cache(maxsize=1024)(sorted)
+
+
 def _first(lists: ListAssignment, v: int, forbidden: set[int]) -> int | None:
-    """The least color of v's list outside forbidden, or None if there is none."""
-    for c in sorted(lists[v]):
+    """The least color of v's list (sorted once per distinct list) outside forbidden, or None."""
+    for c in _sorted(lists[v]):
         if c not in forbidden:
             return c
     return None

@@ -14,6 +14,8 @@ counting labeled drawings needs no labeled walk.  The images of a mask
 under all 2n - 1 non-identity rotations and reflections travel packed in
 one int, a field of P + 1 bits per symmetry (P pairs) whose top bit is a
 guard, so one subtraction compares the mask with every image at once.
+Emitted drawings read their adjacency off the walk's n-bit neighbor fields,
+through one table of shared neighbor sets per n.
 """
 
 from __future__ import annotations
@@ -203,24 +205,26 @@ def enumerate_drawings(n: int, filter: str = "all") -> Iterator[Drawing]:
     increasing order of their pair bitmask (the first pair of
     iter_all_pairs(n) is the most significant bit).
     """
-    for mask in _walk(n, filter, classes=False):
-        yield _mask_drawing(n, mask)
+    for mask, nbrs, _ in _walk(n, filter, classes=False):
+        yield _walk_drawing(n, mask, nbrs)
 
 
-def _walk(n: int, filter: str, classes: bool) -> Iterator[int | tuple[int, int]]:
-    """Pair bitmasks of valid drawings that pass filter, in increasing order.
+def _walk(n: int, filter: str, classes: bool) -> Iterator[tuple[int, int, int]]:
+    """(pair bitmask, neighbor fields, orbit size) of each valid drawing
+    that passes filter, in increasing mask order.
 
     A depth-first walk with an explicit stack that leaves each pair out
     before it puts it in.  Its state is a handful of ints, so the stack
     holds the include branches still to take and nothing is undone.  A
     subtree is cut once a vertex cannot reach the filter's least degree;
     the filters hold for all of a class or none of it, so the cut keeps
-    every class whole.  Without classes the walk yields every such mask.
+    every class whole.  Without classes the walk yields every such mask,
+    with orbit size 1.
 
-    With classes it yields (mask, orbit size), and only for masks least in
-    their rotation/reflection orbit (Read's orderly generation).  It
-    carries images, the OR of the chosen pairs' packed images (see
-    _symmetries), and copies, the mask repeated in every field.  Field by
+    With classes it yields only masks least in their rotation/reflection
+    orbit (Read's orderly generation).  It carries images, the OR of the
+    chosen pairs' packed images (see _symmetries), and copies, the mask
+    repeated in every field.  Field by
     field, (images | guards) - copies is 2^P plus that symmetry's image
     minus the mask, which lies in (0, 2^(P + 1)): no field borrows from
     the next, and a guard bit survives iff its image is not less than the
@@ -294,11 +298,11 @@ def _walk(n: int, filter: str, classes: bool) -> Iterator[int | tuple[int, int]]
                         seen |= new
                         todo |= new
                 if seen == everyone and not classes:
-                    yield mask
+                    yield mask, nbrs, 1
                 elif seen == everyone:
                     # orbit size: 2n over the stabilizer, the identity and each zero field
                     moved = (((images ^ copies | guards) - lows) & guards).bit_count()
-                    yield mask, 2 * n // (2 * n - moved)
+                    yield mask, nbrs, 2 * n // (2 * n - moved)
         if not stack:
             return
         i, mask, crossed, slack, nbrs, images, copies = stack.pop()
@@ -361,9 +365,20 @@ def _symmetries(n: int) -> tuple[dict[Edge, int], dict[Edge, int], int, tuple[in
     return weight, image, lows, tuple(fields)
 
 
-def _mask_drawing(n: int, mask: int) -> Drawing:
-    weight = _symmetries(n)[0]
-    return _trusted_drawing(n, frozenset(e for e, w in weight.items() if mask & w))
+def _walk_drawing(n: int, mask: int, nbrs: int) -> Drawing:
+    """The drawing of a walked mask, with adjacency and degrees read off its neighbor fields."""
+    weight, sets, field = _symmetries(n)[0], _neighbor_sets(n), (1 << n) - 1
+    d = _trusted_drawing(n, frozenset(e for e, w in weight.items() if mask & w))
+    adjacency = {v: sets[nbrs >> n * (v - 1) & field] for v in range(1, n + 1)}
+    object.__setattr__(d, "adjacency", adjacency)
+    object.__setattr__(d, "degrees", {v: len(s) for v, s in adjacency.items()})
+    return d
+
+
+@cache
+def _neighbor_sets(n: int) -> tuple[frozenset[int], ...]:
+    """Every subset of 1..n as a frozenset, indexed by its n-bit field."""
+    return tuple(frozenset(v + 1 for v in range(n) if f >> v & 1) for f in range(1 << n))
 
 
 def canonical_key(d: Drawing) -> tuple[int, int]:
@@ -391,5 +406,5 @@ def enumerate_drawings_deduped(n: int, filter: str = "all") -> Iterator[Drawing]
     and the class walk yields exactly those.  Only representatives are
     built.
     """
-    for mask, _ in _walk(n, filter, classes=True):
-        yield _mask_drawing(n, mask)
+    for mask, nbrs, _ in _walk(n, filter, classes=True):
+        yield _walk_drawing(n, mask, nbrs)

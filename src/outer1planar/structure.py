@@ -96,23 +96,22 @@ def find_light_edge(d: Drawing, maximal_mode: bool = False) -> LightEdge:
     degs = d.degrees
     m = _first_match(d, [pid for pid in range(1, 18) if not (maximal_mode and pid == 3)])
     if m is not None:
-        p = get_pattern(m.pattern_id)
-        a, b = light_edge_labels(p) if p.id == 3 else tight_edge_labels(p)
-        u, v = m.assignment[a], m.assignment[b]
+        u, v = (m.assignment[label] for label in _edge_labels(m.pattern_id))
         return LightEdge((min(u, v), max(u, v)), degs[u] + degs[v])
     bound = 7 if maximal_mode else 9
-    best = None
-    for u, v in sorted(d.edges):
-        s = degs[u] + degs[v]
-        if best is None or s < best.degree_sum or (
-            s == best.degree_sum and (u, v) < best.endpoints
-        ):
-            best = LightEdge((u, v), s)
-    if best is not None and best.degree_sum <= bound:
-        return best
+    best = min(((degs[u] + degs[v], (u, v)) for u, v in d.edges), default=None)
+    if best is not None and best[0] <= bound:
+        return LightEdge(best[1], best[0])
     raise StructureNotFound(
         f"no edge with degree sum <= {bound}: input violates the guarantee's hypotheses"
     )
+
+
+@lru_cache(maxsize=None)
+def _edge_labels(pid: int) -> tuple[str, str]:
+    """The labels of the edge find_light_edge reads off a match of pid."""
+    p = get_pattern(pid)
+    return light_edge_labels(p) if pid == 3 else tight_edge_labels(p)
 
 
 def _first_match(d: Drawing, ids, check_d2: bool = False) -> Match | None:
@@ -158,15 +157,15 @@ class _Peeler:
 
     Survivors only lose degree, so the candidates sit in min-heaps that are
     validated lazily when read: an entry that fails once fails for good.
-    Each heap is filled by one full scan or search the first time every
-    kind above it is empty, so a one-off query pays only for what it
-    reads.  After that the P1/P2/P3 heaps take a vertex when its degree
-    drops into their bucket.  A configuration's heap is keyed like
+    Each heap is filled by one full scan, or a search for orbit leaders,
+    the first time every kind above it is empty, so a one-off query pays
+    only for what it reads.  Then the P1/P2/P3 heaps take a vertex when its
+    degree drops into their bucket.  A configuration's heap is keyed like
     find_reduction's ranking; a new occurrence must put a vertex whose
     degree dropped on a solid or marked-hollow label that did not admit its
     old degree (losing degree never satisfies a hollow "at least k"), so
-    the heap is brought up to date by searches rooted at those vertices
-    only, when the kind is read again.  `restore` is for the extension
+    searches rooted at those vertices, reduced to leaders, bring the heap
+    up to date when the kind is read again.  `restore` is for the extension
     phase, after the last `pop`.
 
     The configurations are read in `_SHAPES` order; a row says how `pop`
@@ -244,8 +243,7 @@ class _Peeler:
         degs, adj = self.degrees, self.adjacency
         heap = self._found.get(pid)
         if heap is None:
-            reps = {p._representative(t) for t in _occurrences(p, degs, adj, degs)}
-            heap = self._found[pid] = [(tuple([r[k] for k in keys]), r) for r in reps]
+            heap = self._found[pid] = [(tuple([r[k] for k in keys]), r) for r in _occurrences(p, degs, adj, degs)]
             heapify(heap)
             self._dirty[pid] = {}
         else:

@@ -20,7 +20,9 @@ from outer1planar.catalog import (
     SOLID,
     CatalogError,
     _check_catalog,
+    _occurrences,
     _parse_catalog,
+    _rooted_occurrences,
     light_edge_labels,
     tight_edge_labels,
 )
@@ -148,6 +150,32 @@ def test_matcher_agrees_with_naive_exhaustively_small(classes):
                 assert mine == naive_matches(d, p)
 
 
+def test_leader_scan_equals_representatives(classes):
+    # the full scan keeps only orbit leaders; a search rooted at one label
+    # on every vertex finds every occurrence, and each reduces to a leader
+    for n in range(1, 8):
+        for d in classes(n, "all"):
+            degs, adj = d.degrees, d.adjacency
+            for p in load_catalog():
+                every = _rooted_occurrences(p, degs, adj, p.labels[0], d.vertices)
+                leaders = _occurrences(p, degs, adj, d.vertices)
+                assert len(set(leaders)) == len(leaders)
+                assert set(leaders) == {p._representative(t) for t in every}, (n, sorted(d.edges), p.id)
+
+
+def test_fact_e_unreducible_configurations_carry_p2_or_p3():
+    # read off the catalog: configuration 1 is P2; the others outside the
+    # reducible set have a solid degree-2 vertex whose two neighbors are adjacent
+    for p in load_catalog():
+        if p.id in (3, 6, 7, 8, 9, 10, 11):
+            continue
+        twos = [l for l in p.labels if p.roles[l].kind == SOLID and p.roles[l].drawn_degree == 2]
+        p2 = any(a in twos and b in twos for a, b in p.edges)
+        p3 = any(len(p.neighbors(u)) == 2 and tuple(sorted(p.neighbors(u))) in {tuple(sorted(e)) for e in p.edges} for u in twos)
+        assert p2 or p3, p.id
+        assert p2 == (p.id == 1), p.id
+
+
 def test_d2_check_accepts_drawn_instance():
     # the 7th configuration drawn literally: path x-v-u-w-y with the two
     # crossing chords, plus an eighth vertex so hollow degrees stay small
@@ -203,8 +231,11 @@ def test_fact_d_hollow_vertices_touch_bounded_ones():
         # the 14th configuration with an isolated vertex: a search rooted at
         # one label could never place it
         (14, "v f hollow 2\n", "v f hollow 2\nv g hollow 2\n", "a configuration must be connected"),
+        # the 13th configuration with its degree-2 vertex made degree 3: it
+        # is not reducible, and now carries neither P2 nor P3
+        (13, "v b solid 2\n", "v b solid 3\n", "carries neither P2 nor P3"),
     ],
-    ids=["crossing-interleaves", "connected"],
+    ids=["crossing-interleaves", "connected", "p2-or-p3"],
 )
 def test_doctored_configuration_is_refused(pid, old, new, message):
     text = resources.files("outer1planar").joinpath("data/configurations.txt").read_text()

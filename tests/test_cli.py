@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from outer1planar import cli, cycle, emit_drawing, enumerate_drawings, sharp_example
+from outer1planar import Drawing, cli, cycle, emit_drawing, enumerate_drawings, sharp_example
 from outer1planar.cli import run
 
 
@@ -156,6 +156,29 @@ def test_enumerate_with_check(capsys):
     payload = json.loads(out)
     assert code == 0 and payload["failures"] == 0 and payload["count"] == 10
     assert "first_failure" not in payload
+
+
+@pytest.mark.parametrize(
+    "filt, check, tested",
+    [
+        ("connected-min-deg-2", "structure", False),
+        ("connected-min-deg-2", "light", False),
+        ("connected", "chi", False),
+        ("connected-min-deg-2", "chi", False),
+        ("connected", "structure", True),
+        ("all", "light", True),
+        ("all", "chi", True),
+    ],
+)
+def test_enumerate_tests_only_what_the_filter_leaves_open(filt, check, tested, monkeypatch, capsys):
+    # a check's hypothesis (connected, and minimum degree 2 for structure
+    # and light) is tested on a class only where the filter does not imply it
+    calls = []
+    connected = Drawing.is_connected
+    monkeypatch.setattr(Drawing, "is_connected", lambda d: calls.append(d) or connected(d))
+    assert run(["enumerate", "--n", "6", "--filter", filt, "--check", check]) == 0
+    assert json.loads(capsys.readouterr()[0])["failures"] == 0
+    assert bool(calls) == tested
 
 
 def test_enumerate_names_first_failure(monkeypatch, capsys):

@@ -185,8 +185,8 @@ def test_g11_rainbow_recoloring_branch():
 
 
 def _g10_gap_case():
-    # a reduced coloring with anchors z and y equal defeats the literal
-    # rule for the 10th configuration
+    # a reduced coloring with anchors z and y equal: the case in which the
+    # 10th configuration's rule recolors z before it colors w and u
     d = double_g10()
     step = find_reduction(d)
     assert step.kind == "P9-G10"
@@ -203,9 +203,9 @@ def _g10_gap_case():
     raise AssertionError("no reduced coloring with z and y equal")
 
 
-def test_g10_gap_repair_stays_in_envelope():
-    # the bounded repair fixes the gap while only touching the sanctioned
-    # envelope
+def test_g10_gap_rule_stays_in_envelope():
+    # the rule's recoloring of z closes the gap while only touching the
+    # sanctioned envelope
     d, step, partial = _g10_gap_case()
     lists = uniform_lists(d, 6)
     out = extend_step(d, step, partial, lists)
@@ -215,6 +215,16 @@ def test_g10_gap_repair_stays_in_envelope():
         step.anchors[l] for l in ("z", "a", "w", "v") if l in step.anchors
     }
     assert changed <= allowed
+
+
+def test_first_sorts_each_distinct_list_once():
+    import outer1planar.coloring as col
+
+    d = cycle(60)
+    col._sorted.cache_clear()
+    assert color_list_3_dynamic(d, uniform_lists(d, 6))
+    info = col._sorted.cache_info()
+    assert info.misses == 1 and info.hits >= d.n - 1
 
 
 def test_rule_leaving_a_violation_raises(monkeypatch, tmp_path, capsys):

@@ -285,6 +285,28 @@ def test_representatives_are_their_own_canonical_keys():
                 assert canonical_key(d) == (n, mask), (n, filt, sorted(d.edges))
 
 
+def test_walk_drawings_match_fresh_drawings():
+    # the walk fills adjacency and degrees from its neighbor fields; they
+    # equal what a drawing built from the same edges computes
+    for n in range(1, 8):
+        for filt in FILTERS:
+            for d in enumerate_drawings_deduped(n, filt):
+                fresh = Drawing(n, d.edges)
+                assert vars(d)["adjacency"] == fresh.adjacency, (n, filt, sorted(d.edges))
+                assert vars(d)["degrees"] == fresh.degrees, (n, filt, sorted(d.edges))
+    for d in enumerate_drawings(5):
+        fresh = Drawing(5, d.edges)
+        assert vars(d)["adjacency"] == fresh.adjacency and vars(d)["degrees"] == fresh.degrees
+
+
+def test_equal_neighbor_sets_are_one_object():
+    for n in (4, 6):
+        shared = {}
+        for d in itertools.chain(enumerate_drawings(n), enumerate_drawings_deduped(n, "connected")):
+            for ns in d.adjacency.values():
+                assert shared.setdefault(ns, ns) is ns, (n, sorted(ns))
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_enumerate_rejects_no_vertices(n):
     for filt in FILTERS:
