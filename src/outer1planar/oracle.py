@@ -224,16 +224,15 @@ def _walk(n: int, filter: str, classes: bool) -> Iterator[tuple[int, int, int]]:
     With classes it yields only masks least in their rotation/reflection
     orbit (Read's orderly generation).  It carries images, the OR of the
     chosen pairs' packed images (see _symmetries), and copies, the mask
-    repeated in every field.  Field by
-    field, (images | guards) - copies is 2^P plus that symmetry's image
-    minus the mask, which lies in (0, 2^(P + 1)): no field borrows from
-    the next, and a guard bit survives iff its image is not less than the
-    mask.  At depth d the same subtraction under fields[d] compares the
-    decided top bits only, and a cleared guard cuts the subtree.  A
-    symmetry left out of fields[d] compares the same bits as at the depth
-    where it last entered, where an ancestor passed, so the walk visits
-    the nodes that a cut by every symmetry at every depth would.  At a
-    leaf the whole-field subtraction is the orbit test, and each zero
+    repeated in every field.  Field by field, (images | guards) - copies is
+    2^P plus that symmetry's image minus the mask, in (0, 2^(P + 1)): no
+    field borrows from the next, and a guard bit survives iff its image is
+    not less than the mask.  At depth d the same subtraction under fields[d]
+    compares the decided top bits only, and a cleared guard cuts the
+    subtree.  A symmetry left out of fields[d] compares the same bits as at
+    the depth where it last entered, where an ancestor passed, so the walk
+    visits the nodes that a cut by every symmetry at every depth would.  At
+    a leaf the whole-field subtraction is the orbit test, and each zero
     field of images ^ copies is a symmetry that fixes the mask.
     """
     if n > 10:
