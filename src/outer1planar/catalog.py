@@ -348,8 +348,8 @@ def _rooted_occurrences(p: ConfigPattern, degs, adj, label: str, roots, leaders=
 
     Every other label draws from the common neighborhood of its placed
     neighbors; each vertex must pass its label's degree range (and its
-    leader bounds), and no vertex is used twice.  Rooted re-searches keep
-    every image, since a leader may put another label on the root vertex.
+    leader bounds), and no vertex is used twice.  A search rooted at one
+    label keeps every image: a leader may put another label on the root.
     """
     order, prior, ranges, positions, bounds = p._rooted_plans[label]
     last = len(order)
