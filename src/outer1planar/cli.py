@@ -59,8 +59,8 @@ def _cmd_validate(args) -> tuple[int, dict]:
     return EXIT_OK, {
         "valid": True,
         "n": d.n,
-        "edges": sorted(list(e) for e in d.edges),
-        "crossings": sorted([list(e), list(f)] for e, f in d.crossing_pairs),
+        "edges": sorted(d.edges),  # JSON writes the tuples as arrays
+        "crossings": sorted(d.crossing_pairs),
     }
 
 

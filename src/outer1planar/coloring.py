@@ -91,24 +91,42 @@ def uniform_lists(d: Drawing, k: int) -> ListAssignment:
 
 
 def parse_lists(text: str) -> ListAssignment:
-    """Parse the list-assignment file: lines "l <v> <c1> <c2> ..."."""
+    """Parse the list-assignment file: lines "l <v> <c1> <c2> ...".
+
+    A well-formed list for a new vertex takes the first branch; every
+    other line goes to `_list_line_error`, which skips it or names what is
+    wrong.
+    """
     lists: ListAssignment = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] != "l" or len(parts) < 2:
-            raise ValueError(f"line {ln}: expected 'l <v> <colors...>', got {line!r}")
         try:
-            v = int(parts[1])
-            colors = [int(c) for c in parts[2:]]
+            tag, v, *colors = raw.split()
+            v = int(v)
+            colors = frozenset(map(int, colors))
         except ValueError:
-            raise ValueError(f"line {ln}: non-integer token") from None
-        if v in lists:
-            raise ValueError(f"line {ln}: duplicate list for vertex {v}")
-        lists[v] = frozenset(colors)
+            tag = None
+        if tag == "l" and v not in lists:
+            lists[v] = colors
+            continue
+        _list_line_error(ln, raw, lists)
     return lists
+
+
+def _list_line_error(ln: int, raw: str, lists: ListAssignment) -> None:
+    """Return if line ln is blank or a comment; raise what is wrong with it
+    otherwise (it is not "l <v> <colors...>" for a new vertex)."""
+    parts = raw.split()
+    if not parts or parts[0].startswith("#"):
+        return
+    if parts[0] != "l" or len(parts) < 2:
+        raise ValueError(f"line {ln}: expected 'l <v> <colors...>', got {raw.strip()!r}")
+    try:
+        v = int(parts[1])
+        for c in parts[2:]:
+            int(c)
+    except ValueError:
+        raise ValueError(f"line {ln}: non-integer token") from None
+    raise ValueError(f"line {ln}: duplicate list for vertex {v}")
 
 
 def coloring_to_json(colors: Coloring, r: int, valid: bool) -> str:

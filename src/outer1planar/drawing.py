@@ -64,11 +64,12 @@ class AbstractGraph:
     edges: frozenset[Edge]
 
     def __post_init__(self) -> None:
+        n = self.n
         for u, v in self.edges:
-            if u == v:
-                raise InvalidDrawingError(f"loop at vertex {u}")
-            if not (1 <= u < v <= self.n):
-                raise InvalidDrawingError(f"edge ({u},{v}) out of range for n={self.n}")
+            if not 0 < u < v <= n:
+                if u == v:
+                    raise InvalidDrawingError(f"loop at vertex {u}")
+                raise InvalidDrawingError(f"edge ({u},{v}) out of range for n={n}")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]):
@@ -129,7 +130,8 @@ class Drawing(AbstractGraph):
         for pair in self._interleaving_pairs():
             for e in pair:
                 if e in crossed:
-                    count = sum(interleave(self.n, e, f) for f in self.edges)
+                    a, b = e
+                    count = sum(a < c < b < d or c < a < d < b for c, d in self.edges)
                     raise InvalidDrawingError(
                         f"edge {e} is crossed {count} times: not outer-1-plane in given order"
                     )
@@ -147,22 +149,30 @@ class Drawing(AbstractGraph):
         come before openings.  Open chords sit on a stack, so when (a, b)
         closes, every entry above it opened strictly inside (a, b) and
         closes past b: exactly the chords crossing it from that side.
-        Sorting the events costs O(m log m) and each close walks only past
-        the pairs it yields, so nothing scales with n, and a caller that
-        stops at a second crossing stops the sweep.
+        Each event is one int, from the top: its position, an opening flag
+        and the complement of the chord's other endpoint, which also names
+        the chord; so one sort of ints orders the events, and below 2**14
+        vertices each fits in one 30-bit digit.  A chord sits on the stack
+        as its closing event.  Sorting costs O(m log m) and each close walks
+        only past the pairs it yields, so nothing scales with n, and a
+        caller that stops at a second crossing stops the sweep.
         """
-        events = sorted(
-            [(b, 0, -a, (a, b)) for a, b in self.edges]
-            + [(a, 1, -b, (a, b)) for a, b in self.edges]
-        )
-        stack: list[Edge] = []
-        for _, opening, _, e in events:
-            if opening:
-                stack.append(e)
+        width = self.n.bit_length()
+        top = (1 << width) - 1  # at least n, so top - v >= 0 for every endpoint v
+        opening = 1 << width
+        at = width + 1
+        events = [b << at | top - a for a, b in self.edges]
+        events += [a << at | opening | top - b for a, b in self.edges]
+        events.sort()
+        stack: list[int] = []
+        for event in events:
+            if event & opening:
+                stack.append((top - (event & top)) << at | top - (event >> at))
                 continue
             i = len(stack) - 1
-            while stack[i] != e:
-                yield e, stack[i]
+            while stack[i] != event:
+                f = stack[i]
+                yield (top - (event & top), event >> at), (top - (f & top), f >> at)
                 i -= 1
             del stack[i]
 
@@ -201,45 +211,61 @@ def parse_drawing(text: str) -> Drawing:
 
     Comment lines start with '#'.  The first real line is "n <count>",
     every following line "e <u> <v>" with 1 <= u < v <= n.  Crossings are
-    never listed; they are derived from the cyclic order.
+    never listed; they are derived from the cyclic order.  A well-formed
+    new edge takes the first branch of the edge loop; every other line
+    goes to `_edge_line_error`, which skips it or names what is wrong.
     """
-    n: int | None = None
-    edges: set[Edge] = set()
-    for ln, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for ln, raw in enumerate(lines, start=1):
         parts = raw.split()
         if not parts or parts[0].startswith("#"):
             continue
-        if n is None:
-            if parts[0] != "n" or len(parts) != 2:
-                raise DrawingFormatError(f"line {ln}: expected 'n <count>', got {raw.strip()!r}")
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise DrawingFormatError(f"line {ln}: vertex count is not an integer") from None
-            if n < 1:
-                raise DrawingFormatError(f"line {ln}: vertex count must be at least 1")
-            if n > sys.maxsize:
-                raise DrawingFormatError(f"line {ln}: vertex count must be at most {sys.maxsize}")
-            continue
-        if parts[0] != "e" or len(parts) != 3:
-            raise DrawingFormatError(f"line {ln}: expected 'e <u> <v>', got {raw.strip()!r}")
+        if parts[0] != "n" or len(parts) != 2:
+            raise DrawingFormatError(f"line {ln}: expected 'n <count>', got {raw.strip()!r}")
         try:
-            u, v = int(parts[1]), int(parts[2])
+            n = int(parts[1])
         except ValueError:
-            raise DrawingFormatError(f"line {ln}: edge endpoints must be integers") from None
-        if u == v:
-            raise InvalidDrawingError(f"line {ln}: loop at vertex {u}")
-        if not (1 <= u < v <= n):
-            raise DrawingFormatError(
-                f"line {ln}: edge ({u},{v}) must satisfy 1 <= u < v <= {n}"
-            )
-        e = (u, v)
-        if e in edges:
-            raise InvalidDrawingError(f"line {ln}: duplicate edge ({u},{v})")
-        edges.add(e)
-    if n is None:
+            raise DrawingFormatError(f"line {ln}: vertex count is not an integer") from None
+        if n < 1:
+            raise DrawingFormatError(f"line {ln}: vertex count must be at least 1")
+        if n > sys.maxsize:
+            raise DrawingFormatError(f"line {ln}: vertex count must be at most {sys.maxsize}")
+        break
+    else:
         raise DrawingFormatError("line 1: missing 'n <count>' header")
+    edges: set[Edge] = set()
+    add = edges.add
+    for ln, raw in enumerate(lines[ln:], start=ln + 1):
+        try:
+            tag, u, v = raw.split()
+            u, v = int(u), int(v)
+        except ValueError:
+            tag = None
+        if tag == "e" and 0 < u < v <= n:
+            e = (u, v)
+            if e not in edges:
+                add(e)
+                continue
+            raise InvalidDrawingError(f"line {ln}: duplicate edge ({u},{v})")
+        _edge_line_error(ln, raw, n)
     return Drawing(n, frozenset(edges))
+
+
+def _edge_line_error(ln: int, raw: str, n: int) -> None:
+    """Return if line ln, after the header, is blank or a comment; raise
+    what is wrong with it otherwise (it is not "e <u> <v>" in range)."""
+    parts = raw.split()
+    if not parts or parts[0].startswith("#"):
+        return
+    if parts[0] != "e" or len(parts) != 3:
+        raise DrawingFormatError(f"line {ln}: expected 'e <u> <v>', got {raw.strip()!r}")
+    try:
+        u, v = int(parts[1]), int(parts[2])
+    except ValueError:
+        raise DrawingFormatError(f"line {ln}: edge endpoints must be integers") from None
+    if u == v:
+        raise InvalidDrawingError(f"line {ln}: loop at vertex {u}")
+    raise DrawingFormatError(f"line {ln}: edge ({u},{v}) must satisfy 1 <= u < v <= {n}")
 
 
 def emit_drawing(d: Drawing) -> str:
