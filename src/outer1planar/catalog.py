@@ -91,6 +91,15 @@ class ConfigPattern:
         return min(tuple([occurrence[i] for i in perm]) for perm in self._orbit_perms)
 
     @cached_property
+    def _root_choices(self) -> tuple[tuple[str, tuple[int, float]], ...]:
+        """Each distinct degree range of a label, with the least label that
+        has it, least label first."""
+        first: dict[tuple[int, float], str] = {}
+        for label in sorted(self.labels):
+            first.setdefault(_degree_range(self.roles[label]), label)
+        return tuple((label, lohi) for lohi, label in first.items())
+
+    @cached_property
     def _rooted_plans(self) -> dict[str, tuple]:
         """For each label, what _rooted_occurrences needs to place it first
         and grow along edges, solid and marked-hollow labels before hollow
@@ -333,23 +342,28 @@ def _occurrences(p: ConfigPattern, degs, adj, vertices) -> list[tuple[int, ...]]
     """Every occurrence of p among the given vertices that leads its orbit,
     as a tuple in labels order (degs and adj describe the host).
 
-    The search is rooted at the label that admits the fewest vertices."""
-    pools = {}
-    for label, plan in p._rooted_plans.items():
-        lo, hi = plan[2][0]  # the label's own degree range
-        pools[label] = [v for v in vertices if lo <= degs[v] <= hi]
-    root = min(p.labels, key=lambda l: (len(pools[l]), l))
-    return _rooted_occurrences(p, degs, adj, root, pools[root], leaders=True)
+    The search is rooted at the label that admits the fewest vertices, the
+    least such label on a tie; labels with one degree range share a pool."""
+    root = roots = None
+    for label, (lo, hi) in p._root_choices:
+        pool = [v for v in vertices if lo <= degs[v] <= hi]
+        if roots is None or len(pool) < len(roots):
+            root, roots = label, pool
+    return _rooted_occurrences(p, degs, adj, root, roots)
 
 
-def _rooted_occurrences(p: ConfigPattern, degs, adj, label: str, roots, leaders=False) -> list[tuple[int, ...]]:
-    """Every occurrence of p that puts label on a vertex of roots, as
-    tuples in labels order; with leaders, only those least in their orbit.
+def _rooted_occurrences(p: ConfigPattern, degs, adj, label: str, roots) -> list[tuple[int, ...]]:
+    """Every occurrence of p that leads its orbit and puts label on a vertex
+    of roots, as tuples in labels order.
 
     Every other label draws from the common neighborhood of its placed
-    neighbors; each vertex must pass its label's degree range (and its
-    leader bounds), and no vertex is used twice.  A search rooted at one
-    label keeps every image: a leader may put another label on the root.
+    neighbors; each vertex must pass its label's degree range and its
+    leader bounds, and no vertex is used twice.  A leader may put another
+    label on the root, so one rooted search misses occurrences whose
+    leader does; a caller that needs every occurrence through a vertex
+    searches from it under every label of an automorphism-closed set.
+    An automorphism preserves roles, so the labels whose degree range
+    admits a vertex form such a set.
     """
     order, prior, ranges, positions, bounds = p._rooted_plans[label]
     last = len(order)
@@ -368,7 +382,7 @@ def _rooted_occurrences(p: ConfigPattern, degs, adj, label: str, roots, leaders=
             pool = adj[placed[before[0]]]
         else:
             pool = adj[placed[before[0]]].intersection(*[adj[placed[i]] for i in before[1:]])
-        for i, larger in bounds[k] if leaders else ():
+        for i, larger in bounds[k]:
             w = placed[i]
             pool = [v for v in pool if v > w] if larger else [v for v in pool if v < w]
         lo, hi = ranges[k]

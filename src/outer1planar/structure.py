@@ -164,9 +164,12 @@ class _Peeler:
     find_reduction's ranking; a new occurrence must put a vertex whose
     degree dropped on a solid or marked-hollow label that did not admit its
     old degree (losing degree never satisfies a hollow "at least k"), so
-    searches rooted at those vertices, reduced to leaders, bring the heap
-    up to date when the kind is read again.  `restore` is for the extension
-    phase, after the last `pop`.
+    leader searches rooted at those vertices, under each such label, bring
+    the heap up to date when the kind is read again.  They miss no new
+    leader: an automorphism preserves roles, so the label that a new
+    occurrence's leader puts on the vertex also newly admits it, and is
+    searched too.  `restore` is for the extension phase, after the last
+    `pop`.
 
     The configurations are read in `_SHAPES` order; a row says how `pop`
     turns an occurrence into a step.
@@ -255,9 +258,7 @@ class _Peeler:
                     continue
                 for label, lo, hi in bounded:
                     if lo <= new <= hi and not lo <= old <= hi:
-                        fresh.update(
-                            p._representative(t) for t in _rooted_occurrences(p, degs, adj, label, (v,))
-                        )
+                        fresh.update(_rooted_occurrences(p, degs, adj, label, (v,)))
             dirty.clear()
             for r in fresh:
                 heappush(heap, (tuple([r[k] for k in keys]), r))

@@ -1,6 +1,7 @@
 """Configuration catalog: transcription facts and containment matching."""
 
 import random
+import math
 from importlib import resources
 
 import pytest
@@ -20,6 +21,7 @@ from outer1planar.catalog import (
     SOLID,
     CatalogError,
     _check_catalog,
+    _degree_range,
     _occurrences,
     _parse_catalog,
     _rooted_occurrences,
@@ -161,6 +163,67 @@ def test_leader_scan_equals_representatives(classes):
                 leaders = _occurrences(p, degs, adj, d.vertices)
                 assert len(set(leaders)) == len(leaders)
                 assert set(leaders) == {p._representative(t) for t in every}, (n, sorted(d.edges), p.id)
+
+
+def _reference_occurrences(p, d) -> list[tuple[int, ...]]:
+    """Every occurrence of p in d, as tuples in labels order, by plain
+    backtracking over the labels in breadth-first order."""
+    order = [p.labels[0]]
+    for l in order:
+        order += [m for m in sorted(p.neighbors(l)) if m not in order]
+    at = {l: k for k, l in enumerate(order)}
+    by_degree: dict[int, set[int]] = {}
+    for w, k in d.degrees.items():
+        by_degree.setdefault(k, set()).add(w)
+    steps = [
+        (
+            set().union(*(ws for k, ws in by_degree.items() if p.roles[l].admits(k))),
+            [at[m] for m in p.neighbors(l) if at[m] < k],
+        )
+        for k, l in enumerate(order)
+    ]
+    positions = [at[l] for l in p.labels]
+    placed: list[int] = []
+    found = []
+
+    def grow(k):
+        if k == len(order):
+            found.append(tuple(placed[i] for i in positions))
+            return
+        admitted, before = steps[k]
+        if before:
+            admitted = admitted.intersection(*(d.adjacency[placed[i]] for i in before))
+        for w in admitted.difference(placed):
+            placed.append(w)
+            grow(k + 1)
+            placed.pop()
+
+    grow(0)
+    return found
+
+
+def test_rooted_leader_search_equals_representatives(classes):
+    # The peeler searches from a vertex v under each bounded label that newly
+    # admits v, and an automorphism preserves roles, so those labels are a
+    # union of label orbits.  Over an orbit, the leader-bounded rooted
+    # searches from v find exactly the leaders of the occurrences through v.
+    # A search with every vertex as a root is the union of those from each
+    # vertex, so the comparison is on (v, occurrence) pairs.
+    for pid in (3, 6, 7, 8, 9, 10, 11):  # the configurations the peeler re-searches
+        p = get_pattern(pid)
+        at = {l: k for k, l in enumerate(p.labels)}
+        orbits = {frozenset(sigma[l] for sigma in p.automorphisms) for l in p.labels}
+        orbits = [[at[m] for m in o] for o in orbits if _degree_range(p.roles[min(o)])[1] != math.inf]
+        for n in range(1, 8):
+            for d in classes(n, "all"):
+                degs, adj = d.degrees, d.adjacency
+                every = _reference_occurrences(p, d)
+                for orbit in orbits:
+                    leaders = {
+                        (t[k], t) for k in orbit for t in _rooted_occurrences(p, degs, adj, p.labels[k], d.vertices)
+                    }
+                    through = {(t[k], p._representative(t)) for k in orbit for t in every}
+                    assert leaders == through, (sorted(d.edges), p.id, orbit)
 
 
 def test_fact_e_unreducible_configurations_carry_p2_or_p3():

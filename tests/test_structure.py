@@ -264,3 +264,38 @@ def test_structure_layer_golden_digest(classes, monkeypatch, capsys):
             digest.update(f"{answer(fn, d)}\n".encode())
         digest.update(first_d2_match(d).encode())
     assert digest.hexdigest() == GOLDEN_STRUCTURE_SHA256
+
+
+def _carries_p2_or_p3(d: Drawing, occurrence) -> bool:
+    """Do the occurrence's own vertices hold two adjacent degree-2 vertices
+    (P2), or a degree-2 vertex whose two neighbors are adjacent (P3)?"""
+    degs, adj = d.degrees, d.adjacency
+    own = set(occurrence)
+    for u in own:
+        if degs[u] == 2:
+            x, y = adj[u]
+            if any(w in own and degs[w] == 2 for w in (x, y)):
+                return True
+            if x in own and y in own and y in adj[x]:
+                return True
+    return False
+
+
+def test_unreducible_configurations_carry_p2_or_p3_in_their_hosts(classes):
+    # The chain from the structural theorem to a peel that cannot fail: every
+    # configuration outside the reducible set carries P2 or P3 on its own
+    # vertices, in the host's degrees, so the host always has a reduction.
+    hosts = [h_family(i) for i in range(2, 18)]
+    hosts += [d for n in range(1, 8) for d in classes(n, "all")]
+    hosts += classes(8, "connected-min-deg-2")
+    seen = dict.fromkeys((1, 2, 4, 5, 12, 13, 14, 15, 16, 17), 0)
+    for d in hosts:
+        found = False
+        for pid in seen:
+            for m in find_matches(d, get_pattern(pid)):
+                assert _carries_p2_or_p3(d, m.assignment.values()), (sorted(d.edges), pid, m.assignment)
+                seen[pid] += 1
+                found = True
+        if found:
+            find_reduction(d)  # raises StructureNotFound on failure
+    assert all(seen.values()), seen
