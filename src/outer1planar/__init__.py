@@ -36,9 +36,7 @@ from .drawing import (
 from .generators import cycle, h_family, random_outer_1_planar, sharp_example
 from .oracle import (
     SizeLimitExceeded,
-    canonical_key,
     chromatic_r_dynamic,
-    enumerate_drawings,
     enumerate_drawings_deduped,
     has_r_dynamic_k_coloring,
     is_maximal,

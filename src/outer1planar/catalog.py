@@ -86,10 +86,6 @@ class ConfigPattern:
         idx = {l: i for i, l in enumerate(self.labels)}
         return tuple(tuple(idx[sigma[l]] for l in self.labels) for sigma in self.automorphisms)
 
-    def _representative(self, occurrence: tuple[int, ...]) -> tuple[int, ...]:
-        """The least image of an occurrence (in labels order) under the automorphisms."""
-        return min(tuple([occurrence[i] for i in perm]) for perm in self._orbit_perms)
-
     @cached_property
     def _root_choices(self) -> tuple[tuple[str, tuple[int, float]], ...]:
         """Each distinct degree range of a label, with the least label that
@@ -261,14 +257,12 @@ def _degree_range(role: VertexRole) -> tuple[int, float]:
 
 def light_edge_labels(p: ConfigPattern) -> tuple[str, str] | None:
     """Edge (solid degree-2, endpoint forced <= 7), lexicographically first."""
-    best = None
     for a, b in sorted(tuple(sorted(e)) for e in p.edges):
         for s, t in ((a, b), (b, a)):
             rs = p.roles[s]
             if rs.kind == SOLID and rs.drawn_degree == 2 and _degree_range(p.roles[t])[1] <= 7:
-                if best is None:
-                    best = (s, t)
-    return best
+                return (s, t)
+    return None
 
 
 def tight_edge_labels(p: ConfigPattern) -> tuple[str, str] | None:
@@ -329,13 +323,16 @@ def find_matches(d: Drawing, p: ConfigPattern, check_d2: bool = False) -> list[M
     and growing along pattern edges, pruning by degree roles and by
     adjacency to already-placed neighbors.  When check_d2 is set and
     p.id >= 6, occurrences must also realize the pattern's crossings and
-    cyclic order in the drawing.
+    cyclic order in the drawing.  An automorphism need not preserve those,
+    so each occurrence then stands as its least image that realizes them,
+    and is dropped only if no image does.
     """
     leaders = sorted(_occurrences(p, d.degrees, d.adjacency, d.degrees))
-    matches = [Match(p.id, dict(zip(p.labels, tup))) for tup in leaders]
     if check_d2 and p.id >= 6:
-        matches = [m for m in matches if _d2_holds(d, p, m.assignment)]
-    return matches
+        images = ([tuple([t[i] for i in perm]) for perm in p._orbit_perms] for t in leaders)
+        realized = ([s for s in ts if _d2_holds(d, p, dict(zip(p.labels, s)))] for ts in images)
+        leaders = sorted(min(ss) for ss in realized if ss)
+    return [Match(p.id, dict(zip(p.labels, tup))) for tup in leaders]
 
 
 def _occurrences(p: ConfigPattern, degs, adj, vertices) -> list[tuple[int, ...]]:

@@ -152,38 +152,12 @@ def _cmd_oracle_maximal(args) -> tuple[int, dict]:
     return (EXIT_OK if verdict else EXIT_FALSE), {"maximal": verdict}
 
 
-def _check_structure(d: Drawing) -> bool:
-    try:
-        structure.find_structure(d)
-        return True
-    except structure.StructureNotFound:
-        return False
-
-
-def _check_light(d: Drawing) -> bool:
-    try:
-        return structure.find_light_edge(d).degree_sum <= 9
-    except structure.StructureNotFound:
-        return False
-
-
-def _check_reduce(d: Drawing) -> bool:
-    try:
-        structure.find_reduction(d)
-        return True
-    except structure.StructureNotFound:
-        return False
-
-
-def _check_chi(d: Drawing) -> bool:
-    return oracle.has_r_dynamic_k_coloring(d, 3, 6)
-
-
+# Each check passes a class unless it returns false or raises StructureNotFound
 _CHECKS = {
-    "structure": _check_structure,
-    "light": _check_light,
-    "reduce": _check_reduce,
-    "chi": _check_chi,
+    "structure": structure.find_structure,
+    "light": lambda d: structure.find_light_edge(d).degree_sum <= 9,
+    "reduce": structure.find_reduction,
+    "chi": lambda d: oracle.has_r_dynamic_k_coloring(d, 3, 6),
 }
 # Filters weakest first; per check, the least filter its claim covers (weaker: outside classes pass)
 _FILTERS = ("all", "connected", "connected-min-deg-2")
@@ -200,7 +174,7 @@ def _cmd_enumerate(args) -> tuple[int, dict]:
     if covers <= _FILTERS.index(args.filter):
         covers = 0  # the walk's filter already guarantees the hypothesis
     # the labeled count is the sum of the representatives' orbit sizes
-    for mask, nbrs, size in oracle._walk(args.n, args.filter, classes=True):
+    for mask, nbrs, size in oracle._walk(args.n, args.filter):
         total += size
         classes += 1
         if check is None:
@@ -208,7 +182,11 @@ def _cmd_enumerate(args) -> tuple[int, dict]:
         d = oracle._walk_drawing(args.n, mask, nbrs)
         if covers and not (d.is_connected() and (covers == 1 or d.min_degree >= 2)):
             continue
-        if not check(d):
+        try:
+            passed = check(d)
+        except structure.StructureNotFound:
+            passed = False
+        if not passed:
             failures += 1
             if first_failure is None:
                 first_failure = {"n": d.n, "edges": sorted(list(e) for e in d.edges)}

@@ -261,7 +261,7 @@ def _valid_around(d: Drawing, step: ReductionStep, partial: Coloring, colors: Co
     return True
 
 
-def _colors_of(d: Drawing, colors: Coloring, vs) -> set[int]:
+def _colors_of(colors: Coloring, vs) -> set[int]:
     return {colors[w] for w in vs if w in colors}
 
 
@@ -272,7 +272,7 @@ def _extend_p1(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssig
         v = a["v"]
         forbidden = {colors[v]}
         if d.degrees[v] <= 3:
-            forbidden |= _colors_of(d, colors, d.adjacency[v] - {u})
+            forbidden |= _colors_of(colors, d.adjacency[v] - {u})
     colors[u] = _pick(lists, u, forbidden)
 
 
@@ -281,7 +281,7 @@ def _extend_p2(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssig
     if x == y:
         # both endpoints hang off the same vertex (a triangle with two
         # degree-2 corners); its neighborhood must still end up colorful
-        shared = _colors_of(d, colors, d.adjacency[x] - {u, v})
+        shared = _colors_of(colors, d.adjacency[x] - {u, v})
         fu = {colors[x]} | (shared if d.degrees[x] <= 4 else set())
         colors[u] = _pick(lists, u, fu)
         fv = {colors[x], colors[u]} | (shared if d.degrees[x] <= 3 else set())
@@ -289,11 +289,11 @@ def _extend_p2(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssig
         return
     fu = {colors[x], colors[y]}
     if d.degrees[x] <= 3:
-        fu |= _colors_of(d, colors, d.adjacency[x] - {u, v})
+        fu |= _colors_of(colors, d.adjacency[x] - {u, v})
     colors[u] = _pick(lists, u, fu)
     fv = {colors[x], colors[u], colors[y]}
     if d.degrees[y] <= 3:
-        fv |= _colors_of(d, colors, d.adjacency[y] - {u, v})
+        fv |= _colors_of(colors, d.adjacency[y] - {u, v})
     colors[v] = _pick(lists, v, fv)
 
 
@@ -387,7 +387,7 @@ def _extend_g10(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssi
         # first.  Of z's neighbors only x survives, and x needs z's new
         # color only if its other neighbors show too few colors.
         fz = {colors[x], colors[a["v"]], colors[a["y"]]}
-        others = _colors_of(d, colors, d.adjacency[x] - {z})
+        others = _colors_of(colors, d.adjacency[x] - {z})
         if len(others) < min(3, d.degrees[x]):
             fz |= others
         colors[z] = _pick(lists, z, fz)

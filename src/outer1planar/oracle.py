@@ -2,9 +2,9 @@
 
 Exact r-dynamic chromatic numbers and list colorability by chronological
 backtracking, outer-1-planarity recognition by searching cyclic orders,
-maximality testing, and exhaustive enumeration of convex-position drawings.
-Every operation carries an explicit size guard; nothing here is meant to
-scale past it.
+maximality testing, and exhaustive enumeration of convex-position drawings
+up to rotation and reflection.  Every operation carries an explicit size
+guard; nothing here is meant to scale past it.
 
 Enumeration up to rotation and reflection is orderly: the walk decides
 pairs from the most significant mask bit down and never enters a subtree
@@ -195,36 +195,21 @@ def is_maximal(d: Drawing) -> bool:
     return True
 
 
-def enumerate_drawings(n: int, filter: str = "all") -> Iterator[Drawing]:
-    """Every valid drawing on n convex-position vertices, in a fixed order.
-
-    filter is one of 'all', 'connected', 'connected-min-deg-2'.  Output is
-    per labeled drawing; use enumerate_drawings_deduped for one drawing per
-    rotation/reflection class.  Emitted drawings skip revalidation: the
-    walk maintains the crossing-degree invariant itself.  Drawings come in
-    increasing order of their pair bitmask (the first pair of
-    iter_all_pairs(n) is the most significant bit).
-    """
-    for mask, nbrs, _ in _walk(n, filter, classes=False):
-        yield _walk_drawing(n, mask, nbrs)
-
-
-def _walk(n: int, filter: str, classes: bool) -> Iterator[tuple[int, int, int]]:
+def _walk(n: int, filter: str) -> Iterator[tuple[int, int, int]]:
     """(pair bitmask, neighbor fields, orbit size) of each valid drawing
-    that passes filter, in increasing mask order.
+    that passes filter and is least in its rotation/reflection orbit, in
+    increasing mask order.
 
     A depth-first walk with an explicit stack that leaves each pair out
     before it puts it in.  Its state is a handful of ints, so the stack
     holds the include branches still to take and nothing is undone.  A
     subtree is cut once a vertex cannot reach the filter's least degree;
     the filters hold for all of a class or none of it, so the cut keeps
-    every class whole.  Without classes the walk yields every such mask,
-    with orbit size 1.
+    every class whole.
 
-    With classes it yields only masks least in their rotation/reflection
-    orbit (Read's orderly generation).  It carries images, the OR of the
-    chosen pairs' packed images (see _symmetries), and copies, the mask
-    repeated in every field.  Field by field, (images | guards) - copies is
+    The walk is orderly (Read's orderly generation).  It carries images,
+    the OR of the chosen pairs' packed images (see _symmetries), and
+    copies, the mask repeated in every field.  Field by field, (images | guards) - copies is
     2^P plus that symmetry's image minus the mask, in (0, 2^(P + 1)): no
     field borrows from the next, and a guard bit survives iff its image is
     not less than the mask.  At depth d the same subtraction under fields[d]
@@ -250,11 +235,7 @@ def _walk(n: int, filter: str, classes: bool) -> Iterator[tuple[int, int, int]]:
     weight, image, lows, fields = _symmetries(n)
     pairs = list(iter_all_pairs(n))
     bit = [weight[e] for e in pairs]
-    if classes:
-        image, copy = [image[e] for e in pairs], [w * lows for w in bit]
-    else:
-        image = copy = [0] * len(pairs)
-        fields = (0,) * (len(pairs) + 1)
+    image, copy = [image[e] for e in pairs], [w * lows for w in bit]
     guards = lows << len(pairs)
     # The mask of the earlier pairs that cross pair i: only those are
     # decided when the walk reaches i.
@@ -286,7 +267,7 @@ def _walk(n: int, filter: str, classes: bool) -> Iterator[tuple[int, int, int]]:
                 if left & guard == guard:
                     i, slack = i + 1, left
                     continue
-            elif not classes or ((images | guards) - copies) & guards == guards:
+            elif ((images | guards) - copies) & guards == guards:
                 seen = everyone
                 if want_connected:
                     seen = todo = 1
@@ -296,9 +277,7 @@ def _walk(n: int, filter: str, classes: bool) -> Iterator[tuple[int, int, int]]:
                         new = nbrs >> n * (low.bit_length() - 1) & (everyone ^ seen)
                         seen |= new
                         todo |= new
-                if seen == everyone and not classes:
-                    yield mask, nbrs, 1
-                elif seen == everyone:
+                if seen == everyone:
                     # orbit size: 2n over the stabilizer, the identity and each zero field
                     moved = (((images ^ copies | guards) - lows) & guards).bit_count()
                     yield mask, nbrs, 2 * n // (2 * n - moved)
@@ -320,7 +299,7 @@ def _symmetries(n: int) -> tuple[dict[Edge, int], dict[Edge, int], int, tuple[in
     """Pair weights, packed pair images, the fields' low bits, and the
     walk's field mask per depth.
 
-    Pair i of iter_all_pairs(n) weighs 1 << (P - 1 - i), so enumerate_drawings
+    Pair i of iter_all_pairs(n) weighs 1 << (P - 1 - i), so the walk
     emits masks in increasing order.  The k-th non-identity rotation or
     reflection g owns bits k(P + 1) .. k(P + 1) + P of a packed int: P bits
     for a mask's image under g, then a guard bit.  A pair's packed image
@@ -380,30 +359,13 @@ def _neighbor_sets(n: int) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(v + 1 for v in range(n) if f >> v & 1) for f in range(1 << n))
 
 
-def canonical_key(d: Drawing) -> tuple[int, int]:
-    """Least pair mask over the rotations and reflections of d.
-
-    Two drawings have equal keys iff one is a rotation or reflection of
-    the other.
-    """
-    if d.n > 10:
-        raise SizeLimitExceeded("canonical key capped at n <= 10")
-    weight, image, lows, _ = _symmetries(d.n)
-    mask = sum(map(weight.__getitem__, d.edges))
-    images = sum(map(image.__getitem__, d.edges))  # the pairs' images never share a bit
-    size = len(weight)
-    return (d.n, min(mask, *(images >> k & (1 << size) - 1 for k in range(0, lows.bit_length(), size + 1))))
-
-
 def enumerate_drawings_deduped(n: int, filter: str = "all") -> Iterator[Drawing]:
-    """Representatives of rotation/reflection classes of enumerate_drawings.
-
-    Each class is represented by its first labeled drawing in walk order,
-    and representatives come in that order.  Masks come in increasing
-    order and the filters hold for all of a class or none of it, so the
-    first drawing of a class is the one whose mask is least in its orbit,
-    and the class walk yields exactly those.  Only representatives are
-    built.
+    """One drawing per rotation/reflection class of the valid drawings on n
+    convex-position vertices that pass filter ('all', 'connected' or
+    'connected-min-deg-2'): the one whose pair bitmask is least in its
+    orbit, in increasing mask order (the first pair of iter_all_pairs(n) is
+    the most significant bit).  Emitted drawings skip revalidation: the walk
+    maintains the crossing-degree invariant itself.
     """
-    for mask, nbrs, _ in _walk(n, filter, classes=True):
+    for mask, nbrs, _ in _walk(n, filter):
         yield _walk_drawing(n, mask, nbrs)

@@ -3,12 +3,22 @@
 Every connected drawing with minimum degree 2 contains one of the seventeen
 configurations; every drawing at all contains one of ten reducible shapes
 whose deletion the coloring engine can undo: three primitive shapes, or one
-of the seven reducible configurations of the `_SHAPES` table.  Both searches
-are realized by exhaustive catalog matching with deterministic tie-breaking,
-not by the inductive case analysis that proves they cannot fail.  The
-reduction search lives in a peeler that the coloring engine keeps for a
-whole peel: it holds the candidates of every kind and, after each deletion,
-searches only around the vertices whose degree fell.
+of the seven reducible configurations of the `_SHAPES` table.
+
+The chain from the theorem to the shapes: a drawing with a vertex of degree
+at most 1 has P1.  Otherwise each component is a connected drawing with
+minimum degree 2, so by the theorem it contains one of the seventeen
+configurations, with the same degrees in the whole drawing.  Each of them
+is reducible (configurations 3 and 6-11, shapes P4-P10) or carries, on its
+own vertices, P2 (two adjacent degree-2 vertices) or P3 (a degree-2 vertex
+whose two neighbors are adjacent); that is catalog fact (e).
+
+Both searches are realized by exhaustive catalog matching with
+deterministic tie-breaking, not by the inductive case analysis that proves
+they cannot fail.  The reduction search lives in a peeler that the
+coloring engine keeps for a whole peel: it holds the candidates of every
+kind and, after each deletion, searches only around the vertices whose
+degree fell.
 """
 
 from __future__ import annotations

@@ -48,6 +48,21 @@ def naive_matches(d: Drawing, p: ConfigPattern) -> list[tuple[int, ...]]:
     return sorted(found)
 
 
+def brute_orbit(d):
+    """Sorted edge tuples of every rotation and reflection of d, each
+    relabeling written out; independent of the package's bitmasks."""
+    n = d.n
+    orbit = set()
+    for flip in (False, True):
+        for rot in range(n):
+            if flip:
+                relabel = [0] + [((rot - (v - 1)) % n) + 1 for v in range(1, n + 1)]
+            else:
+                relabel = [0] + [((v - 1 + rot) % n) + 1 for v in range(1, n + 1)]
+            orbit.add(tuple(sorted(tuple(sorted((relabel[u], relabel[v]))) for u, v in d.edges)))
+    return orbit
+
+
 def delete_with_map(d: Drawing, remove) -> tuple[Drawing, dict[int, int]]:
     """delete_vertices plus the old -> new labels of the survivors, which
     keep their clockwise order."""

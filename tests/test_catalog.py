@@ -2,6 +2,7 @@
 
 import random
 import math
+from functools import lru_cache
 from importlib import resources
 
 import pytest
@@ -21,6 +22,7 @@ from outer1planar.catalog import (
     SOLID,
     CatalogError,
     _check_catalog,
+    _d2_holds,
     _degree_range,
     _occurrences,
     _parse_catalog,
@@ -29,7 +31,7 @@ from outer1planar.catalog import (
     tight_edge_labels,
 )
 
-from .conftest import naive_matches
+from .conftest import brute_orbit, naive_matches, population
 
 
 def test_catalog_loads_17():
@@ -152,48 +154,39 @@ def test_matcher_agrees_with_naive_exhaustively_small(classes):
                 assert mine == naive_matches(d, p)
 
 
-def test_leader_scan_equals_representatives(classes):
-    # the full scan keeps only orbit leaders; a search rooted at one label
-    # on every vertex finds every occurrence, and each reduces to a leader
-    for n in range(1, 8):
-        for d in classes(n, "all"):
-            degs, adj = d.degrees, d.adjacency
-            for p in load_catalog():
-                every = _rooted_occurrences(p, degs, adj, p.labels[0], d.vertices)
-                leaders = _occurrences(p, degs, adj, d.vertices)
-                assert len(set(leaders)) == len(leaders)
-                assert set(leaders) == {p._representative(t) for t in every}, (n, sorted(d.edges), p.id)
-
-
-def _reference_occurrences(p, d) -> list[tuple[int, ...]]:
-    """Every occurrence of p in d, as tuples in labels order, by plain
-    backtracking over the labels in breadth-first order."""
-    order = [p.labels[0]]
+@lru_cache(maxsize=None)
+def _reference_plan(pid, root):
+    """The labels of configuration pid in breadth-first order from root, as
+    (label, positions of earlier neighbors) per step, and where each of its
+    labels sits in that order."""
+    p = get_pattern(pid)
+    order = [root]
     for l in order:
         order += [m for m in sorted(p.neighbors(l)) if m not in order]
     at = {l: k for k, l in enumerate(order)}
-    by_degree: dict[int, set[int]] = {}
-    for w, k in d.degrees.items():
-        by_degree.setdefault(k, set()).add(w)
-    steps = [
-        (
-            set().union(*(ws for k, ws in by_degree.items() if p.roles[l].admits(k))),
-            [at[m] for m in p.neighbors(l) if at[m] < k],
-        )
-        for k, l in enumerate(order)
-    ]
-    positions = [at[l] for l in p.labels]
+    steps = [(l, [at[m] for m in p.neighbors(l) if at[m] < k]) for k, l in enumerate(order)]
+    return steps, [at[l] for l in p.labels]
+
+
+def _reference_occurrences(p, d, admitted) -> list[tuple[int, ...]]:
+    """Every occurrence of p in d, as tuples in labels order, by plain
+    backtracking over the labels in breadth-first order from the label
+    that admits the fewest vertices; admitted maps a role to the vertices
+    of d it admits."""
+    admits = {l: admitted[p.roles[l]] for l in p.labels}
+    steps, positions = _reference_plan(p.id, min(p.labels, key=lambda l: len(admits[l])))
     placed: list[int] = []
     found = []
 
     def grow(k):
-        if k == len(order):
+        if k == len(steps):
             found.append(tuple(placed[i] for i in positions))
             return
-        admitted, before = steps[k]
+        label, before = steps[k]
+        pool = admits[label]
         if before:
-            admitted = admitted.intersection(*(d.adjacency[placed[i]] for i in before))
-        for w in admitted.difference(placed):
+            pool = pool.intersection(*(d.adjacency[placed[i]] for i in before))
+        for w in pool.difference(placed):
             placed.append(w)
             grow(k + 1)
             placed.pop()
@@ -202,7 +195,43 @@ def _reference_occurrences(p, d) -> list[tuple[int, ...]]:
     return found
 
 
-def test_rooted_leader_search_equals_representatives(classes):
+def _least_image(p, t) -> tuple[int, ...]:
+    """The least image of occurrence t (in labels order) under p's automorphisms."""
+    at = {l: k for k, l in enumerate(p.labels)}
+    return min(tuple(t[at[sigma[l]]] for l in p.labels) for sigma in p.automorphisms)
+
+
+def _admitted(d) -> dict:
+    """Each role of the catalog, mapped to the vertices of d it admits."""
+    by_degree: dict[int, set[int]] = {}
+    for w, k in d.degrees.items():
+        by_degree.setdefault(k, set()).add(w)
+    roles = {r for p in load_catalog() for r in p.roles.values()}
+    return {r: set().union(*(ws for k, ws in by_degree.items() if r.admits(k))) for r in roles}
+
+
+@lru_cache(maxsize=None)
+def _reference_scan(n) -> tuple[tuple[Drawing, dict[int, list[tuple[int, ...]]]], ...]:
+    """Each class on n vertices with every occurrence of each configuration in it."""
+    scan = []
+    for d in population(n, "all"):
+        admitted = _admitted(d)
+        scan.append((d, {p.id: _reference_occurrences(p, d, admitted) for p in load_catalog()}))
+    return tuple(scan)
+
+
+def test_leader_scan_equals_representatives():
+    # the full scan keeps only orbit leaders: exactly the least images of
+    # the occurrences that plain backtracking finds
+    for n in range(1, 8):
+        for d, every in _reference_scan(n):
+            for p in load_catalog():
+                leaders = _occurrences(p, d.degrees, d.adjacency, d.vertices)
+                assert len(set(leaders)) == len(leaders)
+                assert set(leaders) == {_least_image(p, t) for t in every[p.id]}, (n, sorted(d.edges), p.id)
+
+
+def test_rooted_leader_search_equals_representatives():
     # The peeler searches from a vertex v under each bounded label that newly
     # admits v, and an automorphism preserves roles, so those labels are a
     # union of label orbits.  Over an orbit, the leader-bounded rooted
@@ -215,14 +244,13 @@ def test_rooted_leader_search_equals_representatives(classes):
         orbits = {frozenset(sigma[l] for sigma in p.automorphisms) for l in p.labels}
         orbits = [[at[m] for m in o] for o in orbits if _degree_range(p.roles[min(o)])[1] != math.inf]
         for n in range(1, 8):
-            for d in classes(n, "all"):
+            for d, every in _reference_scan(n):
                 degs, adj = d.degrees, d.adjacency
-                every = _reference_occurrences(p, d)
                 for orbit in orbits:
                     leaders = {
                         (t[k], t) for k in orbit for t in _rooted_occurrences(p, degs, adj, p.labels[k], d.vertices)
                     }
-                    through = {(t[k], p._representative(t)) for k in orbit for t in every}
+                    through = {(t[k], _least_image(p, t)) for k in orbit for t in every[pid]}
                     assert leaders == through, (sorted(d.edges), p.id, orbit)
 
 
@@ -271,6 +299,40 @@ def test_d2_check_is_noop_below_6():
     c4 = cycle(4)
     p = get_pattern(3)
     assert find_matches(c4, p) == find_matches(c4, p, check_d2=True) != []
+
+
+def test_d2_check_keeps_an_image_that_realizes_the_drawing():
+    # the 6th configuration's automorphism swaps u and v, the ends of one
+    # crossing edge; the second occurrence's leader puts u on 1 and fails
+    # the drawing check, but its image with u on 6 passes
+    d = Drawing.from_edges(6, [(1, 3), (1, 5), (1, 6), (3, 6), (5, 6)])
+    p = get_pattern(6)
+    assert len(find_matches(d, p)) == 2
+    assert [m.assignment for m in find_matches(d, p, check_d2=True)] == [
+        {"x": 3, "u": 1, "v": 6, "y": 5},
+        {"x": 5, "u": 6, "v": 1, "y": 3},
+    ]
+
+
+def test_d2_check_equals_brute_reference(classes):
+    # every occurrence by plain backtracking, kept if it realizes the
+    # drawing, and the least kept image per orbit; on every labeling of
+    # every drawing with at most 6 vertices, for the configurations the
+    # check applies to (the 6th on)
+    patterns = load_catalog()[5:]
+    for n in range(1, 7):
+        for c in classes(n, "all"):
+            for edges in brute_orbit(c):
+                d = Drawing.from_edges(n, edges)
+                admitted = _admitted(d)
+                for p in patterns:
+                    best = {}
+                    for t in _reference_occurrences(p, d, admitted):
+                        if _d2_holds(d, p, dict(zip(p.labels, t))):
+                            key = _least_image(p, t)
+                            best[key] = min(best.get(key, t), t)
+                    mine = [tuple(m.assignment[l] for l in p.labels) for m in find_matches(d, p, check_d2=True)]
+                    assert mine == sorted(best.values()), (sorted(edges), p.id)
 
 
 def test_fact_d_hollow_vertices_touch_bounded_ones():

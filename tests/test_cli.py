@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from outer1planar import Drawing, cli, cycle, emit_drawing, enumerate_drawings, sharp_example
+from outer1planar import Drawing, cli, cycle, emit_drawing, enumerate_drawings_deduped, sharp_example
 from outer1planar.cli import run
 
 
@@ -189,7 +189,7 @@ def test_enumerate_names_first_failure(monkeypatch, capsys):
     code = run(["enumerate", "--n", "4", "--filter", "connected-min-deg-2", "--check", "structure"])
     payload = json.loads(capsys.readouterr()[0])
     first = next(
-        d for d in enumerate_drawings(4, "connected-min-deg-2") if not fails_on_five_edges(d)
+        d for d in enumerate_drawings_deduped(4, "connected-min-deg-2") if not fails_on_five_edges(d)
     )
     assert code == 3 and payload["failures"] > 0
     assert payload["first_failure"] == {"n": 4, "edges": sorted(list(e) for e in first.edges)}

@@ -1,5 +1,6 @@
 """Brute-force oracles: chromatic numbers, recognition, maximality, enumeration."""
 
+import functools
 import hashlib
 import itertools
 import json
@@ -11,12 +12,10 @@ from outer1planar import (
     AbstractGraph,
     Drawing,
     SizeLimitExceeded,
-    canonical_key,
     chromatic_r_dynamic,
     cli,
     cycle,
     emit_drawing,
-    enumerate_drawings,
     enumerate_drawings_deduped,
     is_maximal,
     is_outer_1_planar,
@@ -27,7 +26,7 @@ from outer1planar import (
 
 from outer1planar.drawing import iter_all_pairs
 
-from .conftest import plain_chromatic
+from .conftest import brute_orbit, plain_chromatic
 
 FILTERS = ("all", "connected", "connected-min-deg-2")
 
@@ -123,17 +122,48 @@ def test_maximal_k4():
     assert is_maximal(k4) is True
 
 
-def test_enumerate_n3_counts():
-    assert sum(1 for _ in enumerate_drawings(3, "all")) == 8
-    assert sum(1 for _ in enumerate_drawings(3, "connected-min-deg-2")) == 1
+def enumerate_counts(n, filt, capsys):
+    """(count, classes) of `o1p enumerate --n n --filter filt`."""
+    code = cli.run(["enumerate", "--n", str(n), "--filter", filt])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0, (n, filt)
+    return payload["count"], payload["classes"]
 
 
-def test_enumerate_n4_min_deg_2_frozen():
+KEEP = {
+    "all": lambda d: True,
+    "connected": lambda d: d.is_connected(),
+    "connected-min-deg-2": lambda d: d.is_connected() and d.min_degree >= 2,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def brute_drawings(n):
+    """Every subset of the pairs that is a drawing, counted with the first
+    pair as the most significant bit, in mask order; independent of the walk
+    and its pruning."""
+    pairs = list(iter_all_pairs(n))
+    valid = []
+    for mask in range(1 << len(pairs)):
+        subset = [e for i, e in enumerate(pairs) if mask >> (len(pairs) - 1 - i) & 1]
+        try:
+            valid.append(Drawing.from_edges(n, subset))
+        except ValueError:
+            pass
+    return tuple(valid)
+
+
+def test_enumerate_n3_counts(capsys):
+    assert enumerate_counts(3, "all", capsys)[0] == 8
+    assert enumerate_counts(3, "connected-min-deg-2", capsys)[0] == 1
+
+
+def test_enumerate_n4_min_deg_2_frozen(capsys):
     # frozen regression constant, computed once by direct enumeration
-    assert sum(1 for _ in enumerate_drawings(4, "connected-min-deg-2")) == 10
+    assert enumerate_counts(4, "connected-min-deg-2", capsys)[0] == 10
 
 
-def test_enumerate_matches_brute_force_n4():
+def test_enumerate_matches_brute_force_n4(capsys):
     pairs = list(itertools.combinations(range(1, 5), 2))
     brute = 0
     for r in range(len(pairs) + 1):
@@ -143,100 +173,51 @@ def test_enumerate_matches_brute_force_n4():
                 brute += 1
             except ValueError:
                 pass
-    assert brute == sum(1 for _ in enumerate_drawings(4, "all"))
+    assert brute == enumerate_counts(4, "all", capsys)[0]
 
 
 def test_enumerate_no_duplicates_and_valid():
     seen = set()
-    for d in enumerate_drawings(5, "all"):
-        assert d.edges not in seen
-        seen.add(d.edges)
+    for d in enumerate_drawings_deduped(5, "all"):
+        orbit = brute_orbit(d)
+        assert not orbit & seen
+        seen |= orbit
         Drawing(d.n, d.edges)  # revalidate
 
 
 def test_enumerate_is_every_valid_subset_in_mask_order():
-    # brute side: every subset of the pairs, counted with the first pair as
-    # the most significant bit, kept if it is a drawing and passes the
-    # filter; independent of the walk and its pruning
-    keep = {
-        "all": lambda d: True,
-        "connected": lambda d: d.is_connected(),
-        "connected-min-deg-2": lambda d: d.is_connected() and d.min_degree >= 2,
-    }
+    # the representatives are the valid subsets that pass the filter and
+    # come first in their orbit, in mask order
     for n in range(1, 7):
-        pairs = list(iter_all_pairs(n))
-        valid = []
-        for mask in range(1 << len(pairs)):
-            subset = [e for i, e in enumerate(pairs) if mask >> (len(pairs) - 1 - i) & 1]
-            try:
-                valid.append(Drawing.from_edges(n, subset))
-            except ValueError:
-                pass
         for filt in FILTERS:
-            expected = [d.edges for d in valid if keep[filt](d)]
-            assert [d.edges for d in enumerate_drawings(n, filt)] == expected, (n, filt)
+            expected, seen = [], set()
+            for d in brute_drawings(n):
+                if KEEP[filt](d) and tuple(sorted(d.edges)) not in seen:
+                    seen |= brute_orbit(d)
+                    expected.append(d.edges)
+            assert [d.edges for d in enumerate_drawings_deduped(n, filt)] == expected, (n, filt)
 
 
 def test_enumerate_guard():
     with pytest.raises(SizeLimitExceeded):
-        list(enumerate_drawings(11, "all"))
-
-
-def brute_orbit(d):
-    """Sorted edge tuples of every rotation and reflection of d, each
-    relabeling written out; independent of the package's bitmasks."""
-    n = d.n
-    orbit = set()
-    for flip in (False, True):
-        for rot in range(n):
-            if flip:
-                relabel = [0] + [((rot - (v - 1)) % n) + 1 for v in range(1, n + 1)]
-            else:
-                relabel = [0] + [((v - 1 + rot) % n) + 1 for v in range(1, n + 1)]
-            orbit.add(tuple(sorted(tuple(sorted((relabel[u], relabel[v]))) for u, v in d.edges)))
-    return orbit
-
-
-def brute_orbit_key(d):
-    """Least sorted edge tuple over every rotation and reflection of d."""
-    return min(brute_orbit(d))
+        list(enumerate_drawings_deduped(11, "all"))
 
 
 def test_dedup_matches_brute_orbits(capsys):
+    # the representatives' orbits are disjoint and cover exactly the valid
+    # subsets that pass the filter; the CLI count, a sum of orbit sizes read
+    # off stabilizers, is their number
     for n in range(1, 7):
         for filt in FILTERS:
-            firsts = {}  # brute key -> first drawing of its orbit
-            pairs = set()  # (brute key, canonical key)
-            for d in enumerate_drawings(n, filt):
-                brute = brute_orbit_key(d)
-                firsts.setdefault(brute, d)
-                pairs.add((brute, canonical_key(d)))
+            covered = set()
             reps = list(enumerate_drawings_deduped(n, filt))
-            assert [d.edges for d in reps] == [d.edges for d in firsts.values()]
-            # canonical keys are equal iff brute keys are: the relation is a
-            # bijection between the two key sets
-            assert len(pairs) == len(firsts) == len({key for _, key in pairs})
-            code = cli.run(["enumerate", "--n", str(n), "--filter", filt])
-            assert code == 0 and json.loads(capsys.readouterr().out)["classes"] == len(firsts)
-
-
-def test_enumerate_count_and_classes_match_labeled_walk(capsys):
-    # the CLI count is a sum of orbit sizes over representatives; pin it to
-    # the labeled walk and its classes to the independent orbit keys
-    for n in range(1, 8):
-        for filt in FILTERS:
-            count, seen, keys = 0, set(), set()
-            for d in enumerate_drawings(n, filt):
-                count += 1
-                if tuple(sorted(d.edges)) not in seen:
-                    # the first drawing of an orbit: its key is new
-                    orbit = brute_orbit(d)
-                    seen |= orbit
-                    keys.add(min(orbit))
-            code = cli.run(["enumerate", "--n", str(n), "--filter", filt])
-            payload = json.loads(capsys.readouterr().out)
-            assert code == 0, (n, filt)
-            assert (payload["count"], payload["classes"]) == (count, len(keys)), (n, filt)
+            for d in reps:
+                orbit = brute_orbit(d)
+                assert not orbit & covered, (n, filt, sorted(d.edges))
+                covered |= orbit
+            labeled = {tuple(sorted(d.edges)) for d in brute_drawings(n) if KEEP[filt](d)}
+            assert covered == labeled, (n, filt)
+            assert enumerate_counts(n, filt, capsys) == (len(labeled), len(reps)), (n, filt)
 
 
 def test_representatives_golden_digest():
@@ -253,9 +234,7 @@ def test_representatives_golden_digest():
 def test_enumerate_n8_min_deg_2_pinned(capsys):
     # measured with the recursive walk and its union-find filter, before the
     # walk pruned on degrees; guards the pruning where it cuts the most
-    code = cli.run(["enumerate", "--n", "8", "--filter", "connected-min-deg-2"])
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 0 and (payload["count"], payload["classes"]) == (61039, 4028)
+    assert enumerate_counts(8, "connected-min-deg-2", capsys) == (61039, 4028)
 
 
 @pytest.mark.parametrize(
@@ -264,25 +243,28 @@ def test_enumerate_n8_min_deg_2_pinned(capsys):
         (8, "all", (1296128, 82255)),
         (8, "connected", (624607, 39637)),
         (9, "connected-min-deg-2", (624235, 35137)),
+        (7, "all", (98688, 7298)),
+        (7, "connected", (50674, 3723)),
+        (7, "connected-min-deg-2", (6147, 487)),
     ],
 )
 def test_enumerate_large_counts_pinned(n, filt, expected, capsys):
-    # measured with the per-symmetry byte tables of the class walk, before
-    # the walk carried every symmetry's image in one packed int
-    code = cli.run(["enumerate", "--n", str(n), "--filter", filt])
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 0 and (payload["count"], payload["classes"]) == expected
+    # n = 8 and 9 measured with the per-symmetry byte tables of the class
+    # walk, before the walk carried every symmetry's image in one packed
+    # int; n = 7 with the labeled walk, which counted every drawing
+    assert enumerate_counts(n, filt, capsys) == expected
 
 
 def test_representatives_are_their_own_canonical_keys():
-    # the class walk's orbit test and canonical_key read the same packed
-    # images; a representative is least in its orbit, so it is its own key
+    # a class's canonical key is the least pair mask over its rotations and
+    # reflections, here read off the brute orbit; a representative is least
+    # in its orbit, so it is its own key
     for n in range(1, 8):
-        pairs = list(iter_all_pairs(n))
+        weight = {e: 1 << i for i, e in enumerate(reversed(list(iter_all_pairs(n))))}
         for filt in FILTERS:
             for d in enumerate_drawings_deduped(n, filt):
-                mask = sum(1 << (len(pairs) - 1 - i) for i, e in enumerate(pairs) if e in d.edges)
-                assert canonical_key(d) == (n, mask), (n, filt, sorted(d.edges))
+                masks = [sum(weight[e] for e in edges) for edges in brute_orbit(d)]
+                assert sum(weight[e] for e in d.edges) == min(masks), (n, filt, sorted(d.edges))
 
 
 def test_walk_drawings_match_fresh_drawings():
@@ -294,15 +276,12 @@ def test_walk_drawings_match_fresh_drawings():
                 fresh = Drawing(n, d.edges)
                 assert vars(d)["adjacency"] == fresh.adjacency, (n, filt, sorted(d.edges))
                 assert vars(d)["degrees"] == fresh.degrees, (n, filt, sorted(d.edges))
-    for d in enumerate_drawings(5):
-        fresh = Drawing(5, d.edges)
-        assert vars(d)["adjacency"] == fresh.adjacency and vars(d)["degrees"] == fresh.degrees
 
 
 def test_equal_neighbor_sets_are_one_object():
     for n in (4, 6):
         shared = {}
-        for d in itertools.chain(enumerate_drawings(n), enumerate_drawings_deduped(n, "connected")):
+        for d in itertools.chain(enumerate_drawings_deduped(n), enumerate_drawings_deduped(n, "connected")):
             for ns in d.adjacency.values():
                 assert shared.setdefault(ns, ns) is ns, (n, sorted(ns))
 
@@ -311,24 +290,7 @@ def test_equal_neighbor_sets_are_one_object():
 def test_enumerate_rejects_no_vertices(n):
     for filt in FILTERS:
         with pytest.raises(ValueError):
-            list(enumerate_drawings(n, filt))
-        with pytest.raises(ValueError):
             list(enumerate_drawings_deduped(n, filt))
-
-
-def test_canonical_key_size_guard():
-    with pytest.raises(SizeLimitExceeded):
-        canonical_key(cycle(11))
-
-
-def test_canonical_key_invariance():
-    d = Drawing.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (1, 3)])
-    rot = {v: (v % 5) + 1 for v in d.vertices}
-    d2 = Drawing.from_edges(5, [(rot[u], rot[v]) for u, v in d.edges])
-    assert canonical_key(d) == canonical_key(d2)
-    refl = {v: ((5 - (v - 1)) % 5) + 1 for v in d.vertices}
-    d3 = Drawing.from_edges(5, [(refl[u], refl[v]) for u, v in d.edges])
-    assert canonical_key(d) == canonical_key(d3)
 
 
 def test_all_small_drawings_six_colorable(classes):
