@@ -207,9 +207,9 @@ def _walk(n: int, filter: str) -> Iterator[tuple[int, int, int]]:
     the filters hold for all of a class or none of it, so the cut keeps
     every class whole.
 
-    The walk is orderly (Read's orderly generation).  It carries images,
-    the OR of the chosen pairs' packed images (see _symmetries), and
-    copies, the mask repeated in every field.  Field by field, (images | guards) - copies is
+    Read's orderly generation: the walk carries images, the OR of the
+    chosen pairs' packed images (see _symmetries), and copies, the mask
+    repeated in every field.  Field by field, (images | guards) - copies is
     2^P plus that symmetry's image minus the mask, in (0, 2^(P + 1)): no
     field borrows from the next, and a guard bit survives iff its image is
     not less than the mask.  At depth d the same subtraction under fields[d]
