@@ -60,7 +60,16 @@ class Verdict:
 
 def verify_dynamic(d: Drawing, colors: Coloring, r: int) -> Verdict:
     """Check that colors is a proper coloring where every vertex sees at
-    least min(r, deg) distinct colors on its neighborhood."""
+    least min(r, deg) distinct colors on its neighborhood.  One pass
+    answers a valid coloring; the report is built only when that pass fails."""
+    adj, degs, get = d.adjacency, d.degrees, colors.get
+    for v in d.vertices:
+        c = get(v)
+        seen = set(map(get, adj[v]))
+        if c is None or c in seen or len(seen) < min(r, degs[v]):
+            break
+    else:
+        return Verdict(True)
     violations: list[Violation] = []
     for v in d.vertices:
         if v not in colors:
@@ -72,8 +81,8 @@ def verify_dynamic(d: Drawing, colors: Coloring, r: int) -> Verdict:
             Violation("proper", edge=(u, v), detail=f"both endpoints colored {colors[u]}")
         )
     for v in d.vertices:
-        need = min(r, d.degrees[v])
-        got = len({colors[w] for w in d.adjacency[v]})
+        need = min(r, degs[v])
+        got = len({colors[w] for w in adj[v]})
         if got < need:
             violations.append(
                 Violation(
@@ -171,14 +180,14 @@ def color_list_3_dynamic(d: Drawing, lists: ListAssignment) -> Coloring:
 
 def _color(d: Drawing, lists: ListAssignment) -> Coloring:
     peeler = _Peeler(d)
+    pop, remove, restore, survivors = peeler.pop, peeler.remove, peeler.restore, peeler.degrees
     peeled: list[tuple[ReductionStep, list[tuple[int, int]]]] = []
-    while peeler.n:
-        step = peeler.pop()
-        peeled.append((step, peeler.remove(step.deleted)))
+    while survivors:
+        step = pop()
+        peeled.append((step, remove(step.deleted)))
     colors: Coloring = {}
-    while peeled:
-        step, dropped = peeled.pop()
-        peeler.restore(step.deleted, dropped)
+    for step, dropped in reversed(peeled):
+        restore(step.deleted, dropped)
         _extend(peeler, step, colors, lists)
     verdict = verify_dynamic(d, colors, 3)
     if not verdict.valid:
@@ -244,18 +253,17 @@ def _valid_around(d: Drawing, step: ReductionStep, partial: Coloring, colors: Co
     short neighborhood.  Only partial's colors at the anchors are read.
     """
     adj, degs, get = d.adjacency, d.degrees, colors.get
-    touched = set(step.deleted)
-    touched.update(v for v in step.anchors.values() if v in partial and get(v) != partial[v])
+    touched = [*step.deleted, *(v for v in step.anchors.values() if v in partial and get(v) != partial[v])]
     done = set(touched)
     for v in touched:
         c = get(v)
-        seen = {get(w) for w in adj[v]}
+        seen = set(map(get, adj[v]))
         if c is None or c in seen or None in seen or len(seen) < min(3, degs[v]):
             return False
         for w in adj[v]:
             if w not in done:
                 done.add(w)
-                seen = {get(x) for x in adj[w]}
+                seen = set(map(get, adj[w]))
                 if None in seen or len(seen) < min(3, degs[w]):
                     return False
     return True

@@ -15,7 +15,8 @@ under all 2n - 1 non-identity rotations and reflections travel packed in
 one int, a field of P + 1 bits per symmetry (P pairs) whose top bit is a
 guard, so one subtraction compares the mask with every image at once.
 Emitted drawings read their adjacency off the walk's n-bit neighbor fields,
-through one table of shared neighbor sets per n.
+through one table of shared neighbor sets per n, and their edges off the
+mask a byte at a time, through one table of pairs per byte value and n.
 """
 
 from __future__ import annotations
@@ -344,13 +345,32 @@ def _symmetries(n: int) -> tuple[dict[Edge, int], dict[Edge, int], int, tuple[in
 
 
 def _walk_drawing(n: int, mask: int, nbrs: int) -> Drawing:
-    """The drawing of a walked mask, with adjacency and degrees read off its neighbor fields."""
-    weight, sets, field = _symmetries(n)[0], _neighbor_sets(n), (1 << n) - 1
-    d = _trusted_drawing(n, frozenset(e for e, w in weight.items() if mask & w))
-    adjacency = {v: sets[nbrs >> n * (v - 1) & field] for v in range(1, n + 1)}
-    object.__setattr__(d, "adjacency", adjacency)
-    object.__setattr__(d, "degrees", {v: len(s) for v, s in adjacency.items()})
+    """The drawing of a walked mask: its edges read a byte at a time off
+    the mask, its adjacency and degrees off the neighbor fields."""
+    sets, field, vertices = _neighbor_sets(n), (1 << n) - 1, range(1, n + 1)
+    edges: list[Edge] = []
+    for table in _edge_bytes(n):
+        edges += table[mask & 255]
+        mask >>= 8
+    row = []
+    for _ in vertices:
+        row.append(sets[nbrs & field])
+        nbrs >>= n
+    d = _trusted_drawing(n, frozenset(edges))
+    object.__setattr__(d, "adjacency", dict(zip(vertices, row)))
+    object.__setattr__(d, "degrees", dict(zip(vertices, map(len, row))))
     return d
+
+
+@cache
+def _edge_bytes(n: int) -> tuple[tuple[tuple[Edge, ...], ...], ...]:
+    """For byte k of a pair mask, low byte first: the pairs that each of its
+    256 values sets (the top byte may be partial)."""
+    weight = _symmetries(n)[0]
+    return tuple(
+        tuple(tuple(e for e, w in weight.items() if w >> 8 * k & byte) for byte in range(256))
+        for k in range(-(-len(weight) // 8))
+    )
 
 
 @cache

@@ -52,7 +52,7 @@ class LightEdge:
     degree_sum: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReductionStep:
     """One reducible shape: its kind, the vertices to delete, and anchors."""
 
@@ -163,7 +163,8 @@ class _Peeler:
     Works on the drawing's own labels: deleting vertices keeps the
     survivors' clockwise order, so the induced sub-drawing needs neither
     relabeling nor a second crossing check.  It never mutates the
-    drawing: it starts from its own copy of every neighbor set.
+    drawing: it shares the drawing's neighbor frozensets and copies one
+    only before its first write, so a one-off query copies none.
 
     Survivors only lose degree, so the candidates sit in min-heaps that are
     validated lazily when read: an entry that fails once fails for good.
@@ -186,7 +187,7 @@ class _Peeler:
     """
 
     def __init__(self, d: Drawing) -> None:
-        self.adjacency = {v: set(ns) for v, ns in d.adjacency.items()}
+        self.adjacency = dict(d.adjacency)  # frozensets until written
         self.degrees = degs = dict(d.degrees)
         self._pendant = [v for v, k in degs.items() if k <= 1]
         heapify(self._pendant)
@@ -195,15 +196,14 @@ class _Peeler:
         self._found: dict[int, list] = {}
         self._dirty: dict[int, dict[int, int]] = {}  # degree at the kind's last read
 
-    @property
-    def n(self) -> int:
-        return len(self.degrees)
-
     def pop(self) -> ReductionStep:
         """The first reducible shape among the survivors (see find_reduction)."""
         degs, adj = self.degrees, self.adjacency
-        v = _least_valid(self._pendant, lambda v: degs.get(v, 2) <= 1)
-        if v is not None:
+        pendant = self._pendant
+        while pendant and degs.get(pendant[0], 2) > 1:
+            heappop(pendant)
+        if pendant:
+            v = pendant[0]
             anchors = {"u": v}
             if degs[v] == 1:
                 anchors["v"] = min(adj[v])
@@ -216,17 +216,21 @@ class _Peeler:
             self._triangles = [(u, x, y) for u, x, y in corners if y in adj[x]]
             heapify(self._pairs)
             heapify(self._triangles)
-        pair = _least_valid(self._pairs, lambda e: degs.get(e[0]) == 2 == degs.get(e[1]))
-        if pair is not None:
-            u, v = pair
+        pairs = self._pairs
+        while pairs and not degs.get(pairs[0][0]) == 2 == degs.get(pairs[0][1]):
+            heappop(pairs)
+        if pairs:
+            u, v = pairs[0]
             x = min(adj[u] - {v})
             y = min(adj[v] - {u})
             return ReductionStep("P2-adjacent-deg2", (u, v), {"u": u, "v": v, "x": x, "y": y})
 
         # u keeps degree 2 only while both its neighbors survive
-        triangle = _least_valid(self._triangles, lambda t: degs.get(t[0]) == 2)
-        if triangle is not None:
-            u, x, y = triangle
+        triangles = self._triangles
+        while triangles and degs.get(triangles[0][0]) != 2:
+            heappop(triangles)
+        if triangles:
+            u, x, y = triangles[0]
             anchors = {"u": u, "x": x, "y": y}
             self._note_thirds(anchors, (("u", "y"), ("u", "x")))
             return ReductionStep("P3-triangle-deg2", (u,), anchors)
@@ -280,38 +284,37 @@ class _Peeler:
 
     def remove(self, deleted: tuple[int, ...]) -> list[tuple[int, int]]:
         """Delete vertices; returns the edges that went with them, each as
-        (deleted vertex, other end)."""
+        (deleted vertex, other end).  A survivor that loses a neighbor joins
+        the heaps of its new degree at once; a later drop in the same call
+        only leaves stale entries there, which the lazy validation discards."""
         degs, adj = self.degrees, self.adjacency
+        pendant, pairs, triangles = self._pendant, self._pairs, self._triangles
+        dirties = self._dirty.values()
         dropped: list[tuple[int, int]] = []
-        before: dict[int, int] = {}
         for v in deleted:
             del degs[v]
             for w in adj.pop(v):
-                if w in adj:
-                    adj[w].remove(v)
-                    before.setdefault(w, degs[w])
-                    degs[w] -= 1
-                    dropped.append((v, w))
-        for w, old in before.items():
-            if w in degs:
-                self._dropped(w, old)
+                ns = adj.get(w)
+                if ns is None:
+                    continue
+                if type(ns) is frozenset:  # still the drawing's: copy before the first write
+                    adj[w] = ns = set(ns)
+                ns.remove(v)
+                dropped.append((v, w))
+                old = degs[w]
+                degs[w] = new = old - 1
+                if new == 1:
+                    heappush(pendant, w)
+                elif new == 2 and pairs is not None:
+                    x, y = sorted(ns)
+                    for z in (x, y):
+                        if degs[z] == 2:
+                            heappush(pairs, normalize_edge(w, z))
+                    if y in adj[x]:
+                        heappush(triangles, (w, x, y))
+                for dirty in dirties:
+                    dirty.setdefault(w, old)
         return dropped
-
-    def _dropped(self, w: int, old: int) -> None:
-        """Note that survivor w's degree fell from old to its current value."""
-        degs, adj = self.degrees, self.adjacency
-        new = degs[w]
-        if new <= 1 < old:
-            heappush(self._pendant, w)
-        elif new == 2 < old and self._pairs is not None:
-            x, y = sorted(adj[w])
-            for z in (x, y):
-                if degs[z] == 2:
-                    heappush(self._pairs, normalize_edge(w, z))
-            if y in adj[x]:
-                heappush(self._triangles, (w, x, y))
-        for dirty in self._dirty.values():
-            dirty.setdefault(w, old)
 
     def _note_thirds(self, anchors: dict[str, int], avoid) -> None:
         """Record x1 and y1, the third neighbors the extension rules use: the
@@ -324,7 +327,8 @@ class _Peeler:
                     anchors[label + "1"] = next(iter(rest))
 
     def restore(self, deleted: tuple[int, ...], dropped: list[tuple[int, int]]) -> None:
-        """Undo the remove call that deleted these vertices."""
+        """Undo the remove call that deleted these vertices.  Every other
+        end in dropped lost a neighbor there, so its set is the peeler's own."""
         degs, adj = self.degrees, self.adjacency
         for v in deleted:
             adj[v] = set()

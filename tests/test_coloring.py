@@ -22,7 +22,7 @@ from outer1planar import (
     uniform_lists,
     verify_dynamic,
 )
-from outer1planar.coloring import coloring_to_json, parse_coloring_json
+from outer1planar.coloring import Verdict, Violation, coloring_to_json, parse_coloring_json
 from outer1planar.structure import ReductionStep
 
 from .conftest import delete_with_map, double_g10, double_g11, g3_flip_host, polygon_drawing
@@ -55,6 +55,52 @@ def test_verify_reports_proper_violation():
     verdict = verify_dynamic(cycle(3), {1: 1, 2: 1, 3: 2}, 3)
     assert not verdict.valid
     assert any(v.kind == "proper" and v.edge == (1, 2) for v in verdict.violations)
+
+
+def _reference_verify(d, colors, r):
+    """verify_dynamic as it was before its one-pass answer for valid
+    colorings: the report is always built."""
+    violations = []
+    for v in d.vertices:
+        if v not in colors:
+            violations.append(Violation("missing-color", vertex=v, detail="uncolored vertex"))
+    if violations:
+        return Verdict(False, tuple(violations))
+    for u, v in sorted([(u, v) for u, v in d.edges if colors[u] == colors[v]]):
+        violations.append(
+            Violation("proper", edge=(u, v), detail=f"both endpoints colored {colors[u]}")
+        )
+    for v in d.vertices:
+        need = min(r, d.degrees[v])
+        got = len({colors[w] for w in d.adjacency[v]})
+        if got < need:
+            violations.append(
+                Violation(
+                    "dynamic",
+                    vertex=v,
+                    detail=f"neighbors show {got} colors, need {need}",
+                )
+            )
+    return Verdict(not violations, tuple(violations))
+
+
+def test_verify_matches_reference(classes):
+    # whole verdicts, violations and their order included, on random
+    # colorings with 1-4 colors, with and without an uncolored vertex
+    rng = random.Random(1919)
+    valid = 0
+    for n in range(1, 7):
+        for d in classes(n, "all"):
+            for k in (1, 2, 3, 4):
+                colors = {v: rng.randint(1, k) for v in d.vertices}
+                holed = dict(colors)
+                del holed[rng.choice(d.vertices)]
+                for r in (1, 2, 3):
+                    for c in (colors, holed):
+                        verdict = verify_dynamic(d, c, r)
+                        assert verdict == _reference_verify(d, c, r), (sorted(d.edges), c, r)
+                        valid += verdict.valid
+    assert valid > 100
 
 
 def test_verify_monotone_in_r():

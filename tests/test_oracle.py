@@ -24,6 +24,7 @@ from outer1planar import (
     solve_list_r_dynamic,
 )
 
+from outer1planar import oracle
 from outer1planar.drawing import iter_all_pairs
 
 from .conftest import brute_orbit, plain_chromatic
@@ -276,6 +277,17 @@ def test_walk_drawings_match_fresh_drawings():
                 fresh = Drawing(n, d.edges)
                 assert vars(d)["adjacency"] == fresh.adjacency, (n, filt, sorted(d.edges))
                 assert vars(d)["degrees"] == fresh.degrees, (n, filt, sorted(d.edges))
+
+
+def test_walk_drawings_decode_multi_byte_masks():
+    # the edges are read a byte at a time off the mask; at n = 8, 9 and 10
+    # the masks span 28, 36 and 45 bits, so every top byte is partial
+    for n, limit in ((8, None), (9, 3000), (10, 3000)):
+        weight = oracle._symmetries(n)[0]
+        for mask, nbrs, _ in itertools.islice(oracle._walk(n, "connected-min-deg-2"), limit):
+            d = oracle._walk_drawing(n, mask, nbrs)
+            assert d.edges == {e for e, w in weight.items() if mask & w}, (n, mask)
+            assert vars(d)["adjacency"] == Drawing(n, d.edges).adjacency, (n, mask)
 
 
 def test_equal_neighbor_sets_are_one_object():

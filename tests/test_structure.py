@@ -9,6 +9,7 @@ from outer1planar import (
     Drawing,
     cli,
     check_d1,
+    color_list_3_dynamic,
     cycle,
     delete_vertices,
     emit_drawing,
@@ -21,6 +22,7 @@ from outer1planar import (
     is_maximal,
     random_outer_1_planar,
     sharp_example,
+    uniform_lists,
 )
 from outer1planar.structure import StructureNotFound, _Peeler
 
@@ -213,7 +215,7 @@ def _peel_disagreements(d: Drawing) -> int:
     from a fresh search over the same survivors."""
     peeler = _Peeler(d)
     bad = 0
-    while peeler.n:
+    while peeler.degrees:
         step = peeler.pop()
         bad += step != find_reduction(peeler)
         peeler.remove(step.deleted)
@@ -227,6 +229,31 @@ def test_incremental_peel_matches_fresh_search(classes):
     drawings += [random_outer_1_planar(200, density, seed) for density, seed in ((0.3, 1), (0.6, 2), (0.9, 3))]
     bad = [d for d in drawings if _peel_disagreements(d)]
     assert not bad, f"{len(bad)} of {len(drawings)} peels disagree, first {sorted(bad[0].edges)}"
+
+
+def test_peeler_never_writes_to_the_drawing(classes):
+    # the peeler shares the drawing's neighbor sets and copies one only
+    # before its first write: a fresh peeler's pop copies nothing, its first
+    # remove copies the sets of exactly the survivors that lost a neighbor,
+    # and neither a query nor a whole coloring changes the drawing's
+    # adjacency, by value or by object
+    drawings = [d for n in range(1, 7) for d in classes(n, "all")]
+    drawings += [h_family(i) for i in range(2, 18)]
+    for d in drawings:
+        adjacency = d.adjacency
+        sets = dict(adjacency)
+        values = {v: set(ns) for v, ns in adjacency.items()}
+        peeler = _Peeler(d)
+        step = peeler.pop()
+        assert all(peeler.adjacency[v] is ns for v, ns in sets.items())
+        peeler.remove(step.deleted)
+        lost = {w for v in step.deleted for w in sets[v]} - set(step.deleted)
+        assert {v for v, ns in peeler.adjacency.items() if ns is not sets[v]} == lost
+        find_reduction(d)
+        color_list_3_dynamic(d, uniform_lists(d, 6))
+        assert d.adjacency is adjacency and d.adjacency == values
+        assert all(d.adjacency[v] is ns for v, ns in sets.items())
+        assert d.degrees == {v: len(ns) for v, ns in values.items()}
 
 
 # SHA-256 over the structure layer's answers below: find_structure,
