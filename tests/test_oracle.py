@@ -19,12 +19,12 @@ from outer1planar import (
     enumerate_drawings_deduped,
     is_maximal,
     is_outer_1_planar,
+    oracle,
     random_outer_1_planar,
     sharp_example,
     solve_list_r_dynamic,
 )
 
-from outer1planar import oracle
 from outer1planar.drawing import iter_all_pairs
 
 from .conftest import brute_orbit, plain_chromatic
