@@ -13,7 +13,7 @@ in the optional drawing-correspondence check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
 from itertools import permutations
@@ -45,14 +45,13 @@ class VertexRole:
 
 @dataclass(frozen=True)
 class ConfigPattern:
-    """One configuration: labeled vertices, edges, crossings, anchors."""
+    """One configuration: labeled vertices, edges, crossings."""
 
     id: int
     labels: tuple[str, ...]  # cyclic drawing order
     roles: dict[str, VertexRole]
     edges: tuple[tuple[str, str], ...]
     crossings: tuple[tuple[int, int], ...]  # indices into edges
-    anchors: dict[str, str] = field(default_factory=dict)
 
     @cached_property
     def _neighbor_map(self) -> dict[str, frozenset[str]]:
@@ -145,7 +144,6 @@ def _parse_catalog(text: str) -> list[ConfigPattern]:
                 roles=dict(cur["roles"]),
                 edges=tuple(cur["edges"]),
                 crossings=tuple(cur["crossings"]),
-                anchors=dict(cur["anchors"]),
             )
         )
 
@@ -162,7 +160,6 @@ def _parse_catalog(text: str) -> list[ConfigPattern]:
                 "roles": {},
                 "edges": [],
                 "crossings": [],
-                "anchors": {},
             }
         elif parts[0] == "v":
             label, role, drawn = parts[1], parts[2], int(parts[3])
@@ -177,8 +174,6 @@ def _parse_catalog(text: str) -> list[ConfigPattern]:
             cur["edges"].append((parts[1], parts[2]))
         elif parts[0] == "x":
             cur["crossings"].append((int(parts[1]), int(parts[2])))
-        elif parts[0] == "anchor":
-            cur["anchors"][parts[1]] = parts[2]
         else:
             raise CatalogError(f"unknown catalog line {line!r}")
     flush()

@@ -305,86 +305,52 @@ def _extend_p2(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssig
     colors[v] = _pick(lists, v, fv)
 
 
+def _third(d: Drawing, a: dict[str, int], colors: Coloring, label: str) -> set[int]:
+    """{color of label + "1"} if label has degree 3, else empty: a degree-3 x
+    (or y) shows three colors only if the vertex colored next to it avoids x1
+    too.  The rules read d(x) >= d(y): where a configuration has a mirror, the
+    peeler's swap (structure._SHAPES) leaves d(x) = 3 only with d(y) = 3."""
+    return {colors[a[label + "1"]]} if d.degrees[a[label]] == 3 else set()
+
+
 def _extend_p3(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
-    u, x, y = a["u"], a["x"], a["y"]
-    forbidden = {colors[x], colors[y]}
-    if d.degrees[x] == 3:
-        forbidden.add(colors[a["x1"]])
-    if d.degrees[y] == 3:
-        forbidden.add(colors[a["y1"]])
-    colors[u] = _pick(lists, u, forbidden)
+    forbidden = {colors[a["x"]], colors[a["y"]]} | _third(d, a, colors, "x") | _third(d, a, colors, "y")
+    colors[a["u"]] = _pick(lists, a["u"], forbidden)
 
 
 def _extend_g3(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
-    dx, dy = d.degrees[a["x"]], d.degrees[a["y"]]
     forbidden = {colors[a["x"]], colors[a["y"]]}
-    if dx >= 4 and dy >= 4:
-        pass
-    elif dx >= 4 and dy == 3:
-        forbidden |= {colors[a["v"]], colors[a["y1"]]}
-    else:
-        forbidden |= {colors[a["x1"]], colors[a["y1"]], colors[a["v"]]}
+    thirds = _third(d, a, colors, "x") | _third(d, a, colors, "y")
+    if thirds:
+        forbidden |= thirds | {colors[a["v"]]}
     colors[a["u"]] = _pick(lists, a["u"], forbidden)
 
 
 def _extend_g6(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
-    dx, dy = d.degrees[a["x"]], d.degrees[a["y"]]
     forbidden = {colors[a["x"]], colors[a["y"]], colors[a["v"]]}
-    if dx >= 4 and dy == 3:
-        forbidden.add(colors[a["y1"]])
-    elif not (dx >= 4 and dy >= 4):
-        forbidden |= {colors[a["x1"]], colors[a["y1"]]}
+    forbidden |= _third(d, a, colors, "x") | _third(d, a, colors, "y")
     colors[a["u"]] = _pick(lists, a["u"], forbidden)
 
 
 def _extend_g7(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
-    dx, dy = d.degrees[a["x"]], d.degrees[a["y"]]
     fv = {colors[a["x"]], colors[a["y"]], colors[a["w"]]}
-    if dx >= 4 and dy == 3:
-        fv.add(colors[a["y1"]])
-    elif not (dx >= 4 and dy >= 4):
-        fv |= {colors[a["x1"]], colors[a["y1"]]}
+    fv |= _third(d, a, colors, "x") | _third(d, a, colors, "y")
     colors[a["v"]] = _pick(lists, a["v"], fv)
     fu = {colors[a["x"]], colors[a["y"]], colors[a["w"]], colors[a["v"]]}
     colors[a["u"]] = _pick(lists, a["u"], fu)
 
 
 def _extend_g8(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
-    dx, dy = d.degrees[a["x"]], d.degrees[a["y"]]
-    fw = {colors[a["x"]], colors[a["y"]], colors[a["v"]]}
-    if dy == 3:
-        fw.add(colors[a["y1"]])
+    fw = {colors[a["x"]], colors[a["y"]], colors[a["v"]]} | _third(d, a, colors, "y")
     colors[a["w"]] = _pick(lists, a["w"], fw)
-    fu = {colors[a["x"]], colors[a["y"]], colors[a["w"]], colors[a["v"]]}
-    if dx == 3:
-        fu.add(colors[a["x1"]])
+    fu = {colors[a["x"]], colors[a["y"]], colors[a["w"]], colors[a["v"]]} | _third(d, a, colors, "x")
     colors[a["u"]] = _pick(lists, a["u"], fu)
 
 
 def _extend_g9(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
-    dx, dy = d.degrees[a["x"]], d.degrees[a["y"]]
-    if dx >= 4:
-        fw = {colors[a["x"]], colors[a["y"]], colors[a["v"]], colors[a["z"]]}
-        if dy == 3:
-            fw.add(colors[a["y1"]])
-        colors[a["w"]] = _pick(lists, a["w"], fw)
-        fu = {colors[a["x"]], colors[a["y"]], colors[a["w"]], colors[a["v"]]}
-    else:
-        fw = {
-            colors[a["x"]],
-            colors[a["y"]],
-            colors[a["v"]],
-            colors[a["z"]],
-            colors[a["y1"]],
-        }
-        colors[a["w"]] = _pick(lists, a["w"], fw)
-        fu = {
-            colors[a["x"]],
-            colors[a["y"]],
-            colors[a["w"]],
-            colors[a["v"]],
-            colors[a["x1"]],
-        }
+    fw = {colors[a["x"]], colors[a["y"]], colors[a["v"]], colors[a["z"]]} | _third(d, a, colors, "y")
+    colors[a["w"]] = _pick(lists, a["w"], fw)
+    fu = {colors[a["x"]], colors[a["y"]], colors[a["w"]], colors[a["v"]]} | _third(d, a, colors, "x")
     colors[a["u"]] = _pick(lists, a["u"], fu)
 
 
@@ -399,9 +365,7 @@ def _extend_g10(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssi
         if len(others) < min(3, d.degrees[x]):
             fz |= others
         colors[z] = _pick(lists, z, fz)
-    fw = {colors[x], colors[a["y"]], colors[z], colors[a["v"]]}
-    if d.degrees[a["y"]] == 3:
-        fw.add(colors[a["y1"]])
+    fw = {colors[x], colors[a["y"]], colors[z], colors[a["v"]]} | _third(d, a, colors, "y")
     colors[a["w"]] = _pick(lists, a["w"], fw)
     fu = {colors[x], colors[a["y"]], colors[a["w"]], colors[a["v"]], colors[z]}
     colors[a["u"]] = _pick(lists, a["u"], fu)

@@ -148,10 +148,11 @@ def find_reduction(d: Drawing) -> ReductionStep:
 @lru_cache(maxsize=None)
 def _config_kind(pid: int) -> tuple:
     """(pattern, anchor names, their label positions, each label's degree
-    range, and the labels a drop in degree can newly admit)."""
+    range, and the labels a drop in degree can newly admit).  A reduction's
+    anchors are the configuration's labels, named by themselves."""
     p = get_pattern(pid)
-    names = tuple(sorted(p.anchors))
-    keys = tuple(p.labels.index(p.anchors[a]) for a in names)
+    names = tuple(sorted(p.labels))
+    keys = tuple(p.labels.index(a) for a in names)
     ranges = tuple(_degree_range(p.roles[l]) for l in p.labels)
     bounded = tuple((l, lo, hi) for l, (lo, hi) in zip(p.labels, ranges) if hi != math.inf)
     return p, names, keys, ranges, bounded
@@ -276,11 +277,9 @@ class _Peeler:
             dirty.clear()
             for r in fresh:
                 heappush(heap, (tuple([r[k] for k in keys]), r))
-        def holds(entry) -> bool:
-            return all(v in degs and lo <= degs[v] <= hi for v, (lo, hi) in zip(entry[1], ranges))
-
-        least = _least_valid(heap, holds)
-        return None if least is None else least[1]
+        while heap and not all(v in degs and lo <= degs[v] <= hi for v, (lo, hi) in zip(heap[0][1], ranges)):
+            heappop(heap)
+        return heap[0][1] if heap else None
 
     def remove(self, deleted: tuple[int, ...]) -> list[tuple[int, int]]:
         """Delete vertices; returns the edges that went with them, each as
@@ -294,9 +293,7 @@ class _Peeler:
         for v in deleted:
             del degs[v]
             for w in adj.pop(v):
-                ns = adj.get(w)
-                if ns is None:
-                    continue
+                ns = adj[w]
                 if type(ns) is frozenset:  # still the drawing's: copy before the first write
                     adj[w] = ns = set(ns)
                 ns.remove(v)
@@ -338,14 +335,6 @@ class _Peeler:
             adj[w].add(v)
             degs[v] += 1
             degs[w] += 1
-
-
-def _least_valid(heap: list, valid):
-    """The least entry of heap that passes valid, or None; discards the
-    failing entries above it, which can never pass again."""
-    while heap and not valid(heap[0]):
-        heappop(heap)
-    return heap[0] if heap else None
 
 
 def check_d1(d: Drawing, m: Match) -> bool:

@@ -359,8 +359,21 @@ def test_fact_d_hollow_vertices_touch_bounded_ones():
         # the 13th configuration with its degree-2 vertex made degree 3: it
         # is not reducible, and now carries neither P2 nor P3
         (13, "v b solid 2\n", "v b solid 3\n", "carries neither P2 nor P3"),
+        (3, "v u solid 2\n", "v u solid 1\n", "u has more edges than its drawn degree"),
+        (3, "pe u y\n", "pe u q\n", r"edge \(u,q\) uses unknown label"),
+        (3, "x 1 2\n", "x 1 9\n", "crossing indexes missing edge"),
+        (4, "v y1 hollow 2\n", "v y1 marked-hollow 2 7\n", "marked-hollow vertex mismatch"),
+        (3, "v x hollow 2\nv u solid 2\nv v solid 2\nv y marked-hollow 2 7\n",
+         "v x marked-hollow 2 7\nv u solid 2\nv v solid 2\nv y hollow 2\n", "the marked vertex must be labeled y"),
+        # no solid degree-2 vertex left: fact (a) fails
+        (7, "v u solid 2\n", "v u solid 4\n", "no light edge with a <=7 endpoint"),
+        # the 3-3 edge and the degree-2 vertices' <= 5 ends gone: fact (b) fails
+        (9, "v v solid 3\nv w solid 3\n", "v v solid 6\nv w solid 6\n", r"no light edge with a <=5 endpoint \(or 3\+3\)"),
     ],
-    ids=["crossing-interleaves", "connected", "p2-or-p3"],
+    ids=[
+        "crossing-interleaves", "connected", "p2-or-p3", "edges-within-degree", "known-labels",
+        "crossing-edges-exist", "marked-set", "marked-is-y", "fact-a", "fact-b",
+    ],
 )
 def test_doctored_configuration_is_refused(pid, old, new, message):
     text = resources.files("outer1planar").joinpath("data/configurations.txt").read_text()
@@ -370,3 +383,27 @@ def test_doctored_configuration_is_refused(pid, old, new, message):
     assert doctored != block
     with pytest.raises(CatalogError, match=f"config {pid}: {message}"):
         _check_catalog(_parse_catalog(f"{head}config {pid}\n{doctored}config {pid + 1}\n{tail}"))
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("v u solid 2", "v u fluffy 2", "unknown role 'fluffy'"),
+        ("v u solid 2", "v u solid 2 7", "cap given iff marked-hollow, got 'v u solid 2 7'"),
+        ("pe u v", "anchor u u\npe u v", "unknown catalog line 'anchor u u'"),
+        ("config 17", "config 18", "expected configurations 1..17 in order"),
+    ],
+    ids=["role", "cap", "line", "ids"],
+)
+def test_malformed_catalog_is_refused(old, new, message):
+    # each edit hits the first configuration that has the line
+    text = resources.files("outer1planar").joinpath("data/configurations.txt").read_text()
+    with pytest.raises(CatalogError) as info:
+        _check_catalog(_parse_catalog(text.replace(old, new, 1)))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("pid", [0, 18])
+def test_unknown_configuration_id_is_refused(pid):
+    with pytest.raises(CatalogError, match=f"no configuration {pid}"):
+        get_pattern(pid)

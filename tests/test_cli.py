@@ -195,6 +195,20 @@ def test_enumerate_names_first_failure(monkeypatch, capsys):
     assert payload["first_failure"] == {"n": 4, "edges": sorted(list(e) for e in first.edges)}
 
 
+def test_enumerate_counts_a_raising_check_as_failed(monkeypatch, capsys):
+    def raises_on_five_edges(d):
+        if len(d.edges) == 5:
+            raise cli.structure.StructureNotFound("five edges")
+        return True
+
+    monkeypatch.setitem(cli._CHECKS, "structure", raises_on_five_edges)
+    code = run(["enumerate", "--n", "4", "--filter", "connected-min-deg-2", "--check", "structure"])
+    payload = json.loads(capsys.readouterr()[0])
+    five = [d for d in enumerate_drawings_deduped(4, "connected-min-deg-2") if len(d.edges) == 5]
+    assert code == 3 and payload["failures"] == len(five) > 0
+    assert payload["first_failure"] == {"n": 4, "edges": sorted(list(e) for e in five[0].edges)}
+
+
 @pytest.mark.parametrize("n", ["0", "-1"])
 @pytest.mark.parametrize("check", [None, "structure", "light", "reduce", "chi"])
 def test_enumerate_no_vertices_exit_2(n, check, capsys):
@@ -234,6 +248,25 @@ def test_color_lists_missing_a_vertex_exit_2(tmp_path, capsys):
     code = run(["color", str(f), "--lists", str(lists)])
     out, _ = capsys.readouterr()
     assert code == 2 and "error" in json.loads(out)
+
+
+def test_validate_dot(monkeypatch, capsys):
+    code, out, _ = invoke(["validate", "--emit", "dot", "-"], emit_drawing(cycle(3)), monkeypatch, capsys)
+    assert code == 0 and out.startswith("graph drawing {") and "1 -- 3;" in out
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, message",
+    [
+        (["validate", "-"], "n 100001\n", "drawings are capped at 100000 vertices, got 100001"),
+        (["generate", "cycle"], "", "generate cycle needs a vertex count"),
+        (["generate", "wheel"], "", "unknown generator 'wheel'"),
+    ],
+    ids=["vertex-cap", "cycle-without-count", "unknown-generator"],
+)
+def test_refused_request_exit_2(argv, stdin, message, monkeypatch, capsys):
+    code, out, _ = invoke(argv, stdin, monkeypatch, capsys)
+    assert code == 2 and json.loads(out) == {"error": message}
 
 
 def test_missing_file_exit_2(capsys):

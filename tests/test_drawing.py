@@ -49,6 +49,16 @@ def test_parse_rejects_loop():
         parse_drawing("n 3\ne 2 2\n")
 
 
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [(3, [(2, 2)], "loop at vertex 2"), (3, [(1, 4)], "edge (1,4) out of range for n=3"), (0, [], "at least one vertex")],
+    ids=["loop", "out-of-range", "no-vertices"],
+)
+def test_constructor_refuses_bad_graphs(n, edges, message):
+    with pytest.raises(InvalidDrawingError, match=re.escape(message)):
+        Drawing.from_edges(n, edges)
+
+
 def test_parse_reports_line_numbers():
     with pytest.raises(DrawingFormatError, match="line 2"):
         parse_drawing("n 3\ne 1\n")

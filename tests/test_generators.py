@@ -46,6 +46,12 @@ def test_h_family_validates_and_range():
         h_family(18)
 
 
+@pytest.mark.parametrize("density", [-0.1, 1.5])
+def test_random_refuses_density_outside_unit_interval(density):
+    with pytest.raises(ValueError, match=r"density must be in \[0, 1\]"):
+        random_outer_1_planar(8, density, seed=0)
+
+
 def test_random_density_zero_is_cycle():
     assert random_outer_1_planar(8, 0.0, seed=3) == cycle(8)
 

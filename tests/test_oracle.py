@@ -298,6 +298,25 @@ def test_equal_neighbor_sets_are_one_object():
                 assert shared.setdefault(ns, ns) is ns, (n, sorted(ns))
 
 
+_SIX = frozenset(range(1, 7))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: oracle.has_r_dynamic_k_coloring(AbstractGraph(13, frozenset()), 3, 6), SizeLimitExceeded, "n <= 12"),
+        (lambda: solve_list_r_dynamic(cycle(13), dict.fromkeys(range(1, 14), _SIX), 3), SizeLimitExceeded, "n <= 12"),
+        (lambda: solve_list_r_dynamic(cycle(5), dict.fromkeys(range(1, 5), _SIX), 3), ValueError, "the vertices 1..n"),
+        (lambda: is_maximal(cycle(10)), SizeLimitExceeded, "n <= 9"),
+        (lambda: list(enumerate_drawings_deduped(4, "planar")), ValueError, "unknown filter 'planar'"),
+    ],
+    ids=["chi-size", "list-size", "list-misses-a-vertex", "maximal-size", "unknown-filter"],
+)
+def test_oracle_refuses_what_it_cannot_answer(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_enumerate_rejects_no_vertices(n):
     for filt in FILTERS:

@@ -161,11 +161,11 @@ def test_shapes_table_fits_the_catalog():
 
     for pid, kind, deletes, swaps, avoid in _SHAPES:
         p = get_pattern(pid)
-        assert {*deletes, *(l for skip in avoid for l in skip)} <= set(p.anchors), kind
+        assert {*deletes, *(l for pair in (*swaps, *avoid) for l in pair)} <= set(p.labels), kind
         # the mirror used for the degree cases is an automorphism of the
         # edges; pop swaps pair by pair, so the pairs must be disjoint
         assert len({l for pair in swaps for l in pair}) == 2 * len(swaps), kind
-        sigma = {p.anchors[l]: p.anchors[m] for a, b in swaps for l, m in ((a, b), (b, a))}
+        sigma = {l: m for a, b in swaps for l, m in ((a, b), (b, a))}
         edges = {frozenset(e) for e in p.edges}
         assert {frozenset(sigma.get(l, l) for l in e) for e in edges} == edges, kind
     # the reducible configurations of catalog fact (d), in priority order
@@ -229,6 +229,30 @@ def test_incremental_peel_matches_fresh_search(classes):
     drawings += [random_outer_1_planar(200, density, seed) for density, seed in ((0.3, 1), (0.6, 2), (0.9, 3))]
     bad = [d for d in drawings if _peel_disagreements(d)]
     assert not bad, f"{len(bad)} of {len(drawings)} peels disagree, first {sorted(bad[0].edges)}"
+
+
+def test_third_neighbors_are_named_exactly_at_degree_3(classes):
+    # the extension rules read x1 (y1) exactly when x (y) has degree 3, and
+    # state their cases for d(x) >= d(y) on every shape with a mirror swap
+    from outer1planar.structure import _SHAPES
+
+    mirrored = {kind for _, kind, _, swaps, _ in _SHAPES if swaps}
+    drawings = [d for n in range(1, 8) for d in classes(n, "all")]
+    drawings += [double_g10(), double_g11(), g3_flip_host()]
+    seen = set()
+    for d in drawings:
+        peeler = _Peeler(d)
+        while peeler.degrees:
+            step = peeler.pop()
+            a, degs = step.anchors, peeler.degrees
+            if step.kind not in ("P1-pendant", "P2-adjacent-deg2"):
+                seen.add(step.kind)
+                for label in ("x", "y"):
+                    assert (label + "1" in a) == (degs[a[label]] == 3), (sorted(d.edges), step)
+                if step.kind in mirrored:
+                    assert not degs[a["x"]] == 3 < degs[a["y"]], (sorted(d.edges), step)
+            peeler.remove(step.deleted)
+    assert seen == {"P3-triangle-deg2"} | {kind for _, kind, *_ in _SHAPES}
 
 
 def test_peeler_never_writes_to_the_drawing(classes):
