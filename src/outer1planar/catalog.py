@@ -99,7 +99,9 @@ class ConfigPattern:
         """For each label, what _rooted_occurrences needs to place it first
         and grow along edges, solid and marked-hollow labels before hollow
         ones: the order, each label's placed neighbors and degree range,
-        where each of labels sits in the order, and the leader bounds.
+        where each of labels sits in the order, and the leader bounds.  A
+        plan compiles to one loop per label, nested at most 7 deep (the
+        labels of configuration 11), far under CPython's static block limit.
 
         Occurrences are injective, so t (in labels order) leads its orbit iff
         t[j] < t[sigma(j)] for each automorphism sigma but the identity, j the
@@ -120,6 +122,11 @@ class ConfigPattern:
                       for k in range(len(order))]
             plans[root] = order, prior, ranges, [at[l] for l in self.labels], bounds
         return plans
+
+    @cached_property
+    def _searches(self) -> dict:
+        """The compiled rooted searches, by root label, filled as used."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -356,37 +363,38 @@ def _rooted_occurrences(p: ConfigPattern, degs, adj, label: str, roots) -> list[
     searches from it under every label of an automorphism-closed set.
     An automorphism preserves roles, so the labels whose degree range
     admits a vertex form such a set.
+
+    It runs the loop nest compiled from label's plan: at most 7 loops deep,
+    one per label of configuration 11, far under CPython's static block limit.
     """
+    search = p._searches.get(label)
+    if search is None:
+        search = p._searches[label] = _compile_search(p, label)
+    return search(degs, adj, roots)
+
+
+def _compile_search(p: ConfigPattern, label: str):
+    """The loop nest of p's plan rooted at label, as a function of (degs,
+    adj, roots).  Its source is built from ints and the names a0, a1, ...
+    (a_k holds the k-th label of the plan), never from catalog text."""
     order, prior, ranges, positions, bounds = p._rooted_plans[label]
-    last = len(order)
-    placed = [0] * last
-    used: set[int] = set()
-    found: list[tuple[int, ...]] = []
-
-    def place(k: int) -> None:
-        if k == last:
-            found.append(tuple([placed[i] for i in positions]))
-            return
-        before = prior[k]
-        if not before:
-            pool = roots
-        elif len(before) == 1:
-            pool = adj[placed[before[0]]]
+    lines = ["def search(degs, adj, roots):", " found = []", " append = found.append"]
+    for k, (before, (lo, hi)) in enumerate(zip(prior, ranges)):
+        tests = [f"a{k} {'>' if larger else '<'} a{i:d}" for i, larger in bounds[k]]
+        tests += [f"a{k} != a{j}" for j in range(k) if j not in before]
+        if lo == hi:
+            tests.append(f"degs[a{k}] == {lo:d}")
+        elif hi == math.inf:
+            tests.append(f"degs[a{k}] >= {lo:d}")
         else:
-            pool = adj[placed[before[0]]].intersection(*[adj[placed[i]] for i in before[1:]])
-        for i, larger in bounds[k]:
-            w = placed[i]
-            pool = [v for v in pool if v > w] if larger else [v for v in pool if v < w]
-        lo, hi = ranges[k]
-        for v in pool:
-            if v not in used and lo <= degs[v] <= hi:
-                placed[k] = v
-                used.add(v)
-                place(k + 1)
-                used.remove(v)
-
-    place(0)
-    return found
+            tests.append(f"{lo:d} <= degs[a{k}] <= {hi:d}")
+        pool = " & ".join(f"adj[a{i:d}]" for i in before) or "roots"
+        pad = " " * (k + 1)
+        lines += [f"{pad}for a{k} in {pool}:", f"{pad} if not ({' and '.join(tests)}):", f"{pad}  continue"]
+    lines += [" " * (len(order) + 1) + f"append(({', '.join(f'a{i:d}' for i in positions)},))", " return found"]
+    namespace: dict = {}
+    exec(compile("\n".join(lines), f"<catalog plan {p.id}/{label}>", "exec"), namespace)
+    return namespace["search"]
 
 
 def contains(d: Drawing, pid: int) -> bool:

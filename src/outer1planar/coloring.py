@@ -170,7 +170,7 @@ def color_list_3_dynamic(d: Drawing, lists: ListAssignment) -> Coloring:
     Requires one list per vertex 1..n with at least six colors; guaranteed to succeed
     on valid drawings.  The result is verified in full before it is returned.
     """
-    if set(lists) != set(d.vertices):
+    if len(lists) != d.n or not all(map(lists.__contains__, d.vertices)):
         raise ListTooSmall(f"lists must cover exactly the vertices 1..{d.n}")
     for v in d.vertices:
         if len(lists[v]) < 6:

@@ -315,13 +315,12 @@ class _Peeler:
 
     def _note_thirds(self, anchors: dict[str, int], avoid) -> None:
         """Record x1 and y1, the third neighbors the extension rules use: the
-        one neighbor of a degree-3 x (y) outside the labels avoid names."""
+        one neighbor of a degree-3 x (y) outside the labels avoid names.  A
+        row of avoid that names no two neighbors of x (y) fails the unpacking."""
         for label, skip in zip(("x", "y"), avoid):
             v = anchors[label]
             if self.degrees[v] == 3:
-                rest = self.adjacency[v] - {anchors[o] for o in skip}
-                if len(rest) == 1:
-                    anchors[label + "1"] = next(iter(rest))
+                (anchors[label + "1"],) = self.adjacency[v] - {anchors[o] for o in skip}
 
     def restore(self, deleted: tuple[int, ...], dropped: list[tuple[int, int]]) -> None:
         """Undo the remove call that deleted these vertices.  Every other

@@ -254,6 +254,19 @@ def test_rooted_leader_search_equals_representatives():
                     assert leaders == through, (sorted(d.edges), p.id, orbit)
 
 
+def test_every_rooted_plan_finds_exactly_the_leaders():
+    # rooted at every vertex, a label's search finds every leader, since a
+    # leader puts the label on some vertex; this runs every compiled plan,
+    # hollow roots too, where the peel runs only those of bounded labels
+    for n in range(1, 8):
+        for d, every in _reference_scan(n):
+            for p in load_catalog():
+                want = {_least_image(p, t) for t in every[p.id]}
+                for label in p.labels:
+                    got = _rooted_occurrences(p, d.degrees, d.adjacency, label, d.vertices)
+                    assert len(set(got)) == len(got) and set(got) == want, (sorted(d.edges), p.id, label)
+
+
 def test_fact_e_unreducible_configurations_carry_p2_or_p3():
     # read off the catalog: configuration 1 is P2; the others outside the
     # reducible set have a solid degree-2 vertex whose two neighbors are adjacent

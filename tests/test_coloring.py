@@ -124,6 +124,25 @@ def test_list_too_small():
         color_list_3_dynamic(d, {v: frozenset({1, 2, 3}) for v in d.vertices})
 
 
+SIX = frozenset(range(1, 7))
+
+
+@pytest.mark.parametrize(
+    "lists, message",
+    [
+        # vertex 1 is short and vertex 4 has no list: the coverage error wins
+        ({1: frozenset({1}), 2: SIX, 3: SIX}, "lists must cover exactly the vertices 1..4"),
+        ({1: frozenset({1}), 2: SIX, 3: SIX, 5: SIX}, "lists must cover exactly the vertices 1..4"),
+        ({1: SIX, 2: SIX, 3: SIX, 4: SIX, 5: SIX}, "lists must cover exactly the vertices 1..4"),
+        ({1: SIX, 2: SIX, 3: frozenset({1}), 4: frozenset()}, "list of vertex 3 has fewer than 6 colors"),
+    ],
+)
+def test_list_check_names_what_is_wrong(lists, message):
+    with pytest.raises(ListTooSmall) as err:
+        color_list_3_dynamic(cycle(4), lists)
+    assert str(err.value) == message
+
+
 def test_uniform_lists_share_one_palette():
     lists = uniform_lists(cycle(50), 2000)
     assert lists[1] == frozenset(range(1, 2001))
@@ -303,6 +322,11 @@ def test_parse_lists_roundtrip():
 def test_coloring_json_roundtrip():
     text = coloring_to_json({1: 3, 2: 4}, 3, True)
     assert parse_coloring_json(text) == {1: 3, 2: 4}
+
+
+def test_coloring_json_refuses_a_non_integer_vertex():
+    with pytest.raises(ValueError, match="^coloring key 'a' is not an integer$"):
+        parse_coloring_json('{"colors": {"1": 2, "a": 3}}')
 
 
 # SHA-256 over every coloring below.  The engine's tie-breaks are fixed, so

@@ -118,6 +118,14 @@ def test_delete_vertices_examples():
     assert delete_vertices(d4, set()) == d4
 
 
+def test_delete_vertices_refuses_what_it_cannot_delete():
+    tri = Drawing.from_edges(3, [(1, 2), (2, 3), (1, 3)])
+    with pytest.raises(ValueError, match="^can only delete existing vertices$"):
+        delete_vertices(tri, {2, 4})
+    with pytest.raises(ValueError, match="^deleting every vertex would leave an empty drawing$"):
+        delete_vertices(tri, {1, 2, 3})
+
+
 def test_delete_never_raises_crossing_degree():
     rng = random.Random(3)
     for trial in range(200):

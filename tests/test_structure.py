@@ -24,6 +24,8 @@ from outer1planar import (
     sharp_example,
     uniform_lists,
 )
+from outer1planar import oracle
+from outer1planar.catalog import Match
 from outer1planar.structure import StructureNotFound, _Peeler
 
 from .conftest import double_g10, double_g11, g3_flip_host
@@ -195,6 +197,15 @@ def test_check_d1_trivial_small():
     c4 = cycle(4)
     m = find_matches(c4, get_pattern(3))[0]
     assert check_d1(c4, m) is True
+
+
+def test_check_d1_needs_u_and_v_and_accepts_a_present_edge(monkeypatch):
+    c4 = cycle(4)
+    with pytest.raises(ValueError, match="^check_d1 needs a match with u and v anchors$"):
+        check_d1(c4, Match(3, {"u": 1, "x": 2}))
+    # an edge the drawing already has is answered without the oracle
+    monkeypatch.setattr(oracle, "is_outer_1_planar", lambda g: pytest.fail("the oracle was asked"))
+    assert check_d1(c4, Match(3, {"u": 2, "v": 1})) is True
 
 
 def test_check_d1_d1_holds_under_structure_hypotheses(classes):
