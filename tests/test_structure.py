@@ -24,8 +24,9 @@ from outer1planar import (
     sharp_example,
     uniform_lists,
 )
-from outer1planar import oracle
+from outer1planar import oracle, structure
 from outer1planar.catalog import Match
+from outer1planar.drawing import InvalidDrawingError, iter_all_pairs, normalize_edge
 from outer1planar.structure import StructureNotFound, _Peeler
 
 from .conftest import double_g10, double_g11, g3_flip_host
@@ -114,6 +115,34 @@ def test_light_edge_bound_7_is_sharp_for_maximal_drawings():
     assert is_maximal(d) and min_edge_degree_sum(d) == 7
     le = find_light_edge(d, maximal_mode=True)
     assert le.endpoints in d.edges and le.degree_sum == min_edge_degree_sum(d)
+
+
+def test_maximal_drawings_never_carry_configuration_3(classes):
+    # In a maximal drawing a degree-2 vertex is joined to both its boundary
+    # neighbors: a missing boundary edge crosses nothing, so it could be
+    # added.  Configuration 3's u and v have degree 2 and the neighbors x
+    # and y, so both would sit between x and y, forcing n = 4, where a chord
+    # can still be added.  So every drawing that carries it accepts an edge.
+    p3 = get_pattern(3)
+    carriers = 0
+    for n in range(4, 8):
+        for d in classes(n, "all"):
+            if not find_matches(d, p3):
+                continue
+            carriers += 1
+            twos = [v for v, k in d.degrees.items() if k == 2]
+            missing = {normalize_edge(v, w) for v in twos for w in (v % n + 1, (v - 2) % n + 1)}
+            missing |= {(1, 3), (2, 4)} if n == 4 else set()
+            assert any(_accepts(d, e) for e in missing - d.edges), sorted(d.edges)
+    assert carriers == 1602
+
+
+def _accepts(d, e):
+    try:
+        Drawing(d.n, d.edges | {e})
+    except InvalidDrawingError:
+        return False
+    return True
 
 
 def test_reduction_single_vertex():
@@ -289,6 +318,65 @@ def test_peeler_never_writes_to_the_drawing(classes):
         assert d.adjacency is adjacency and d.adjacency == values
         assert all(d.adjacency[v] is ns for v, ns in sets.items())
         assert d.degrees == {v: len(ns) for v, ns in values.items()}
+
+
+def test_rooted_search_schedule_is_pinned(monkeypatch):
+    # the peel's re-searches around the vertices whose degree fell, by
+    # (configuration, root label): a change to the peel's bookkeeping must
+    # start exactly these searches and find exactly these occurrences
+    searches, found = {}, []
+    rooted = structure._rooted_occurrences
+
+    def counted(p, degs, adj, label, roots):
+        out = rooted(p, degs, adj, label, roots)
+        searches[p.id, label] = searches.get((p.id, label), 0) + 1
+        found.extend(out)
+        return out
+
+    monkeypatch.setattr(structure, "_rooted_occurrences", counted)
+    for density, seed in ((0.3, 1), (0.6, 2), (0.9, 3)):
+        d = random_outer_1_planar(200, density, seed)
+        color_list_3_dynamic(d, uniform_lists(d, 6))
+    assert searches == {(3, "y"): 69, (6, "u"): 247, (6, "v"): 247, (6, "y"): 69}
+    assert sum(searches.values()) == 632 and len(found) == 393
+
+
+def _state(g):
+    return dict(g.degrees), {v: set(ns) for v, ns in g.adjacency.items()}
+
+
+def test_restore_undoes_remove(classes):
+    # peel to empty, then put the steps back last first: each restore must
+    # give back the survivors' degrees and neighbor sets from just before
+    # that step's remove, adjacent deletions (P2, configurations 7-11) too
+    drawings = [d for n in range(1, 8) for d in classes(n, "all")]
+    drawings += [h_family(i) for i in range(2, 18)]
+    drawings += [double_g10(), double_g11(), g3_flip_host()]
+    kinds = set()
+    for d in drawings:
+        peeler = _Peeler(d)
+        peeled = []
+        while peeler.degrees:
+            step = peeler.pop()
+            kinds.add(step.kind)
+            before = _state(peeler)
+            peeled.append((step.deleted, peeler.remove(step.deleted), before))
+        for deleted, saved, before in reversed(peeled):
+            peeler.restore(deleted, saved)
+            assert _state(peeler) == before, (sorted(d.edges), deleted)
+        assert _state(peeler) == _state(d)
+    assert kinds == {"P1-pendant", "P2-adjacent-deg2", "P3-triangle-deg2"} | {row[1] for row in structure._SHAPES}
+
+
+def test_peel_without_a_reducible_shape_is_refused():
+    # K6 has every degree 5, so none of the ten shapes fits: only an input
+    # that is not outer-1-planar reaches this exit
+    k6 = oracle._trusted_drawing(6, frozenset(iter_all_pairs(6)))
+    message = "no reducible configuration: the input is not outer-1-planar, or the catalog is wrong"
+    with pytest.raises(StructureNotFound, match=message):
+        find_reduction(k6)
+    with pytest.raises(StructureNotFound, match=message):
+        color_list_3_dynamic(k6, uniform_lists(k6, 6))
 
 
 # SHA-256 over the structure layer's answers below: find_structure,
