@@ -181,13 +181,13 @@ def color_list_3_dynamic(d: Drawing, lists: ListAssignment) -> Coloring:
 def _color(d: Drawing, lists: ListAssignment) -> Coloring:
     peeler = _Peeler(d)
     pop, remove, restore, survivors = peeler.pop, peeler.remove, peeler.restore, peeler.degrees
-    peeled: list[tuple[ReductionStep, list[tuple[int, int]]]] = []
+    peeled: list[tuple[ReductionStep, list[set[int] | frozenset[int]]]] = []
     while survivors:
         step = pop()
         peeled.append((step, remove(step.deleted)))
     colors: Coloring = {}
-    for step, dropped in reversed(peeled):
-        restore(step.deleted, dropped)
+    for step, popped in reversed(peeled):
+        restore(step.deleted, popped)
         _extend(peeler, step, colors, lists)
     verdict = verify_dynamic(d, colors, 3)
     if not verdict.valid:
@@ -248,23 +248,26 @@ def _valid_around(d: Drawing, step: ReductionStep, partial: Coloring, colors: Co
     write anchors only).  With partial valid on d minus step.deleted, a
     vertex outside T and N(T) keeps its neighborhood and its neighbors'
     colors, so properness at T and the dynamic condition on T and N(T)
-    decide the whole verdict.  One pass over T reads each vertex of T and of
+    decide the whole verdict.  One pass reads each neighbor set of T and
     N(T) once and stops at the first uncolored vertex, improper edge or
     short neighborhood.  Only partial's colors at the anchors are read.
     """
     adj, degs, get = d.adjacency, d.degrees, colors.get
-    touched = [*step.deleted, *(v for v in step.anchors.values() if v in partial and get(v) != partial[v])]
+    touched = list(step.deleted)
+    for v in step.anchors.values():
+        if v in partial and partial[v] != get(v):
+            touched.append(v)
     done = set(touched)
     for v in touched:
-        c = get(v)
-        seen = set(map(get, adj[v]))
-        if c is None or c in seen or None in seen or len(seen) < min(3, degs[v]):
+        c, ns = get(v), adj[v]
+        seen = set(map(get, ns))
+        if c is None or c in seen or None in seen or len(seen) < 3 and len(seen) < degs[v]:
             return False
-        for w in adj[v]:
+        for w in ns:
             if w not in done:
                 done.add(w)
                 seen = set(map(get, adj[w]))
-                if None in seen or len(seen) < min(3, degs[w]):
+                if None in seen or len(seen) < 3 and len(seen) < degs[w]:
                     return False
     return True
 

@@ -11,7 +11,10 @@ minimum degree 2, so by the theorem it contains one of the seventeen
 configurations, with the same degrees in the whole drawing.  Each of them
 is reducible (configurations 3 and 6-11, shapes P4-P10) or carries, on its
 own vertices, P2 (two adjacent degree-2 vertices) or P3 (a degree-2 vertex
-whose two neighbors are adjacent); that is catalog fact (e).
+whose two neighbors are adjacent); that is catalog fact (e).  A maximal
+drawing never carries configuration 3: a boundary edge crosses nothing, so
+each degree-2 vertex is joined to both its boundary neighbors, and u and v
+would both sit between x and y, forcing n = 4, where a chord still fits.
 
 Both searches are realized by exhaustive catalog matching with
 deterministic tie-breaking, not by the inductive case analysis that proves
@@ -27,6 +30,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from operator import itemgetter
 
 from . import oracle
 from .catalog import (
@@ -99,9 +103,10 @@ def find_light_edge(d: Drawing, maximal_mode: bool = False) -> LightEdge:
     Scans the configurations in id order and reads the light edge off the
     first match: the solid degree-2 vertex of the 3rd configuration with
     its partner capped at 7, or another configuration's edge of sum at most
-    7 (catalog facts (a) and (b)).  Maximal drawings never carry the 3rd
-    configuration, so maximal mode skips it.  Falls back to a direct
-    minimum-sum scan on inputs that break the hypotheses.
+    7 (catalog facts (a) and (b)).  A boundary edge at a degree-2 vertex
+    could be added, so maximal drawings never carry the 3rd configuration
+    (see the module docstring) and maximal mode skips it.  Falls back to a
+    direct minimum-sum scan on inputs that break the hypotheses.
     """
     degs = d.degrees
     m = _first_match(d, [pid for pid in range(1, 18) if not (maximal_mode and pid == 3)])
@@ -147,15 +152,16 @@ def find_reduction(d: Drawing) -> ReductionStep:
 
 @lru_cache(maxsize=None)
 def _config_kind(pid: int) -> tuple:
-    """(pattern, anchor names, their label positions, each label's degree
-    range, and the labels a drop in degree can newly admit).  A reduction's
-    anchors are the configuration's labels, named by themselves."""
+    """(pattern, anchor names, the getter of an occurrence's key, the names'
+    degree ranges, and each finite upper bound's labels with their least
+    degrees).  The anchors are the labels; a key lists their vertices."""
     p = get_pattern(pid)
     names = tuple(sorted(p.labels))
-    keys = tuple(p.labels.index(a) for a in names)
-    ranges = tuple(_degree_range(p.roles[l]) for l in p.labels)
-    bounded = tuple((l, lo, hi) for l, (lo, hi) in zip(p.labels, ranges) if hi != math.inf)
-    return p, names, keys, ranges, bounded
+    key_of = itemgetter(*(p.labels.index(a) for a in names))
+    ranges = {a: _degree_range(p.roles[a]) for a in names}
+    bounds = {hi for _, hi in ranges.values() if hi != math.inf}
+    by_bound = {hi: [(a, lo) for a, (lo, h) in ranges.items() if h == hi] for hi in bounds}
+    return p, names, key_of, tuple(ranges.values()), by_bound
 
 
 class _Peeler:
@@ -172,19 +178,19 @@ class _Peeler:
     Each heap is filled by one full scan, or a search for orbit leaders,
     the first time every kind above it is empty, so a one-off query pays
     only for what it reads.  Then the P1/P2/P3 heaps take a vertex when its
-    degree drops into their bucket.  A configuration's heap is keyed like
-    find_reduction's ranking; a new occurrence must put a vertex whose
-    degree dropped on a solid or marked-hollow label that did not admit its
-    old degree (losing degree never satisfies a hollow "at least k"), so
-    leader searches rooted at those vertices, under each such label, bring
-    the heap up to date when the kind is read again.  They miss no new
-    leader: an automorphism preserves roles, so the label that a new
-    occurrence's leader puts on the vertex also newly admits it, and is
-    searched too.  `restore` is for the extension phase, after the last
-    `pop`.
-
-    The configurations are read in `_SHAPES` order; a row says how `pop`
-    turns an occurrence into a step.
+    degree drops into their bucket.  A configuration's heap holds anchor
+    keys, find_reduction's ranking; a new occurrence must put a vertex
+    whose degree fell on a label that did not admit it at the kind's last
+    read.  Degrees fall one at a time, so a label with range [lo, hi] newly
+    admits a vertex exactly when it fell from hi + 1 to hi and is still at
+    least lo (never, for a hollow "at least k").  Once some kind has been
+    read, one log takes (vertex, hi) at each such drop; a kind keeps its
+    read position in it and, read again, runs leader searches rooted at
+    the new entries under each label with that bound.  They miss no new
+    leader: an automorphism preserves roles, so the label a new
+    occurrence's leader puts on the vertex newly admits it too.
+    Configurations are read in `_SHAPES` order; `restore` is for the
+    extension phase, after the last `pop`.
     """
 
     def __init__(self, d: Drawing) -> None:
@@ -195,7 +201,9 @@ class _Peeler:
         self._pairs: list[Edge] | None = None  # P2 and P3 are scanned together
         self._triangles: list[tuple[int, int, int]] | None = None
         self._found: dict[int, list] = {}
-        self._dirty: dict[int, dict[int, int]] = {}  # degree at the kind's last read
+        self._read: dict[int, int] = {}  # each kind's position in the log
+        self._log: list[tuple[int, int]] = []
+        self._bounds: frozenset[int] = frozenset()  # drops to log: none before a kind is read
 
     def pop(self) -> ReductionStep:
         """The first reducible shape among the survivors (see find_reduction)."""
@@ -237,11 +245,10 @@ class _Peeler:
             return ReductionStep("P3-triangle-deg2", (u,), anchors)
 
         for pid, kind, deletes, swaps, avoid in _SHAPES:
-            rep = self._least_occurrence(pid)
-            if rep is None:
+            key = self._least_occurrence(pid)
+            if key is None:
                 continue
-            _, names, keys, _, _ = _config_kind(pid)
-            anchors = {a: rep[k] for a, k in zip(names, keys)}
+            anchors = dict(zip(_config_kind(pid)[1], key))
             if swaps and degs[anchors["x"]] == 3 and degs[anchors["y"]] >= 4:
                 # The mirror is again an occurrence: the swap preserves the
                 # configuration graph, and where a degree cap moves onto the
@@ -256,50 +263,49 @@ class _Peeler:
         )
 
     def _least_occurrence(self, pid: int) -> tuple[int, ...] | None:
-        """The orbit representative with the least anchor key, or None."""
-        p, _, keys, ranges, bounded = _config_kind(pid)
+        """The least anchor key of an orbit representative, or None."""
+        heap, log = self._found.get(pid), self._log
+        if heap == [] and self._read[pid] == len(log):
+            return None
+        p, _, key_of, ranges, by_bound = _config_kind(pid)
         degs, adj = self.degrees, self.adjacency
-        heap = self._found.get(pid)
         if heap is None:
-            heap = self._found[pid] = [(tuple([r[k] for k in keys]), r) for r in _occurrences(p, degs, adj, degs)]
+            self._bounds = frozenset(hi for row in _SHAPES for hi in _config_kind(row[0])[4])
+            heap = self._found[pid] = list(map(key_of, _occurrences(p, degs, adj, degs)))
             heapify(heap)
-            self._dirty[pid] = {}
         else:
-            dirty = self._dirty[pid]
-            fresh = set()
-            for v, old in dirty.items():
-                new = degs.get(v)
-                if new is None:
-                    continue
-                for label, lo, hi in bounded:
-                    if lo <= new <= hi and not lo <= old <= hi:
-                        fresh.update(_rooted_occurrences(p, degs, adj, label, (v,)))
-            dirty.clear()
-            for r in fresh:
-                heappush(heap, (tuple([r[k] for k in keys]), r))
-        while heap and not all(v in degs and lo <= degs[v] <= hi for v, (lo, hi) in zip(heap[0][1], ranges)):
-            heappop(heap)
-        return heap[0][1] if heap else None
+            for v, hi in log[self._read[pid]:]:
+                for label, lo in by_bound.get(hi, ()):
+                    if degs.get(v, -1) >= lo:  # an occurrence met from two roots is pushed twice, harmlessly
+                        for r in _rooted_occurrences(p, degs, adj, label, (v,)):
+                            heappush(heap, key_of(r))
+        self._read[pid] = len(log)
+        while heap:
+            for v, (lo, hi) in zip(heap[0], ranges):
+                if not lo <= degs.get(v, -1) <= hi:
+                    heappop(heap)
+                    break
+            else:
+                return heap[0]
+        return None
 
-    def remove(self, deleted: tuple[int, ...]) -> list[tuple[int, int]]:
-        """Delete vertices; returns the edges that went with them, each as
-        (deleted vertex, other end).  A survivor that loses a neighbor joins
-        the heaps of its new degree at once; a later drop in the same call
-        only leaves stale entries there, which the lazy validation discards."""
+    def remove(self, deleted: tuple[int, ...]) -> list[set[int] | frozenset[int]]:
+        """Delete vertices; returns their neighbor sets as popped, in order.
+        Each drop puts a survivor in the heap of its new degree, and in the
+        log at a bound; lazy validation discards what a later drop spoils."""
         degs, adj = self.degrees, self.adjacency
         pendant, pairs, triangles = self._pendant, self._pairs, self._triangles
-        dirties = self._dirty.values()
-        dropped: list[tuple[int, int]] = []
+        log, bounds = self._log, self._bounds
+        popped = []
         for v in deleted:
             del degs[v]
-            for w in adj.pop(v):
+            popped.append(vs := adj.pop(v))
+            for w in vs:
                 ns = adj[w]
                 if type(ns) is frozenset:  # still the drawing's: copy before the first write
                     adj[w] = ns = set(ns)
                 ns.remove(v)
-                dropped.append((v, w))
-                old = degs[w]
-                degs[w] = new = old - 1
+                degs[w] = new = degs[w] - 1
                 if new == 1:
                     heappush(pendant, w)
                 elif new == 2 and pairs is not None:
@@ -309,9 +315,9 @@ class _Peeler:
                             heappush(pairs, normalize_edge(w, z))
                     if y in adj[x]:
                         heappush(triangles, (w, x, y))
-                for dirty in dirties:
-                    dirty.setdefault(w, old)
-        return dropped
+                if new in bounds:
+                    log.append((w, new))
+        return popped
 
     def _note_thirds(self, anchors: dict[str, int], avoid) -> None:
         """Record x1 and y1, the third neighbors the extension rules use: the
@@ -322,18 +328,16 @@ class _Peeler:
             if self.degrees[v] == 3:
                 (anchors[label + "1"],) = self.adjacency[v] - {anchors[o] for o in skip}
 
-    def restore(self, deleted: tuple[int, ...], dropped: list[tuple[int, int]]) -> None:
-        """Undo the remove call that deleted these vertices.  Every other
-        end in dropped lost a neighbor there, so its set is the peeler's own."""
+    def restore(self, deleted: tuple[int, ...], popped: list[set[int] | frozenset[int]]) -> None:
+        """Undo the remove call that returned popped, last deletion first.
+        Each set it adds to lost that neighbor in remove, so was copied then."""
         degs, adj = self.degrees, self.adjacency
-        for v in deleted:
-            adj[v] = set()
-            degs[v] = 0
-        for v, w in dropped:
-            adj[v].add(w)
-            adj[w].add(v)
-            degs[v] += 1
-            degs[w] += 1
+        for v, vs in zip(reversed(deleted), reversed(popped)):
+            adj[v] = vs
+            degs[v] = len(vs)
+            for w in vs:
+                adj[w].add(v)
+                degs[w] += 1
 
 
 def check_d1(d: Drawing, m: Match) -> bool:

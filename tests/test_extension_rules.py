@@ -93,7 +93,7 @@ def _step(host, seed):
     peeler = _Peeler(host)
     peeler._pendant, peeler._pairs, peeler._triangles = [], [], []
     peeler._found = {row[0]: [] for row in _SHAPES}
-    peeler._dirty = {row[0]: {} for row in _SHAPES}
+    peeler._read = dict.fromkeys(peeler._found, 0)
     what, *rest = seed
     if what == "pendant":
         peeler._pendant.append(rest[0])
@@ -102,8 +102,9 @@ def _step(host, seed):
     elif what == "triangle":
         peeler._triangles.append(rest[0])
     else:
-        row, rep = rest
-        peeler._found[row[0]].append(((), rep))
+        row, rep = rest  # rep in labels order, the key in sorted-label order
+        labels = get_pattern(row[0]).labels
+        peeler._found[row[0]].append(tuple(v for _, v in sorted(zip(labels, rep))))
     return peeler.pop()
 
 
