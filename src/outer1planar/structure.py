@@ -164,6 +164,12 @@ def _config_kind(pid: int) -> tuple:
     return p, names, key_of, tuple(ranges.values()), by_bound
 
 
+@lru_cache(maxsize=None)
+def _log_bounds() -> frozenset[int]:
+    """The degrees whose drops the peel logs: each configuration label's finite upper bound."""
+    return frozenset(hi for row in _SHAPES for hi in _config_kind(row[0])[4])
+
+
 class _Peeler:
     """The survivors of a drawing being peeled, with their reduction candidates.
 
@@ -265,12 +271,10 @@ class _Peeler:
     def _least_occurrence(self, pid: int) -> tuple[int, ...] | None:
         """The least anchor key of an orbit representative, or None."""
         heap, log = self._found.get(pid), self._log
-        if heap == [] and self._read[pid] == len(log):
-            return None
         p, _, key_of, ranges, by_bound = _config_kind(pid)
         degs, adj = self.degrees, self.adjacency
         if heap is None:
-            self._bounds = frozenset(hi for row in _SHAPES for hi in _config_kind(row[0])[4])
+            self._bounds = _log_bounds()
             heap = self._found[pid] = list(map(key_of, _occurrences(p, degs, adj, degs)))
             heapify(heap)
         else:

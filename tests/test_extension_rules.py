@@ -19,7 +19,7 @@ never touches, so every larger degree behaves like the largest one tried.
 from outer1planar import AbstractGraph
 from outer1planar import coloring as col
 from outer1planar.catalog import find_matches, get_pattern
-from outer1planar.structure import _SHAPES, _Peeler
+from outer1planar.structure import _SHAPES, _config_kind, _Peeler
 
 # the survivors each rule may recolor, beside the vertices it deletes
 RECOLORED = {"P9-G10": ("z",), "P10-G11": ("z", "a", "w", "v")}
@@ -102,9 +102,8 @@ def _step(host, seed):
     elif what == "triangle":
         peeler._triangles.append(rest[0])
     else:
-        row, rep = rest  # rep in labels order, the key in sorted-label order
-        labels = get_pattern(row[0]).labels
-        peeler._found[row[0]].append(tuple(v for _, v in sorted(zip(labels, rep))))
+        row, rep = rest
+        peeler._found[row[0]].append(_config_kind(row[0])[2](rep))
     return peeler.pop()
 
 
