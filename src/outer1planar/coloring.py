@@ -10,10 +10,11 @@ configuration's recoloring branch for the rainbow worst case.  Peeling
 works on the original labels, so no sub-drawing is ever rebuilt, and the
 structure module's peeler finds each shape by searching only around the
 previous deletion.  Every extension is checked around the vertices it
-touched, in one pass that stops at the first uncolored vertex, improper
-edge or short neighborhood; a rule that leaves a violation raises
-ExtensionFailure naming its shape.  The finished coloring is verified
-once in full.
+touched: one count shows that every vertex is colored, then one pass
+stops at the first improper edge or short neighborhood and skips every
+neighbor that the shape could not have left short; a rule that leaves a
+violation raises ExtensionFailure naming its shape.  The finished
+coloring is verified once in full.
 """
 
 from __future__ import annotations
@@ -58,18 +59,22 @@ class Verdict:
     violations: tuple[Violation, ...] = field(default_factory=tuple)
 
 
+_VALID = Verdict(True)
+
+
 def verify_dynamic(d: Drawing, colors: Coloring, r: int) -> Verdict:
     """Check that colors is a proper coloring where every vertex sees at
     least min(r, deg) distinct colors on its neighborhood.  One pass
-    answers a valid coloring; the report is built only when that pass fails."""
+    answers a valid coloring, with the one shared valid Verdict; the report
+    is built only when that pass fails."""
     adj, degs, get = d.adjacency, d.degrees, colors.get
-    for v in d.vertices:
+    for v, ns in adj.items():
         c = get(v)
-        seen = set(map(get, adj[v]))
-        if c is None or c in seen or len(seen) < min(r, degs[v]):
+        seen = set(map(get, ns))
+        if c is None or c in seen or len(seen) < r and len(seen) < degs[v]:
             break
     else:
-        return Verdict(True)
+        return _VALID
     violations: list[Violation] = []
     for v in d.vertices:
         if v not in colors:
@@ -244,31 +249,38 @@ def _extend(d: Drawing, step: ReductionStep, colors: Coloring, lists: ListAssign
 def _valid_around(d: Drawing, step: ReductionStep, partial: Coloring, colors: Coloring) -> bool:
     """The verdict of verify_dynamic(d, colors, 3), read only where it can change.
 
-    T is the deleted vertices plus every anchor the rule recolored (rules
-    write anchors only).  With partial valid on d minus step.deleted, a
-    vertex outside T and N(T) keeps its neighborhood and its neighbors'
-    colors, so properness at T and the dynamic condition on T and N(T)
-    decide the whole verdict.  One pass reads each neighbor set of T and
-    N(T) once and stops at the first uncolored vertex, improper edge or
-    short neighborhood.  Only partial's colors at the anchors are read.
+    Precondition: partial is valid on d minus step.deleted and colors
+    exactly its vertices, and colors differs from it only at step.deleted
+    and the anchors (rules write nothing else).  Then one count shows
+    whether colors covers d.  T is the deleted vertices plus every anchor
+    the rule recolored.  A vertex outside T and N(T) keeps its neighborhood
+    and its neighbors' colors, so properness at T and the dynamic condition
+    on T and N(T) decide the verdict.  A neighbor of T outside T that kept
+    three neighbors outside step.deleted, none recolored, showed three
+    colors on them under partial and still does, so it is not read: a hub
+    next to the shape costs nothing, and a peel stays linear in n.
     """
     adj, degs, get = d.adjacency, d.degrees, colors.get
+    if len(colors) != len(degs):
+        return False
     touched = list(step.deleted)
     for v in step.anchors.values():
-        if v in partial and partial[v] != get(v):
+        if v in partial and partial[v] != colors[v]:
             touched.append(v)
-    done = set(touched)
-    for v in touched:
-        c, ns = get(v), adj[v]
+    deleted = len(step.deleted)
+    kept: dict[int, int] = {}  # neighbors of T: degree less deleted neighbors; -1 next to a recolored one
+    for i, v in enumerate(touched):
+        ns = adj[v]
         seen = set(map(get, ns))
-        if c is None or c in seen or None in seen or len(seen) < 3 and len(seen) < degs[v]:
+        if colors[v] in seen or len(seen) < 3 and len(seen) < degs[v]:
             return False
         for w in ns:
-            if w not in done:
-                done.add(w)
-                seen = set(map(get, adj[w]))
-                if None in seen or len(seen) < 3 and len(seen) < degs[w]:
-                    return False
+            kept[w] = kept.get(w, degs[w]) - 1 if i < deleted else -1
+    for w, k in kept.items():
+        if k < 3:
+            seen = set(map(get, adj[w]))
+            if len(seen) < 3 and len(seen) < degs[w]:
+                return False
     return True
 
 
@@ -292,8 +304,8 @@ def _extend_p2(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssig
     if x == y:
         # both endpoints hang off the same vertex (a triangle with two
         # degree-2 corners); its neighborhood must still end up colorful
-        shared = _colors_of(colors, d.adjacency[x] - {u, v})
-        fu = {colors[x]} | (shared if d.degrees[x] <= 4 else set())
+        shared = _colors_of(colors, d.adjacency[x] - {u, v}) if d.degrees[x] <= 4 else set()
+        fu = {colors[x]} | shared
         colors[u] = _pick(lists, u, fu)
         fv = {colors[x], colors[u]} | (shared if d.degrees[x] <= 3 else set())
         colors[v] = _pick(lists, v, fv)
@@ -362,9 +374,15 @@ def _extend_g10(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssi
     if colors[z] in (colors[a["v"]], colors[a["y"]]):
         # u must see v and z apart, w must see z and y apart: recolor z
         # first.  Of z's neighbors only x survives, and x needs z's new
-        # color only if its other neighbors show too few colors.
+        # color only if its other neighbors show too few colors: three
+        # suffice, so the scan of x's neighbors stops there.
         fz = {colors[x], colors[a["v"]], colors[a["y"]]}
-        others = _colors_of(colors, d.adjacency[x] - {z})
+        others: set[int] = set()
+        for t in d.adjacency[x]:
+            if t != z and t in colors:
+                others.add(colors[t])
+                if len(others) == 3:
+                    break
         if len(others) < min(3, d.degrees[x]):
             fz |= others
         colors[z] = _pick(lists, z, fz)

@@ -91,12 +91,17 @@ def _solve_r_dynamic(
     return None
 
 
-def has_r_dynamic_k_coloring(g: AbstractGraph, r: int, k: int) -> bool:
-    """Does g admit an r-dynamic coloring with colors 1..k?"""
+def _r_dynamic_witness(g: AbstractGraph, r: int, k: int) -> dict[int, int] | None:
+    """An r-dynamic coloring of g with colors 1..k, or None if there is none."""
     if g.n > 12:
         raise SizeLimitExceeded("r-dynamic search capped at n <= 12")
     lists = dict.fromkeys(range(1, g.n + 1), frozenset(range(1, k + 1)))
-    return _solve_r_dynamic(g, r, lists, symmetry_break=True) is not None
+    return _solve_r_dynamic(g, r, lists, symmetry_break=True)
+
+
+def has_r_dynamic_k_coloring(g: AbstractGraph, r: int, k: int) -> bool:
+    """Does g admit an r-dynamic coloring with colors 1..k?"""
+    return _r_dynamic_witness(g, r, k) is not None
 
 
 def chromatic_r_dynamic(g: AbstractGraph, r: int, k_max: int) -> int | None:

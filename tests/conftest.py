@@ -168,3 +168,28 @@ def g3_flip_host() -> Drawing:
         8,
         [(1, 2), (2, 4), (1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 1), (4, 6), (5, 7)],
     )
+
+
+# Hubs: drawings with a vertex of degree about n.
+
+def fan(n: int, crossing: bool = False) -> Drawing:
+    """The n-cycle plus the chords 1-v; with crossing, also v-(v+2) for
+    even v, each crossing only the chord 1-(v+1)."""
+    edges = [(i, i + 1) for i in range(1, n)] + [(1, n)] + [(1, v) for v in range(3, n)]
+    if crossing:
+        edges += [(v, v + 2) for v in range(2, n - 1, 2)]
+    return Drawing.from_edges(n, edges)
+
+
+def windmill(n: int) -> Drawing:
+    """The triangles 1, 2i, 2i + 1 for 2i + 1 <= n."""
+    return Drawing.from_edges(n, [e for i in range(1, (n + 1) // 2) for e in ((1, 2 * i), (1, 2 * i + 1), (2 * i, 2 * i + 1))])
+
+
+def two_hubs(n: int) -> Drawing:
+    """The n-cycle plus the chord 1-h, with h = n // 2, and two fans of
+    chords: 1-v for 2 < v < h and h-v for h + 1 < v <= n - 1."""
+    h = n // 2
+    edges = [(i, i + 1) for i in range(1, n)] + [(1, n), (1, h)]
+    edges += [(1, v) for v in range(3, h)] + [(h, v) for v in range(h + 2, n)]
+    return Drawing.from_edges(n, edges)

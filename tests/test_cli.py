@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from outer1planar import Drawing, cli, cycle, emit_drawing, enumerate_drawings_deduped, sharp_example
+from outer1planar import Drawing, cli, cycle, emit_drawing, enumerate_drawings_deduped, oracle, sharp_example, verify_dynamic
 from outer1planar.cli import run
 
 
@@ -207,6 +207,62 @@ def test_enumerate_counts_a_raising_check_as_failed(monkeypatch, capsys):
     five = [d for d in enumerate_drawings_deduped(4, "connected-min-deg-2") if len(d.edges) == 5]
     assert code == 3 and payload["failures"] == len(five) > 0
     assert payload["first_failure"] == {"n": 4, "edges": sorted(list(e) for e in five[0].edges)}
+
+
+# (count, classes) of every --check chi run with n = 1..7, all without
+# failures, as the check gave them when it searched on every class
+CHI_RUNS = {
+    "all": [(1, 1), (2, 2), (8, 4), (64, 19), (672, 88), (7872, 761), (98688, 7298)],
+    "connected": [(1, 1), (1, 1), (4, 2), (38, 11), (386, 48), (4285, 413), (50674, 3723)],
+    "connected-min-deg-2": [(0, 0), (0, 0), (1, 1), (10, 5), (66, 12), (639, 78), (6147, 487)],
+}
+
+
+@pytest.mark.parametrize("filt", sorted(CHI_RUNS))
+def test_enumerate_chi_payloads_are_pinned(filt, capsys):
+    for n, (count, classes) in enumerate(CHI_RUNS[filt], start=1):
+        assert run(["enumerate", "--n", str(n), "--filter", filt, "--check", "chi"]) == 0
+        assert json.loads(capsys.readouterr()[0]) == {
+            "check": "chi", "classes": classes, "count": count, "failures": 0, "filter": filt, "n": n
+        }
+
+
+def test_chi_check_searches_only_where_no_recent_witness_fits(monkeypatch, capsys):
+    # of the 3,723 connected classes with n = 7, only 115 reach the search;
+    # a second run starts with no witnesses and searches as often
+    searches = []
+    search = oracle._r_dynamic_witness
+    monkeypatch.setattr(oracle, "_r_dynamic_witness", lambda g, r, k: searches.append(g) or search(g, r, k))
+    for _ in range(2):
+        searches.clear()
+        assert run(["enumerate", "--n", "7", "--filter", "connected", "--check", "chi"]) == 0
+        assert json.loads(capsys.readouterr()[0])["failures"] == 0
+        assert len(searches) == 115
+
+
+def test_chi_check_never_accepts_a_stale_witness(monkeypatch):
+    # on the 5-cycle, an improper witness, a short one (vertex 2 sees only
+    # color 1) and one that misses vertex 5 all go to the search; its
+    # witness goes first and the list keeps the last _WITNESSES
+    c5 = cycle(5)
+    improper = {1: 1, 2: 1, 3: 2, 4: 3, 5: 4}
+    short = {1: 1, 2: 2, 3: 1, 4: 2, 5: 3}
+    missing = {1: 1, 2: 2, 3: 3, 4: 1}
+    searches = []
+    search = oracle._r_dynamic_witness
+    monkeypatch.setattr(oracle, "_r_dynamic_witness", lambda g, r, k: searches.append(g) or search(g, r, k))
+    recent = [improper, short, missing, dict(improper)]
+    assert cli._chi(c5, recent) and len(searches) == 1
+    found = recent[0]
+    assert verify_dynamic(c5, found, 3).valid and set(found.values()) <= set(range(1, 7))
+    assert recent == [found, improper, short, missing][: cli._WITNESSES]
+    recent.insert(1, short)
+    assert cli._chi(c5, recent) and len(searches) == 1 and recent[:2] == [found, short]
+    recent.reverse()
+    assert cli._chi(c5, recent) and len(searches) == 1 and recent[0] is found
+    monkeypatch.setattr(oracle, "_r_dynamic_witness", lambda g, r, k: None)
+    stale = [improper, short, missing]
+    assert not cli._chi(c5, stale) and stale == [improper, short, missing]
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])

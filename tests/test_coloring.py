@@ -25,7 +25,16 @@ from outer1planar import (
 from outer1planar.coloring import Verdict, Violation, coloring_to_json, parse_coloring_json
 from outer1planar.structure import ReductionStep
 
-from .conftest import delete_with_map, double_g10, double_g11, g3_flip_host, polygon_drawing
+from .conftest import (
+    delete_with_map,
+    double_g10,
+    double_g11,
+    fan,
+    g3_flip_host,
+    polygon_drawing,
+    two_hubs,
+    windmill,
+)
 
 
 def test_verify_c6_valid():
@@ -373,8 +382,10 @@ def test_local_check_agrees_with_full_verify(classes):
 
     rng = random.Random(12)
     verdicts = set()
-    for n in range(2, 7):
-        for d in classes(n, "all"):
+    # after the classes, drawings with hubs, whose neighbors the check skips
+    hubs = (fan(9), fan(14), fan(13, crossing=True), fan(16, crossing=True), two_hubs(16))
+    for population in (*(classes(n, "all") for n in range(2, 7)), hubs):
+        for d in population:
             step = find_reduction(d)
             if len(step.deleted) == d.n:
                 continue
@@ -414,6 +425,35 @@ def test_local_check_rejects_uncolored(classes):
                     assert not col._valid_around(d, step, before, missing), (sorted(d.edges), v)
                     cases += 1
     assert cases > 1000
+
+@pytest.mark.parametrize(
+    "d",
+    [fan(2000), fan(2000, crossing=True), windmill(2001), two_hubs(2000)],
+    ids=["fan", "crossing-fan", "windmill", "two-hubs"],
+)
+def test_hub_neighborhoods_are_not_reread(d, monkeypatch):
+    # the rules and the local check read neighbor sets through d.adjacency;
+    # summed over a coloring, the elements of the sets they take stay linear
+    # in n, though the hub is next to almost every shape (n^2 / 2 before the
+    # check skipped neighbors that keep three colored neighbors)
+    import outer1planar.coloring as col
+
+    taken = [0]
+
+    class Counted:
+        def __init__(self, peeler):
+            self.degrees, self._adj = peeler.degrees, peeler.adjacency
+            self.adjacency = self
+
+        def __getitem__(self, v):
+            taken[0] += len(self._adj[v])
+            return self._adj[v]
+
+    extend = col._extend
+    monkeypatch.setattr(col, "_extend", lambda p, step, c, ls: extend(Counted(p), step, c, ls))
+    color_list_3_dynamic(d, uniform_lists(d, 6))
+    assert 0 < taken[0] < 10 * d.n
+
 
 # SHA-256 over colorings of three large drawings, first computed with the
 # full-scan reduction search before the incremental one replaced it.  Both
