@@ -10,11 +10,10 @@ configuration's recoloring branch for the rainbow worst case.  Peeling
 works on the original labels, so no sub-drawing is ever rebuilt, and the
 structure module's peeler finds each shape by searching only around the
 previous deletion.  Every extension is checked around the vertices it
-touched: one count shows that every vertex is colored, then one pass
-stops at the first improper edge or short neighborhood and skips every
-neighbor that the shape could not have left short; a rule that leaves a
-violation raises ExtensionFailure naming its shape.  The finished
-coloring is verified once in full.
+touched: a count shows every vertex colored, then one pass stops at the
+first improper edge or short neighborhood and skips the wide neighbors
+the shape cannot leave short; a rule that leaves a violation raises
+ExtensionFailure naming its shape.  The result is verified once in full.
 """
 
 from __future__ import annotations
@@ -255,10 +254,10 @@ def _valid_around(d: Drawing, step: ReductionStep, partial: Coloring, colors: Co
     whether colors covers d.  T is the deleted vertices plus every anchor
     the rule recolored.  A vertex outside T and N(T) keeps its neighborhood
     and its neighbors' colors, so properness at T and the dynamic condition
-    on T and N(T) decide the verdict.  A neighbor of T outside T that kept
-    three neighbors outside step.deleted, none recolored, showed three
-    colors on them under partial and still does, so it is not read: a hub
-    next to the shape costs nothing, and a peel stays linear in n.
+    on T and N(T) decide the verdict.  A neighbor of T outside T of degree
+    at least |step.deleted| + 3 and next to no recolored anchor showed
+    three colors under partial on its neighbors outside step.deleted, and
+    still does.  It is not read, so a hub costs a peel no extra pass.
     """
     adj, degs, get = d.adjacency, d.degrees, colors.get
     if len(colors) != len(degs):
@@ -267,20 +266,21 @@ def _valid_around(d: Drawing, step: ReductionStep, partial: Coloring, colors: Co
     for v in step.anchors.values():
         if v in partial and partial[v] != colors[v]:
             touched.append(v)
-    deleted = len(step.deleted)
-    kept: dict[int, int] = {}  # neighbors of T: degree less deleted neighbors; -1 next to a recolored one
-    for i, v in enumerate(touched):
+    done = set(touched)
+    wide = len(step.deleted) + 3
+    for v in touched:
         ns = adj[v]
         seen = set(map(get, ns))
         if colors[v] in seen or len(seen) < 3 and len(seen) < degs[v]:
             return False
+        if v in partial:  # recolored: every neighbor is read
+            wide = len(degs)
         for w in ns:
-            kept[w] = kept.get(w, degs[w]) - 1 if i < deleted else -1
-    for w, k in kept.items():
-        if k < 3:
-            seen = set(map(get, adj[w]))
-            if len(seen) < 3 and len(seen) < degs[w]:
-                return False
+            if w not in done and degs[w] < wide:
+                done.add(w)
+                seen = set(map(get, adj[w]))
+                if len(seen) < 3 and len(seen) < degs[w]:
+                    return False
     return True
 
 
