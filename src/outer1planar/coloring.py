@@ -273,7 +273,7 @@ def _valid_around(d: Drawing, step: ReductionStep, partial: Coloring, colors: Co
         seen = set(map(get, ns))
         if colors[v] in seen or len(seen) < 3 and len(seen) < degs[v]:
             return False
-        if v in partial:  # recolored: every neighbor is read
+        if v in partial:  # recolored anchors come last; read all their neighbors
             wide = len(degs)
         for w in ns:
             if w not in done and degs[w] < wide:

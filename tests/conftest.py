@@ -183,7 +183,10 @@ def fan(n: int, crossing: bool = False) -> Drawing:
 
 def windmill(n: int) -> Drawing:
     """The triangles 1, 2i, 2i + 1 for 2i + 1 <= n."""
-    return Drawing.from_edges(n, [e for i in range(1, (n + 1) // 2) for e in ((1, 2 * i), (1, 2 * i + 1), (2 * i, 2 * i + 1))])
+    edges = []
+    for i in range(1, (n + 1) // 2):
+        edges += [(1, 2 * i), (1, 2 * i + 1), (2 * i, 2 * i + 1)]
+    return Drawing.from_edges(n, edges)
 
 
 def two_hubs(n: int) -> Drawing:

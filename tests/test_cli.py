@@ -5,7 +5,16 @@ import json
 
 import pytest
 
-from outer1planar import Drawing, cli, cycle, emit_drawing, enumerate_drawings_deduped, oracle, sharp_example, verify_dynamic
+from outer1planar import (
+    Drawing,
+    cli,
+    cycle,
+    emit_drawing,
+    enumerate_drawings_deduped,
+    oracle,
+    sharp_example,
+    verify_dynamic,
+)
 from outer1planar.cli import run
 
 
