@@ -219,7 +219,7 @@ def test_enumerate_counts_a_raising_check_as_failed(monkeypatch, capsys):
 
 
 # (count, classes) of every --check chi run with n = 1..7, all without
-# failures, as the check gave them when it searched on every class
+# failures; a search on every class gives the same payloads
 CHI_RUNS = {
     "all": [(1, 1), (2, 2), (8, 4), (64, 19), (672, 88), (7872, 761), (98688, 7298)],
     "connected": [(1, 1), (1, 1), (4, 2), (38, 11), (386, 48), (4285, 413), (50674, 3723)],

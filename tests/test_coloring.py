@@ -426,6 +426,7 @@ def test_local_check_rejects_uncolored(classes):
                     cases += 1
     assert cases > 1000
 
+
 @pytest.mark.parametrize(
     "d",
     [fan(2000), fan(2000, crossing=True), windmill(2001), two_hubs(2000)],
@@ -434,8 +435,8 @@ def test_local_check_rejects_uncolored(classes):
 def test_hub_neighborhoods_are_not_reread(d, monkeypatch):
     # the rules and the local check read neighbor sets through d.adjacency;
     # summed over a coloring, the elements of the sets they take stay linear
-    # in n, though the hub is next to almost every shape (n^2 / 2 before the
-    # check skipped neighbors that keep three colored neighbors)
+    # in n, though the hub is next to almost every shape: reading it once
+    # per shape would take about n^2 / 2
     import outer1planar.coloring as col
 
     taken = [0]
