@@ -229,6 +229,8 @@ def extend_step(
     except for the recolorings of the 10th and 11th configurations' rules.
     A rule that leaves a violation raises ExtensionFailure naming the shape.
     """
+    if not partial.keys() <= d.adjacency.keys():
+        raise ExtensionFailure("partial coloring names vertices outside the drawing")
     colors = dict(partial)
     _extend(d, step, colors, lists)
     return colors
@@ -370,19 +372,16 @@ def _extend_g9(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssig
 
 
 def _extend_g10(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
+    """The 10th configuration's rule.  Its recolor branch is the one rule
+    that reads a surviving vertex's neighborhood without a degree cap: x's,
+    once per recoloring."""
     x, z = a["x"], a["z"]
     if colors[z] in (colors[a["v"]], colors[a["y"]]):
         # u must see v and z apart, w must see z and y apart: recolor z
         # first.  Of z's neighbors only x survives, and x needs z's new
-        # color only if its other neighbors show too few colors: three
-        # suffice, so the scan of x's neighbors stops there.
+        # color only if its other neighbors show too few colors.
         fz = {colors[x], colors[a["v"]], colors[a["y"]]}
-        others: set[int] = set()
-        for t in d.adjacency[x]:
-            if t != z and t in colors:
-                others.add(colors[t])
-                if len(others) == 3:
-                    break
+        others = _colors_of(colors, d.adjacency[x] - {z})
         if len(others) < min(3, d.degrees[x]):
             fz |= others
         colors[z] = _pick(lists, z, fz)

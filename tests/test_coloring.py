@@ -427,6 +427,24 @@ def test_local_check_rejects_uncolored(classes):
     assert cases > 1000
 
 
+def test_extend_step_rejects_a_partial_with_stray_keys(classes):
+    # the local check counts colors to see every vertex colored, so a
+    # partial that leaves out a vertex of d but names one outside it must
+    # be refused before the rule runs
+    cases = 0
+    for n in range(2, 7):
+        for d in classes(n, "connected"):
+            step = find_reduction(d)
+            colors = color_list_3_dynamic(d, uniform_lists(d, 6))
+            partial = {v: c for v, c in colors.items() if v not in step.deleted}
+            for v in sorted(partial):
+                stray = {w: c for w, c in partial.items() if w != v} | {d.n + 1: 1}
+                with pytest.raises(ExtensionFailure, match="outside the drawing"):
+                    extend_step(d, step, stray, uniform_lists(d, 6))
+                cases += 1
+    assert cases > 100
+
+
 @pytest.mark.parametrize(
     "d",
     [fan(2000), fan(2000, crossing=True), windmill(2001), two_hubs(2000)],
