@@ -162,10 +162,11 @@ _WITNESSES = 4
 
 def _chi(d: Drawing, recent: list[coloring.Coloring]) -> bool:
     """Does d have a 3-dynamic 6-coloring?  A witness of recent (most recent
-    first) that verify_dynamic accepts on d says yes and moves to the front;
-    else the exhaustive search decides, and a witness it finds goes first."""
+    first) that verify_dynamic would accept on d says yes and moves to the
+    front; else the exhaustive search decides, and a witness it finds goes
+    first.  A rejected witness builds no report."""
     for i, w in enumerate(recent):
-        if coloring.verify_dynamic(d, w, 3).valid:
+        if coloring._is_dynamic(d, w, 3):
             recent.insert(0, recent.pop(i))
             return True
     w = oracle._r_dynamic_witness(d, 3, 6)

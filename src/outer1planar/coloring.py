@@ -13,7 +13,11 @@ previous deletion.  Every extension is checked around the vertices it
 touched: a count shows every vertex colored, then one pass stops at the
 first improper edge or short neighborhood and skips the wide neighbors
 the shape cannot leave short; a rule that leaves a violation raises
-ExtensionFailure naming its shape.  The result is verified once in full.
+ExtensionFailure naming its shape.  A pendant (P1) step colors one vertex
+u next to at most one survivor v, so its check reads just those two: the
+count, v's color kept, u's color unlike v's, and v's neighbors colorful
+when v has degree below 4.  That is the generic check's verdict for it.
+The result is verified once in full.
 """
 
 from __future__ import annotations
@@ -61,19 +65,25 @@ class Verdict:
 _VALID = Verdict(True)
 
 
+def _is_dynamic(d: Drawing, colors: Coloring, r: int) -> bool:
+    """verify_dynamic's verdict in one pass, with no report."""
+    degs, get = d.degrees, colors.get
+    for v, ns in d.adjacency.items():
+        c = get(v)
+        seen = set(map(get, ns))
+        if c is None or c in seen or len(seen) < r and len(seen) < degs[v]:
+            return False
+    return True
+
+
 def verify_dynamic(d: Drawing, colors: Coloring, r: int) -> Verdict:
     """Check that colors is a proper coloring where every vertex sees at
     least min(r, deg) distinct colors on its neighborhood.  One pass
     answers a valid coloring, with the one shared valid Verdict; the report
     is built only when that pass fails."""
-    adj, degs, get = d.adjacency, d.degrees, colors.get
-    for v, ns in adj.items():
-        c = get(v)
-        seen = set(map(get, ns))
-        if c is None or c in seen or len(seen) < r and len(seen) < degs[v]:
-            break
-    else:
+    if _is_dynamic(d, colors, r):
         return _VALID
+    adj, degs = d.adjacency, d.degrees
     violations: list[Violation] = []
     for v in d.vertices:
         if v not in colors:
@@ -237,14 +247,41 @@ def extend_step(
 
 
 def _extend(d: Drawing, step: ReductionStep, colors: Coloring, lists: ListAssignment) -> None:
-    """extend_step on colors itself, so a peel copies nothing per step."""
-    before = {v: colors[v] for v in step.anchors.values() if v in colors}
+    """extend_step on colors itself, so a peel copies nothing per step.
+
+    A pendant step is checked by _pendant_valid, every other step by
+    _valid_around.  For a pendant, T of _valid_around is {u} unless v was
+    recolored, and wide is 4: it reads u's neighborhood, which is v or
+    nothing, and v's when d(v) < 4, and nothing else.  _pendant_valid reads
+    the same, and it refuses a recolored v, which the pendant rule never
+    writes.
+    """
+    a = step.anchors
+    pendant = step.kind == "P1-pendant"
+    if pendant:
+        before = colors.get(a.get("v"))
+    else:
+        before = {v: colors[v] for v in a.values() if v in colors}
     try:
-        _HANDLERS[step.kind](d, step.anchors, colors, lists)
+        _HANDLERS[step.kind](d, a, colors, lists)
     except ExtensionFailure as exc:
         raise ExtensionFailure(f"rule for {step.kind} failed: {exc}") from None
-    if not _valid_around(d, step, before, colors):
+    if not (_pendant_valid(d, a, before, colors) if pendant else _valid_around(d, step, before, colors)):
         raise ExtensionFailure(f"rule for {step.kind} left a violation")
+
+
+def _pendant_valid(d: Drawing, a: dict[str, int], cv: int | None, colors: Coloring) -> bool:
+    """_valid_around's verdict on a pendant step whose rule left v's color
+    cv as it was; False if the rule recolored v."""
+    if len(colors) != len(d.degrees):
+        return False
+    if "v" not in a:
+        return True
+    v = a["v"]
+    if colors[v] != cv or colors[a["u"]] == cv:
+        return False
+    k = d.degrees[v]
+    return k >= 4 or len(set(map(colors.get, d.adjacency[v]))) >= min(3, k)
 
 
 def _valid_around(d: Drawing, step: ReductionStep, partial: Coloring, colors: Coloring) -> bool:
@@ -296,8 +333,8 @@ def _extend_p1(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssig
     if "v" in a:
         v = a["v"]
         forbidden = {colors[v]}
-        if d.degrees[v] <= 3:
-            forbidden |= _colors_of(colors, d.adjacency[v] - {u})
+        if d.degrees[v] <= 3:  # u has no color yet
+            forbidden |= _colors_of(colors, d.adjacency[v])
     colors[u] = _pick(lists, u, forbidden)
 
 

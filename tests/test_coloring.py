@@ -22,7 +22,13 @@ from outer1planar import (
     uniform_lists,
     verify_dynamic,
 )
-from outer1planar.coloring import Verdict, Violation, coloring_to_json, parse_coloring_json
+from outer1planar.coloring import (
+    Verdict,
+    Violation,
+    _is_dynamic,
+    coloring_to_json,
+    parse_coloring_json,
+)
 from outer1planar.structure import ReductionStep
 
 from .conftest import (
@@ -108,6 +114,7 @@ def test_verify_matches_reference(classes):
                     for c in (colors, holed):
                         verdict = verify_dynamic(d, c, r)
                         assert verdict == _reference_verify(d, c, r), (sorted(d.edges), c, r)
+                        assert _is_dynamic(d, c, r) == verdict.valid
                         valid += verdict.valid
     assert valid > 100
 
@@ -425,6 +432,93 @@ def test_local_check_rejects_uncolored(classes):
                     assert not col._valid_around(d, step, before, missing), (sorted(d.edges), v)
                     cases += 1
     assert cases > 1000
+
+
+def test_pendant_check_gives_the_generic_verdict(classes, monkeypatch):
+    # at every pendant step of the peels, a rule that writes a random color
+    # to u, and at times to v, is refused exactly when _valid_around refuses
+    # the same state, and always when v changed.  The pendants of h_family
+    # hang off vertices of degree 6 and 8, where v's neighbors are not read.
+    import outer1planar.coloring as col
+
+    rng = random.Random(24)
+    extend, rule = col._extend, col._HANDLERS["P1-pendant"]
+    scrambling = [False]
+    seen = set()
+
+    def scramble(d, a, colors, lists):
+        if not scrambling[0]:
+            return rule(d, a, colors, lists)
+        colors[a["u"]] = rng.randint(1, 4)
+        if "v" in a and rng.random() < 0.2:
+            colors[a["v"]] = rng.randint(1, 4)
+
+    def probe(p, step, colors, lists):
+        v = step.anchors.get("v")
+        for _ in range(4 if step.kind == "P1-pendant" else 0):
+            trial = dict(colors)
+            scrambling[0] = True
+            try:
+                extend(p, step, trial, lists)
+                refused = False
+            except ExtensionFailure as exc:
+                assert "P1-pendant" in str(exc)
+                refused = True
+            scrambling[0] = False
+            recolored = v is not None and trial[v] != colors[v]
+            if recolored:
+                assert refused
+            else:
+                assert refused != col._valid_around(p, step, colors, trial)
+            seen.add((recolored, refused, v is not None and p.degrees[v] >= 4))
+        extend(p, step, colors, lists)
+
+    monkeypatch.setitem(col._HANDLERS, "P1-pendant", scramble)
+    monkeypatch.setattr(col, "_extend", probe)
+    hosts = [h_family(i) for i in range(2, 18)]
+    for d in [d for n in range(1, 7) for d in classes(n, "all")] + hosts:
+        color_list_3_dynamic(d, uniform_lists(d, 6))
+    assert {(True, True, False), (True, True, True)} <= seen
+    assert {(False, r, w) for r in (True, False) for w in (True, False)} <= seen
+
+
+def test_pendant_rule_recoloring_v_raises(monkeypatch, tmp_path, capsys):
+    # the pendant rule colors u only, so a rule that also recolors v is
+    # refused, here where the whole coloring stays valid: through a peel,
+    # through extend_step and by o1p color with exit 3.  A rule that leaves
+    # an improper edge is refused through extend_step too.
+    import outer1planar.coloring as col
+    from outer1planar import emit_drawing
+    from outer1planar.cli import run
+
+    rule = col._HANDLERS["P1-pendant"]
+
+    def recolor(d, a, colors, lists):
+        rule(d, a, colors, lists)
+        if "v" in a:
+            colors[a["v"]] = 6
+
+    def improper(d, a, colors, lists):
+        colors[a["u"]] = colors[a["v"]] if "v" in a else 1
+
+    d = Drawing.from_edges(3, [(1, 2), (2, 3)])
+    lists = uniform_lists(d, 6)
+    step = find_reduction(d)
+    assert step.kind == "P1-pendant" and step.anchors == {"u": 1, "v": 2}
+    partial = {v: c for v, c in color_list_3_dynamic(d, lists).items() if v != 1}
+    out = extend_step(d, step, partial, lists)
+    out[2] = 6
+    assert verify_dynamic(d, out, 3).valid
+    path = tmp_path / "path.txt"
+    path.write_text(emit_drawing(d), encoding="utf-8")
+    for bad in (recolor, improper):
+        monkeypatch.setitem(col._HANDLERS, "P1-pendant", bad)
+        with pytest.raises(ExtensionFailure, match="P1-pendant"):
+            extend_step(d, step, partial, lists)
+        with pytest.raises(ExtensionFailure, match="P1-pendant"):
+            color_list_3_dynamic(d, lists)
+        assert run(["color", str(path)]) == 3
+        assert "P1-pendant" in json.loads(capsys.readouterr().out)["error"]
 
 
 def test_extend_step_rejects_a_partial_with_stray_keys(classes):
