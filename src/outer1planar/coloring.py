@@ -250,11 +250,12 @@ def _extend(d: Drawing, step: ReductionStep, colors: Coloring, lists: ListAssign
     """extend_step on colors itself, so a peel copies nothing per step.
 
     A pendant step is checked by _pendant_valid, every other step by
-    _valid_around.  For a pendant, T of _valid_around is {u} unless v was
-    recolored, and wide is 4: it reads u's neighborhood, which is v or
-    nothing, and v's when d(v) < 4, and nothing else.  _pendant_valid reads
-    the same, and it refuses a recolored v, which the pendant rule never
-    writes.
+    _valid_around.  For a pendant u, whose one neighbor v survives if it
+    exists, _valid_around's T is {u} when v keeps its color, and its wide
+    is |deleted| + 3 = 4.  So it reads u's neighborhood, which is v or
+    nothing and shows u all the colors its degree asks for, then v's
+    neighborhood if d(v) < 4, and nothing else.  _pendant_valid checks the
+    same, and refuses a recolored v: the pendant rule colors u only.
     """
     a = step.anchors
     pendant = step.kind == "P1-pendant"
