@@ -16,6 +16,8 @@ rule deletes or may recolor.  Beyond that it keeps three neighbors the rule
 never touches, so every larger degree behaves like the largest one tried.
 """
 
+import hashlib
+
 from outer1planar import AbstractGraph
 from outer1planar import coloring as col
 from outer1planar.catalog import find_matches, get_pattern
@@ -23,6 +25,10 @@ from outer1planar.structure import _SHAPES, _config_kind, _Peeler
 
 # the survivors each rule may recolor, beside the vertices it deletes
 RECOLORED = {"P9-G10": ("z",), "P10-G11": ("z", "a", "w", "v")}
+
+# SHA-256 of every reduced coloring and every pick's (vertex, forbidden set)
+# over all local-model runs: a rewrite of a rule that changes any pick fails
+PICKS_DIGEST = "9a495ee39ec04679c32169959d93e0316bc0c11403f132b564946d1ce9d86fb3"
 
 # (kind, hollow label at degree 2) -> the higher-priority shape that the
 # host then contains, so the peel never reaches the case
@@ -152,13 +158,17 @@ class _Picks:
     A pick may be any color in use outside forbidden or one fresh color,
     or nothing when forbidden holds six colors or more.  A list of six or
     more found empty against exactly six colors is those six, which the
-    rules may then read through the lists they are given."""
+    rules may then read through the lists they are given.  digest hashes
+    every reduced coloring and every (vertex, forbidden set) asked for, in
+    order, so it pins each pick the rules make."""
 
     def __init__(self):
         self.script, self.counts, self.colors, self.known = [], [], {}, {}
-        self.runs = 0
+        self.runs, self.calls, self.digest = 0, 0, hashlib.sha256()
 
     def first(self, lists, v, forbidden):
+        self.calls += 1
+        self.digest.update(repr((v, sorted(forbidden))).encode())
         options = sorted(set(self.colors.values()) - forbidden)
         options.append(max(self.colors.values(), default=0) + 1)
         if len(forbidden) >= 6:
@@ -176,6 +186,7 @@ class _Picks:
         """Run the rule under every pick sequence; yield (message, picks) for
         each run that raises ExtensionFailure, and count the runs."""
         self.script, self.runs = [], 0
+        self.digest.update(repr(sorted(reduced.items())).encode())
         while True:
             self.counts, self.colors, self.known = [], dict(reduced), {}
             self.runs += 1
@@ -212,3 +223,5 @@ def test_every_rule_passes_its_local_model(monkeypatch):
     assert not failures, f"{len(failures)} failing runs, the first: {failures[:3]}"
     assert sorted(runs) == sorted(col._HANDLERS)
     assert skipped == {(kind, by) for (kind, _), by in PREEMPTED.items()}
+    assert (sum(runs.values()), picks.calls) == (85179, 252305)
+    assert picks.digest.hexdigest() == PICKS_DIGEST
