@@ -1,23 +1,26 @@
 """List 3-dynamic coloring by reduce-and-extend, plus the generic verifier.
 
-The engine peels one reducible shape at a time until nothing is left,
-then puts the shapes back in reverse order and extends by each shape's
-local rule: each deleted vertex gets the smallest list color outside a
-small forbidden set assembled from its surroundings.  Two rules may first
-recolor a surviving vertex of the shape: the 10th configuration's, when
-its z repeats a color that a deleted vertex must see twice, and the 11th
-configuration's recoloring branch for the rainbow worst case.  Peeling
-works on the original labels, so no sub-drawing is ever rebuilt, and the
-structure module's peeler finds each shape by searching only around the
-previous deletion.  Every extension is checked around the vertices it
-touched: a count shows every vertex colored, then one pass stops at the
-first improper edge or short neighborhood and skips the wide neighbors
-the shape cannot leave short; a rule that leaves a violation raises
-ExtensionFailure naming its shape.  A pendant (P1) step colors one vertex
-u next to at most one survivor v, so its check reads just those two: the
-count, v's color kept, u's color unlike v's, and v's neighbors colorful
-when v has degree below 4.  That is the generic check's verdict for it.
-The result is verified once in full.
+The engine peels one reducible shape at a time until nothing is left, then
+puts the shapes back in reverse order and extends by each shape's local
+rule: each deleted vertex gets the smallest list color outside a small
+forbidden set assembled from its surroundings.  Every rule but P1's and
+P2's plays rows of such picks through one runner; a pick names its vertex,
+the labels whose colors it avoids, and the labels x or y whose third
+neighbor it avoids at degree 3.  Two rules may first recolor a surviving
+vertex of the shape: the 10th configuration's, when its z repeats a color
+that a deleted vertex must see twice, and the 11th configuration's
+recoloring branch for the rainbow worst case.  Peeling works on the
+original labels, so no sub-drawing is ever rebuilt, and the structure
+module's peeler finds each shape by searching only around the previous
+deletion.  Every extension is checked around the vertices it touched: a
+count shows every vertex colored, then one pass stops at the first
+improper edge or short neighborhood and skips the wide neighbors the shape
+cannot leave short; a rule that leaves a violation raises ExtensionFailure
+naming its shape.  A pendant (P1) step colors one vertex u next to at most
+one survivor v, so its check reads just those two: the count, v's color
+kept, u's color unlike v's, and v's neighbors colorful when v has degree
+below 4.  That is the generic check's verdict for it.  The result is
+verified once in full.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .drawing import Drawing
 from .structure import ReductionStep, _Peeler
@@ -36,11 +39,7 @@ Coloring = dict[int, int]
 ListAssignment = dict[int, frozenset[int]]
 
 
-class ColoringError(RuntimeError):
-    pass
-
-
-class ExtensionFailure(ColoringError):
+class ExtensionFailure(RuntimeError):
     """A shape's local rule failed: bad input or a bug."""
 
 
@@ -163,7 +162,10 @@ def coloring_to_json(colors: Coloring, r: int, valid: bool) -> str:
 
 def parse_coloring_json(text: str) -> Coloring:
     """Read the "colors" object of a coloring JSON file; ValueError if malformed."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("coloring file is nested too deeply") from None
     if not isinstance(data, dict) or not isinstance(data.get("colors"), dict):
         raise ValueError('coloring file must be a JSON object with a "colors" object')
     colors: Coloring = {}
@@ -237,7 +239,8 @@ def extend_step(
 
     Implements the per-shape rules; only deleted vertices receive colors,
     except for the recolorings of the 10th and 11th configurations' rules.
-    A rule that leaves a violation raises ExtensionFailure naming the shape.
+    A rule that leaves a violation, a kind with no rule, or anchors missing a
+    label the rule reads raise ExtensionFailure naming the shape.
     """
     if not partial.keys() <= d.adjacency.keys():
         raise ExtensionFailure("partial coloring names vertices outside the drawing")
@@ -267,6 +270,8 @@ def _extend(d: Drawing, step: ReductionStep, colors: Coloring, lists: ListAssign
         _HANDLERS[step.kind](d, a, colors, lists)
     except ExtensionFailure as exc:
         raise ExtensionFailure(f"rule for {step.kind} failed: {exc}") from None
+    except KeyError as exc:  # a kind with no rule, or a label or color its rule reads is missing
+        raise ExtensionFailure(f"rule for {step.kind} failed: missing {exc}") from None
     if not (_pendant_valid(d, a, before, colors) if pendant else _valid_around(d, step, before, colors)):
         raise ExtensionFailure(f"rule for {step.kind} left a violation")
 
@@ -360,53 +365,43 @@ def _extend_p2(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssig
     colors[v] = _pick(lists, v, fv)
 
 
-def _third(d: Drawing, a: dict[str, int], colors: Coloring, label: str) -> set[int]:
-    """{color of label + "1"} if label has degree 3, else empty: a degree-3 x
-    (or y) shows three colors only if the vertex colored next to it avoids x1
-    too.  The rules read d(x) >= d(y): where a configuration has a mirror, the
-    peeler's swap (structure._SHAPES) leaves d(x) = 3 only with d(y) = 3."""
-    return {colors[a[label + "1"]]} if d.degrees[a[label]] == 3 else set()
+def _run(row, d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
+    """Color each pick's label in turn by the least list color unlike its
+    avoid labels' colors and, for each of its thirds h of degree 3, h1's: a
+    degree-3 x (or y) shows three colors only if the vertex colored next to
+    it avoids x1 too.  Rows read d(x) >= d(y): where a shape has a mirror,
+    the peeler's swap (structure._SHAPES) leaves d(x) = 3 only with d(y) = 3."""
+    degs, get, at = d.degrees, colors.__getitem__, a.__getitem__
+    for label, avoid, thirds in row:
+        forbidden = set(map(get, map(at, avoid)))
+        for h in thirds:
+            if degs[a[h]] == 3:
+                forbidden.add(colors[a[h + "1"]])
+        v = a[label]
+        colors[v] = _pick(lists, v, forbidden)
 
 
-def _extend_p3(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
-    forbidden = {colors[a["x"]], colors[a["y"]]} | _third(d, a, colors, "x") | _third(d, a, colors, "y")
-    colors[a["u"]] = _pick(lists, a["u"], forbidden)
+# each rule that is a fixed sequence of picks, as a row of (label, avoid, thirds)
+_P3 = (("u", ("x", "y"), ("x", "y")),)
+_G6 = (("u", ("x", "y", "v"), ("x", "y")),)
+_G7 = (("v", ("x", "y", "w"), ("x", "y")), ("u", ("x", "y", "w", "v"), ()))
+_G8 = (("w", ("x", "y", "v"), ("y",)), ("u", ("x", "y", "w", "v"), ("x",)))
+_G9 = (("w", ("x", "y", "v", "z"), ("y",)), ("u", ("x", "y", "w", "v"), ("x",)))
+_G10 = (("w", ("x", "y", "z", "v"), ("y",)), ("u", ("x", "y", "w", "v", "z"), ()))
+# configuration 11 at d(x), d(y) >= 4; at d(x) >= 4, d(y) = 3; at both 3 up to
+# u; and at both 3 once z and a hold w's old color (z's color stands for it)
+_G11_44 = (("u", ("x", "y", "z", "w"), ()), ("v", ("x", "y", "u", "w"), ()),
+           ("a", ("x", "y", "u", "v"), ()))
+_G11_43 = (("u", ("x", "y", "z", "w"), ()), ("a", ("w", "y", "y1", "u", "x"), ()),
+           ("v", ("x", "y", "u", "w", "a"), ()))
+_G11_33 = (("v", ("x", "x1", "z", "w", "y"), ()), ("a", ("v", "y", "y1", "w", "x"), ()))
+_G11_PINNED = (("w", ("x", "z", "y", "y1"), ()), ("v", ("x", "z", "y", "w", "x1"), ()),
+               ("u", ("x", "z", "y", "v", "w"), ()))
 
 
 def _extend_g3(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
-    forbidden = {colors[a["x"]], colors[a["y"]]}
-    thirds = _third(d, a, colors, "x") | _third(d, a, colors, "y")
-    if thirds:
-        forbidden |= thirds | {colors[a["v"]]}
-    colors[a["u"]] = _pick(lists, a["u"], forbidden)
-
-
-def _extend_g6(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
-    forbidden = {colors[a["x"]], colors[a["y"]], colors[a["v"]]}
-    forbidden |= _third(d, a, colors, "x") | _third(d, a, colors, "y")
-    colors[a["u"]] = _pick(lists, a["u"], forbidden)
-
-
-def _extend_g7(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
-    fv = {colors[a["x"]], colors[a["y"]], colors[a["w"]]}
-    fv |= _third(d, a, colors, "x") | _third(d, a, colors, "y")
-    colors[a["v"]] = _pick(lists, a["v"], fv)
-    fu = {colors[a["x"]], colors[a["y"]], colors[a["w"]], colors[a["v"]]}
-    colors[a["u"]] = _pick(lists, a["u"], fu)
-
-
-def _extend_g8(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
-    fw = {colors[a["x"]], colors[a["y"]], colors[a["v"]]} | _third(d, a, colors, "y")
-    colors[a["w"]] = _pick(lists, a["w"], fw)
-    fu = {colors[a["x"]], colors[a["y"]], colors[a["w"]], colors[a["v"]]} | _third(d, a, colors, "x")
-    colors[a["u"]] = _pick(lists, a["u"], fu)
-
-
-def _extend_g9(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
-    fw = {colors[a["x"]], colors[a["y"]], colors[a["v"]], colors[a["z"]]} | _third(d, a, colors, "y")
-    colors[a["w"]] = _pick(lists, a["w"], fw)
-    fu = {colors[a["x"]], colors[a["y"]], colors[a["w"]], colors[a["v"]]} | _third(d, a, colors, "x")
-    colors[a["u"]] = _pick(lists, a["u"], fu)
+    """Configuration 6's pick if x or y has degree 3, else P3's: u avoids x and y."""
+    _run(_G6 if 3 in (d.degrees[a["x"]], d.degrees[a["y"]]) else _P3, d, a, colors, lists)
 
 
 def _extend_g10(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
@@ -423,69 +418,46 @@ def _extend_g10(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssi
         if len(others) < min(3, d.degrees[x]):
             fz |= others
         colors[z] = _pick(lists, z, fz)
-    fw = {colors[x], colors[a["y"]], colors[z], colors[a["v"]]} | _third(d, a, colors, "y")
-    colors[a["w"]] = _pick(lists, a["w"], fw)
-    fu = {colors[x], colors[a["y"]], colors[a["w"]], colors[a["v"]], colors[z]}
-    colors[a["u"]] = _pick(lists, a["u"], fu)
+    _run(_G10, d, a, colors, lists)
 
 
 def _extend_g11(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
     dx, dy = d.degrees[a["x"]], d.degrees[a["y"]]
-    cx, cy = colors[a["x"]], colors[a["y"]]
-    cz, cw = colors[a["z"]], colors[a["w"]]
-    if dx >= 4 and dy >= 4:
-        colors[a["u"]] = _pick(lists, a["u"], {cx, cy, cz, cw})
-        colors[a["v"]] = _pick(lists, a["v"], {cx, cy, colors[a["u"]], cw})
-        colors[a["a"]] = _pick(lists, a["a"], {cx, cy, colors[a["u"]], colors[a["v"]]})
-        return
-    if dx >= 4 and dy == 3:
-        cy1 = colors[a["y1"]]
-        colors[a["u"]] = _pick(lists, a["u"], {cx, cy, cz, cw})
-        colors[a["a"]] = _pick(lists, a["a"], {cw, cy, cy1, colors[a["u"]], cx})
-        colors[a["v"]] = _pick(
-            lists, a["v"], {cx, cy, colors[a["u"]], cw, colors[a["a"]]}
-        )
-        return
+    if dx >= 4 and dy >= 3:
+        return _run(_G11_44 if dy >= 4 else _G11_43, d, a, colors, lists)
     # both degree 3, with the rainbow worst case and its recoloring branch
-    cx1, cy1 = colors[a["x1"]], colors[a["y1"]]
-    colors[a["v"]] = _pick(lists, a["v"], {cx, cx1, cz, cw, cy})
-    colors[a["a"]] = _pick(lists, a["a"], {colors[a["v"]], cy, cy1, cw, cx})
-    cv, ca = colors[a["v"]], colors[a["a"]]
+    _run(_G11_33, d, a, colors, lists)
+    cx, cy, cz, cw, cv, ca = (colors[a[label]] for label in "xyzwva")
     cu = _first(lists, a["u"], {cx, cz, cw, cv, ca, cy})
     if cu is not None:
         colors[a["u"]] = cu
         return
     logger.debug("rainbow case at configuration 11; trying recolorings")
-    cz_new = _first(lists, a["z"], {cx, cz, cw, cv, cy, cx1})
+    cz_new = _first(lists, a["z"], {cx, cz, cw, cv, cy, colors[a["x1"]]})
     if cz_new is not None:
-        colors[a["u"]] = cz
-        colors[a["z"]] = cz_new
+        colors[a["u"]], colors[a["z"]] = cz, cz_new
         return
-    ca_new = _first(lists, a["a"], {cx, cw, cv, ca, cy, cy1})
+    ca_new = _first(lists, a["a"], {cx, cw, cv, ca, cy, colors[a["y1"]]})
     if ca_new is not None:
-        colors[a["u"]] = ca
-        colors[a["a"]] = ca_new
+        colors[a["u"]], colors[a["a"]] = ca, ca_new
         return
     # the difficult case: both short lists are pinned; pull z and a onto
     # w's old color, then recolor w, v, u in this order
     if cw not in lists[a["z"]] or cw not in lists[a["a"]]:
         raise ExtensionFailure("configuration 11 recoloring premises do not hold")
-    colors[a["z"]] = cw
-    colors[a["a"]] = cw
-    colors[a["w"]] = _pick(lists, a["w"], {cx, cw, cy, cy1})
-    colors[a["v"]] = _pick(lists, a["v"], {cx, cw, cy, colors[a["w"]], cx1})
-    colors[a["u"]] = _pick(lists, a["u"], {cx, cw, cy, colors[a["v"]], colors[a["w"]]})
+    colors[a["z"]] = colors[a["a"]] = cw
+    _run(_G11_PINNED, d, a, colors, lists)
 
 
 _HANDLERS = {
     "P1-pendant": _extend_p1,
     "P2-adjacent-deg2": _extend_p2,
-    "P3-triangle-deg2": _extend_p3,
+    "P3-triangle-deg2": partial(_run, _P3),
     "P4-G3": _extend_g3,
-    "P5-G6": _extend_g6,
-    "P6-G7": _extend_g7,
-    "P7-G8": _extend_g8,
-    "P8-G9": _extend_g9,
+    "P5-G6": partial(_run, _G6),
+    "P6-G7": partial(_run, _G7),
+    "P7-G8": partial(_run, _G8),
+    "P8-G9": partial(_run, _G9),
     "P9-G10": _extend_g10,
     "P10-G11": _extend_g11,
 }

@@ -98,7 +98,10 @@ def test_color_off_list_color_exit_3(monkeypatch, capsys):
     assert code == 3 and "error" in json.loads(out)
 
 
-@pytest.mark.parametrize("text", ["{}", "[1]", '{"colors": [1]}', '{"colors": {"1": [1]}}'])
+@pytest.mark.parametrize(
+    "text",
+    ["{}", "[1]", '{"colors": [1]}', '{"colors": {"1": [1]}}', pytest.param("[" * 100000, id="deep-array")],
+)
 def test_verify_malformed_coloring_exit_2(tmp_path, capsys, text):
     f = tmp_path / "p3.txt"
     f.write_text("n 3\ne 1 2\ne 2 3\n")
