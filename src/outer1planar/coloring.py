@@ -365,7 +365,7 @@ def _extend_p2(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssig
     colors[v] = _pick(lists, v, fv)
 
 
-def _run(row, d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
+def _run(row: tuple, d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
     """Color each pick's label in turn by the least list color unlike its
     avoid labels' colors and, for each of its thirds h of degree 3, h1's: a
     degree-3 x (or y) shows three colors only if the vertex colored next to
