@@ -248,13 +248,18 @@ def _cmd_generate(args) -> tuple[int, dict]:
     if what == "cycle":
         if args.arg is None:
             raise DrawingError("generate cycle needs a vertex count")
-        n = int(args.arg)
+        try:
+            n = int(args.arg)
+        except ValueError:
+            raise DrawingError(f"generate cycle needs an integer vertex count, got {args.arg!r}") from None
         if n > _MAX_N:
             raise DrawingError(f"generate cycle is capped at {_MAX_N} vertices, got {n}")
         d = generators.cycle(n)
     elif what == "sharp":
         d = generators.sharp_example()
-    elif what.startswith("h"):
+    elif what == "h" or what[:1] == "h" and what[1].isdecimal():
+        if not what[1:].isdecimal():
+            raise DrawingError(f"generate h<i> needs an integer i, got {what!r}")
         d = generators.h_family(int(what[1:]))
     elif what == "random":
         if args.n > _RANDOM_MAX_N:

@@ -16,11 +16,11 @@ deletion.  Every extension is checked around the vertices it touched: a
 count shows every vertex colored, then one pass stops at the first
 improper edge or short neighborhood and skips the wide neighbors the shape
 cannot leave short; a rule that leaves a violation raises ExtensionFailure
-naming its shape.  A pendant (P1) step colors one vertex u next to at most
-one survivor v, so its check reads just those two: the count, v's color
-kept, u's color unlike v's, and v's neighbors colorful when v has degree
-below 4.  That is the generic check's verdict for it.  The result is
-verified once in full.
+naming its shape.  Pendants (P1) come off and go back in runs, with no
+step objects, each checked on u and its one neighbor v.  A P2 or P3 step is
+checked on its own vertices and anchors, the rest by the generic local
+check; both give its verdict.  The result is verified once in full, in one
+pass that also checks the lists.
 """
 
 from __future__ import annotations
@@ -64,13 +64,15 @@ class Verdict:
 _VALID = Verdict(True)
 
 
-def _is_dynamic(d: Drawing, colors: Coloring, r: int) -> bool:
-    """verify_dynamic's verdict in one pass, with no report."""
+def _is_dynamic(d: Drawing, colors: Coloring, r: int, lists: ListAssignment | None = None) -> bool:
+    """verify_dynamic's verdict in one pass, with no report; given lists, also each color on its list."""
     degs, get = d.degrees, colors.get
     for v, ns in d.adjacency.items():
         c = get(v)
         seen = set(map(get, ns))
-        if c is None or c in seen or len(seen) < r and len(seen) < degs[v]:
+        if c is None or c in seen or (k := len(seen)) < r and k < degs[v]:
+            return False
+        if lists is not None and c not in lists[v]:
             return False
     return True
 
@@ -196,22 +198,27 @@ def color_list_3_dynamic(d: Drawing, lists: ListAssignment) -> Coloring:
 
 def _color(d: Drawing, lists: ListAssignment) -> Coloring:
     peeler = _Peeler(d)
-    pop, remove, restore, survivors = peeler.pop, peeler.remove, peeler.restore, peeler.degrees
-    peeled: list[tuple[ReductionStep, list[set[int] | frozenset[int]]]] = []
-    while survivors:
+    pendants, pop, remove, restore = peeler.peel_pendants, peeler.pop, peeler.remove, peeler.restore
+    # each pop follows a run of pendants; the last run empties the drawing
+    peeled: list[tuple[list, ReductionStep, list[set[int] | frozenset[int]]]] = []
+    run = pendants()
+    while peeler.degrees:
         step = pop()
-        peeled.append((step, remove(step.deleted)))
+        peeled.append((run, step, remove(step.deleted)))
+        run = pendants()
     colors: Coloring = {}
-    for step, popped in reversed(peeled):
+    _extend_pendants(peeler, run, colors, lists)
+    for run, step, popped in reversed(peeled):
         restore(step.deleted, popped)
         _extend(peeler, step, colors, lists)
+        _extend_pendants(peeler, run, colors, lists)
+    if _is_dynamic(d, colors, 3, lists):  # the full check, with the report built only on failure
+        return colors
     verdict = verify_dynamic(d, colors, 3)
     if not verdict.valid:
         raise ExtensionFailure(f"coloring left violations: {verdict.violations[:3]}")
     bad = [v for v in d.vertices if colors[v] not in lists[v]]
-    if bad:
-        raise ExtensionFailure(f"colors off-list at {bad}")
-    return colors
+    raise ExtensionFailure(f"colors off-list at {bad}")
 
 
 _sorted = lru_cache(maxsize=1024)(sorted)
@@ -251,43 +258,76 @@ def extend_step(
 
 def _extend(d: Drawing, step: ReductionStep, colors: Coloring, lists: ListAssignment) -> None:
     """extend_step on colors itself, so a peel copies nothing per step.
-
-    A pendant step is checked by _pendant_valid, every other step by
-    _valid_around.  For a pendant u, whose one neighbor v survives if it
-    exists, _valid_around's T is {u} when v keeps its color, and its wide
-    is |deleted| + 3 = 4.  So it reads u's neighborhood, which is v or
-    nothing and shows u all the colors its degree asks for, then v's
-    neighborhood if d(v) < 4, and nothing else.  _pendant_valid checks the
-    same, and refuses a recolored v: the pendant rule colors u only.
-    """
-    a = step.anchors
-    pendant = step.kind == "P1-pendant"
-    if pendant:
-        before = colors.get(a.get("v"))
-    else:
-        before = {v: colors[v] for v in a.values() if v in colors}
+    A pendant step is a run of one on a peeler of d less the pendant."""
+    a, kind = step.anchors, step.kind
+    if kind == "P1-pendant":
+        p = _Peeler(d)
+        return _extend_pendants(p, [*zip(step.deleted, p.remove(step.deleted))], colors, lists)
+    before = {v: colors[v] for v in a.values() if v in colors}
     try:
-        _HANDLERS[step.kind](d, a, colors, lists)
+        _HANDLERS[kind](d, a, colors, lists)
     except ExtensionFailure as exc:
-        raise ExtensionFailure(f"rule for {step.kind} failed: {exc}") from None
+        raise ExtensionFailure(f"rule for {kind} failed: {exc}") from None
     except KeyError as exc:  # a kind with no rule, or a label or color its rule reads is missing
-        raise ExtensionFailure(f"rule for {step.kind} failed: missing {exc}") from None
-    if not (_pendant_valid(d, a, before, colors) if pendant else _valid_around(d, step, before, colors)):
-        raise ExtensionFailure(f"rule for {step.kind} left a violation")
+        raise ExtensionFailure(f"rule for {kind} failed: missing {exc}") from None
+    check = _primitive_valid if kind in ("P2-adjacent-deg2", "P3-triangle-deg2") else _valid_around
+    if not check(d, step, before, colors):
+        raise ExtensionFailure(f"rule for {kind} left a violation")
 
 
-def _pendant_valid(d: Drawing, a: dict[str, int], cv: int | None, colors: Coloring) -> bool:
-    """_valid_around's verdict on a pendant step whose rule left v's color
-    cv as it was; False if the rule recolored v."""
-    if len(colors) != len(d.degrees):
+def _extend_pendants(p: _Peeler, run: list, colors: Coloring, lists: ListAssignment) -> None:
+    """Put a run of p.peel_pendants back, last deletion first, coloring
+    each u by the P1 rule: the least list color unlike its neighbor v's and,
+    if d(v) <= 3, unlike v's other neighbors'.  Each pick gets _valid_around's
+    verdict on the step (u, v), whose T is {u} while v keeps its color and
+    whose wide is 4: the count, v's color kept, u's unlike it, and v's
+    neighborhood if d(v) < 4.  u's neighborhood, v or nothing, always passes."""
+    adj, degs, get = p.adjacency, p.degrees, colors.get
+    for u, vs in reversed(run):
+        adj[u] = vs
+        degs[u] = len(vs)
+        forbidden: set[int | None] = set()
+        for v in vs:  # u's neighbor, if any
+            nv = adj[v]
+            nv.add(u)
+            degs[v] = k = degs[v] + 1
+            forbidden = set(map(get, nv)) if k <= 3 else set()
+            forbidden.add(cv := get(v))
+        forbidden.discard(None)
+        try:
+            colors[u] = _pick(lists, u, forbidden)
+        except ExtensionFailure as exc:
+            raise ExtensionFailure(f"rule for P1-pendant failed: {exc}") from None
+        except KeyError as exc:
+            raise ExtensionFailure(f"rule for P1-pendant failed: missing {exc}") from None
+        if len(colors) != len(degs) or vs and (
+            get(v) != cv or colors[u] == cv or k < 4 and len(set(map(get, nv))) < min(3, k)
+        ):
+            raise ExtensionFailure("rule for P1-pendant left a violation")
+
+
+def _primitive_valid(d: Drawing, step: ReductionStep, kept: Coloring, colors: Coloring) -> bool:
+    """_valid_around's verdict on a P2 or P3 step, given kept, the colors
+    its surviving anchors x, y, x1 and y1 had before the rule; False if the
+    rule recolored one.  T is then P2's u and v or P3's u, next to their
+    anchors only, and of those x and y are read where their degree is
+    below |T| + 3."""
+    adj, degs, get, a = d.adjacency, d.degrees, colors.get, step.anchors
+    if len(colors) != len(degs):
         return False
-    if "v" not in a:
-        return True
-    v = a["v"]
-    if colors[v] != cv or colors[a["u"]] == cv:
-        return False
-    k = d.degrees[v]
-    return k >= 4 or len(set(map(colors.get, d.adjacency[v]))) >= min(3, k)
+    for v, c in kept.items():
+        if colors[v] != c:
+            return False
+    x, y = a["x"], a["y"]
+    cu, cv, cx, cy = colors[a["u"]], get(a.get("v")), colors[x], colors[y]
+    if cu in (cv, cx, cy) or cv in (cx, cy):  # P2: u sees v and x, v sees u and y
+        return False  # P3 (cv None): u sees x and y, colored apart by the partial
+    wide = len(step.deleted) + 3
+    for h in (x,) if x == y else (x, y):
+        k = degs[h]
+        if k < wide and len(set(map(get, adj[h]))) < min(3, k):
+            return False
+    return True
 
 
 def _valid_around(d: Drawing, step: ReductionStep, partial: Coloring, colors: Coloring) -> bool:
@@ -331,17 +371,6 @@ def _valid_around(d: Drawing, step: ReductionStep, partial: Coloring, colors: Co
 
 def _colors_of(colors: Coloring, vs) -> set[int]:
     return {colors[w] for w in vs if w in colors}
-
-
-def _extend_p1(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
-    u = a["u"]
-    forbidden: set[int] = set()
-    if "v" in a:
-        v = a["v"]
-        forbidden = {colors[v]}
-        if d.degrees[v] <= 3:  # u has no color yet
-            forbidden |= _colors_of(colors, d.adjacency[v])
-    colors[u] = _pick(lists, u, forbidden)
 
 
 def _extend_p2(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
@@ -450,7 +479,6 @@ def _extend_g11(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssi
 
 
 _HANDLERS = {
-    "P1-pendant": _extend_p1,
     "P2-adjacent-deg2": _extend_p2,
     "P3-triangle-deg2": partial(_run, _P3),
     "P4-G3": _extend_g3,

@@ -70,6 +70,19 @@ class AbstractGraph:
                 if u == v:
                     raise InvalidDrawingError(f"loop at vertex {u}")
                 raise InvalidDrawingError(f"edge ({u},{v}) out of range for n={n}")
+        self._validate()
+
+    def _validate(self) -> None:
+        """What construction checks past the edges' range: nothing, for a graph."""
+
+    @classmethod
+    def _of_checked_edges(cls, n: int, edges: frozenset[Edge]):
+        """cls(n, edges) minus the edge check, for edges known to be in range with no loop."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        g._validate()
+        return g
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]):
@@ -125,6 +138,8 @@ class Drawing(AbstractGraph):
         if self.n < 1:
             raise InvalidDrawingError("a drawing needs at least one vertex")
         super().__post_init__()
+
+    def _validate(self) -> None:
         pairs = []
         crossed: set[Edge] = set()
         for pair in self._interleaving_pairs():
@@ -248,7 +263,7 @@ def parse_drawing(text: str) -> Drawing:
                 continue
             raise InvalidDrawingError(f"line {ln}: duplicate edge ({u},{v})")
         _edge_line_error(ln, raw, n)
-    return Drawing(n, frozenset(edges))
+    return Drawing._of_checked_edges(n, frozenset(edges))
 
 
 def _edge_line_error(ln: int, raw: str, n: int) -> None:

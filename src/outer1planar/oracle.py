@@ -196,7 +196,7 @@ def is_maximal(d: Drawing) -> bool:
     for e in iter_all_pairs(d.n):
         if e in d.edges:
             continue
-        if is_outer_1_planar(AbstractGraph(d.n, d.edges | {e})):
+        if is_outer_1_planar(AbstractGraph._of_checked_edges(d.n, d.edges | {e})):
             return False
     return True
 

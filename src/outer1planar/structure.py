@@ -195,8 +195,9 @@ class _Peeler:
     the new entries under each label with that bound.  They miss no new
     leader: an automorphism preserves roles, so the label a new
     occurrence's leader puts on the vertex newly admits it too.
-    Configurations are read in `_SHAPES` order; `restore` is for the
-    extension phase, after the last `pop`.
+    Configurations are read in `_SHAPES` order.  The coloring engine takes
+    pendants off in runs by `peel_pendants` and pops only the other kinds;
+    `restore` is for the extension phase, after the last `pop`.
     """
 
     def __init__(self, d: Drawing) -> None:
@@ -267,6 +268,17 @@ class _Peeler:
         raise StructureNotFound(
             "no reducible configuration: the input is not outer-1-planar, or the catalog is wrong"
         )
+
+    def peel_pendants(self) -> list[tuple[int, set[int] | frozenset[int]]]:
+        """Delete pendants in pop's order, the least vertex of degree at most
+        1 first, until none is left; returns [(u, u's popped neighbor set), ...]."""
+        degs, pendant, remove = self.degrees, self._pendant, self.remove
+        run = []
+        while pendant:
+            u = heappop(pendant)
+            if degs.get(u, 2) <= 1:
+                run.append((u, remove((u,))[0]))
+        return run
 
     def _least_occurrence(self, pid: int) -> tuple[int, ...] | None:
         """The least anchor key of an orbit representative, or None."""
@@ -356,4 +368,4 @@ def check_d1(d: Drawing, m: Match) -> bool:
     e = (min(u, v), max(u, v))
     if e in d.edges:
         return True
-    return oracle.is_outer_1_planar(AbstractGraph(d.n, d.edges | {e}))
+    return oracle.is_outer_1_planar(AbstractGraph._of_checked_edges(d.n, d.edges | {e}))

@@ -329,8 +329,20 @@ def test_validate_dot(monkeypatch, capsys):
         (["validate", "-"], "n 100001\n", "drawings are capped at 100000 vertices, got 100001"),
         (["generate", "cycle"], "", "generate cycle needs a vertex count"),
         (["generate", "wheel"], "", "unknown generator 'wheel'"),
+        (["generate", "hello"], "", "unknown generator 'hello'"),
+        (["generate", "h"], "", "generate h<i> needs an integer i, got 'h'"),
+        (["generate", "h2x"], "", "generate h<i> needs an integer i, got 'h2x'"),
+        (["generate", "cycle", "x"], "", "generate cycle needs an integer vertex count, got 'x'"),
     ],
-    ids=["vertex-cap", "cycle-without-count", "unknown-generator"],
+    ids=[
+        "vertex-cap",
+        "cycle-without-count",
+        "unknown-generator",
+        "unknown-h-word",
+        "h-without-index",
+        "h-non-integer",
+        "cycle-non-integer-count",
+    ],
 )
 def test_refused_request_exit_2(argv, stdin, message, monkeypatch, capsys):
     code, out, _ = invoke(argv, stdin, monkeypatch, capsys)

@@ -23,7 +23,7 @@ from outer1planar import (
     verify_dynamic,
 )
 from outer1planar.coloring import Verdict, Violation, _is_dynamic, coloring_to_json, parse_coloring_json
-from outer1planar.structure import ReductionStep
+from outer1planar.structure import ReductionStep, _Peeler
 
 from .conftest import (
     delete_with_map,
@@ -303,18 +303,17 @@ def test_first_sorts_each_distinct_list_once():
 
 
 def test_rule_leaving_a_violation_raises(monkeypatch, tmp_path, capsys):
-    # the local check catches a rule that leaves an improper edge; the
-    # failure names the shape, and o1p color exits 3 with a JSON error
+    # the local check catches a pick that leaves an improper edge; the
+    # failure names the shape, and o1p color exits 3 with a JSON error.
+    # The pendant rule picks through _first, here a first that takes a
+    # forbidden color: on the path 3 comes back first, then 2 copies its color.
     import outer1planar.coloring as col
     from outer1planar import emit_drawing
     from outer1planar.cli import run
 
-    def improper(d, a, colors, lists):
-        colors[a["u"]] = colors[a["v"]] if "v" in a else 1
-
-    monkeypatch.setitem(col._HANDLERS, "P1-pendant", improper)
+    monkeypatch.setattr(col, "_first", lambda lists, v, forbidden: min(forbidden, default=1))
     d = Drawing.from_edges(3, [(1, 2), (2, 3)])
-    with pytest.raises(ExtensionFailure, match="P1-pendant"):
+    with pytest.raises(ExtensionFailure, match="P1-pendant left a violation"):
         color_list_3_dynamic(d, uniform_lists(d, 6))
     path = tmp_path / "path.txt"
     path.write_text(emit_drawing(d), encoding="utf-8")
@@ -429,47 +428,52 @@ def test_local_check_rejects_uncolored(classes):
 
 
 def test_pendant_check_gives_the_generic_verdict(classes, monkeypatch):
-    # at every pendant step of the peels, a rule that writes a random color
-    # to u (at times none) and at times to v is refused exactly when
-    # _valid_around refuses the same state, and always when v changed.  The pendants of h_family
-    # hang off vertices of degree 6 and 8, where v's neighbors are not read.
+    # at every pendant of the peels' runs, a pick of a random color (at times
+    # none) that at times also recolors v is refused exactly when
+    # _valid_around refuses the same state, and always when v changed.  Each
+    # trial puts the pendant back alone and takes it off again.  The pendants
+    # of h_family hang off vertices of degree 6 and 8, where v's neighbors
+    # are not read.
     import outer1planar.coloring as col
 
     rng = random.Random(24)
-    extend, rule = col._extend, col._HANDLERS["P1-pendant"]
-    scrambling = [False]
+    extend, first = col._extend_pendants, col._first
+    trial = []  # (the coloring being scrambled, v) while a trial runs
     seen = set()
 
-    def scramble(d, a, colors, lists):
-        if not scrambling[0]:
-            return rule(d, a, colors, lists)
-        if rng.random() < 0.9:
-            colors[a["u"]] = rng.randint(1, 4)
-        if "v" in a and rng.random() < 0.2:
-            colors[a["v"]] = rng.randint(1, 4)
+    def scramble(lists, u, forbidden):
+        if not trial:
+            return first(lists, u, forbidden)
+        colors, v = trial[0]
+        if v is not None and rng.random() < 0.2:
+            colors[v] = rng.randint(1, 4)
+        return rng.randint(1, 4) if rng.random() < 0.9 else None
 
-    def probe(p, step, colors, lists):
-        v = step.anchors.get("v")
-        for _ in range(4 if step.kind == "P1-pendant" else 0):
-            trial = dict(colors)
-            scrambling[0] = True
-            try:
-                extend(p, step, trial, lists)
-                refused = False
-            except ExtensionFailure as exc:
-                assert "P1-pendant" in str(exc)
-                refused = True
-            scrambling[0] = False
-            recolored = v is not None and trial[v] != colors[v]
-            if recolored:
-                assert refused
-            else:
-                assert refused != col._valid_around(p, step, colors, trial)
-            seen.add((recolored, refused, v is not None and p.degrees[v] >= 4))
-        extend(p, step, colors, lists)
+    def probe(p, run, colors, lists):
+        for u, vs in reversed(run):
+            v = min(vs, default=None)
+            step = ReductionStep("P1-pendant", (u,), {"u": u} if v is None else {"u": u, "v": v})
+            for _ in range(4):
+                t = dict(colors)
+                trial.append((t, v))
+                try:
+                    extend(p, [(u, vs)], t, lists)
+                    refused = False
+                except ExtensionFailure as exc:
+                    assert "P1-pendant" in str(exc)
+                    refused = True
+                trial.clear()
+                recolored = v is not None and t[v] != colors[v]
+                if recolored:
+                    assert refused
+                else:
+                    assert refused != col._valid_around(p, step, colors, t)
+                seen.add((recolored, refused, v is not None and p.degrees[v] >= 4))
+                assert p.remove((u,)) == [vs]
+            extend(p, [(u, vs)], colors, lists)
 
-    monkeypatch.setitem(col._HANDLERS, "P1-pendant", scramble)
-    monkeypatch.setattr(col, "_extend", probe)
+    monkeypatch.setattr(col, "_first", scramble)
+    monkeypatch.setattr(col, "_extend_pendants", probe)
     hosts = [h_family(i) for i in range(2, 18)]
     for d in [d for n in range(1, 7) for d in classes(n, "all")] + hosts:
         color_list_3_dynamic(d, uniform_lists(d, 6))
@@ -477,24 +481,116 @@ def test_pendant_check_gives_the_generic_verdict(classes, monkeypatch):
     assert {(False, r, w) for r in (True, False) for w in (True, False)} <= seen
 
 
+PRIMITIVE = ("P2-adjacent-deg2", "P3-triangle-deg2")
+
+
+def _lean_population(classes):
+    """Every class with n <= 7, the minimality witnesses, a fan and a windmill."""
+    drawings = [d for n in range(1, 8) for d in classes(n, "all")]
+    return drawings + [h_family(i) for i in range(2, 18)] + [fan(40), windmill(41)]
+
+
+def _peel_steps(d, runs):
+    """(kind, deleted, anchors) of each step of d's peel, by pop alone or
+    by pendant runs before each pop."""
+    p, steps = _Peeler(d), []
+    while p.degrees:
+        for u, vs in p.peel_pendants() if runs else ():
+            steps.append(("P1-pendant", (u,), {"u": u, "v": min(vs)} if vs else {"u": u}))
+        if p.degrees:
+            step = p.pop()
+            p.remove(step.deleted)
+            steps.append((step.kind, step.deleted, step.anchors))
+    return steps
+
+
+def test_pendant_runs_give_the_steps_of_pop(classes):
+    pendants = 0
+    for d in _lean_population(classes):
+        steps = _peel_steps(d, runs=True)
+        assert steps == _peel_steps(d, runs=False), sorted(d.edges)
+        pendants += sum(kind == "P1-pendant" for kind, _, _ in steps)
+    assert pendants > 30000
+
+
+def test_primitive_checks_give_the_generic_verdict(classes, monkeypatch):
+    # at every P2 and P3 step of the peels, a rule that writes random colors
+    # to u or v, and at times to x, y, x1 or y1, is refused exactly when
+    # _valid_around refuses the same state, and always when it recolored one
+    # of those survivors.  Where x or y has degree |deleted| + 3 or more,
+    # neither check reads its neighbors.
+    import outer1planar.coloring as col
+
+    rng = random.Random(27)
+    extend = col._extend
+    scrambling = [False]
+    seen = set()
+
+    def scrambled(rule):
+        def scramble(d, a, colors, lists):
+            if not scrambling[0]:
+                return rule(d, a, colors, lists)
+            for label, v in a.items():
+                if rng.random() < (0.9 if label in ("u", "v") else 0.05):
+                    colors[v] = rng.randint(1, 4)
+
+        return scramble
+
+    def probe(p, step, colors, lists):
+        for _ in range(4 if step.kind in PRIMITIVE else 0):
+            trial = dict(colors)
+            scrambling[0] = True
+            try:
+                extend(p, step, trial, lists)
+                refused = False
+            except ExtensionFailure as exc:
+                assert step.kind in str(exc)
+                refused = True
+            scrambling[0] = False
+            recolored = any(trial[v] != colors[v] for v in step.anchors.values() if v in colors)
+            if recolored:
+                assert refused
+            else:
+                assert refused != col._valid_around(p, step, colors, trial)
+            wide = max(p.degrees[step.anchors[h]] for h in "xy") >= len(step.deleted) + 3
+            seen.add((step.kind, recolored, refused, wide))
+        extend(p, step, colors, lists)
+
+    for kind in PRIMITIVE:
+        monkeypatch.setitem(col._HANDLERS, kind, scrambled(col._HANDLERS[kind]))
+    monkeypatch.setattr(col, "_extend", probe)
+    for d in _lean_population(classes):
+        color_list_3_dynamic(d, uniform_lists(d, 6))
+    for kind in PRIMITIVE:
+        assert {(kind, True, True, w) for w in (True, False)} <= seen, kind
+        assert {(kind, False, r, w) for r in (True, False) for w in (True, False)} <= seen, kind
+
+
 def test_pendant_rule_recoloring_v_raises(monkeypatch, tmp_path, capsys):
-    # the pendant rule colors u only, so a rule that also recolors v is
+    # the pendant rule colors u only, so a pick that also recolors v is
     # refused, here where the whole coloring stays valid: through a peel,
-    # through extend_step and by o1p color with exit 3.  A rule that leaves
-    # an improper edge is refused through extend_step too.
+    # through extend_step and by o1p color with exit 3.  A pick that leaves
+    # an improper edge is refused through extend_step too.  The faults ride
+    # on _first, which reaches the coloring being extended through
+    # _extend_pendants.
     import outer1planar.coloring as col
     from outer1planar import emit_drawing
     from outer1planar.cli import run
 
-    rule = col._HANDLERS["P1-pendant"]
+    first, extend = col._first, col._extend_pendants
+    extending = []
 
-    def recolor(d, a, colors, lists):
-        rule(d, a, colors, lists)
-        if "v" in a:
-            colors[a["v"]] = 6
+    def holding(p, run, colors, lists):
+        extending.append(colors)
+        extend(p, run, colors, lists)
 
-    def improper(d, a, colors, lists):
-        colors[a["u"]] = colors[a["v"]] if "v" in a else 1
+    def recolor(lists, v, forbidden):
+        if v == 1:
+            extending[-1][2] = 6
+        return first(lists, v, forbidden)
+
+    def improper(lists, v, forbidden):
+        return min(forbidden, default=1)
 
     d = Drawing.from_edges(3, [(1, 2), (2, 3)])
     lists = uniform_lists(d, 6)
@@ -506,8 +602,9 @@ def test_pendant_rule_recoloring_v_raises(monkeypatch, tmp_path, capsys):
     assert verify_dynamic(d, out, 3).valid
     path = tmp_path / "path.txt"
     path.write_text(emit_drawing(d), encoding="utf-8")
+    monkeypatch.setattr(col, "_extend_pendants", holding)
     for bad in (recolor, improper):
-        monkeypatch.setitem(col._HANDLERS, "P1-pendant", bad)
+        monkeypatch.setattr(col, "_first", bad)
         with pytest.raises(ExtensionFailure, match="P1-pendant"):
             extend_step(d, step, partial, lists)
         with pytest.raises(ExtensionFailure, match="P1-pendant"):
@@ -550,13 +647,31 @@ def test_extend_step_names_a_shape_it_cannot_run(kind, key):
     ids=["fan", "crossing-fan", "windmill", "two-hubs"],
 )
 def test_hub_neighborhoods_are_not_reread(d, monkeypatch):
-    # the rules and the local check read neighbor sets through d.adjacency;
-    # summed over a coloring, the elements of the sets they take stay linear
+    # the rules and the local checks read neighbor sets through the peeler's
+    # adjacency; summed over a coloring, the elements they read stay linear
     # in n, though the hub is next to almost every shape: reading it once
-    # per shape would take about n^2 / 2
+    # per shape would take about n^2 / 2.  Putting a pendant back adds it to
+    # its neighbor's set, which reads no element.
     import outer1planar.coloring as col
 
     taken = [0]
+
+    class Elements:
+        """A neighbor set that counts the elements read from it."""
+
+        def __init__(self, vs):
+            self.vs = vs
+
+        def __iter__(self):
+            taken[0] += len(self.vs)
+            return iter(self.vs)
+
+        def __sub__(self, other):
+            taken[0] += len(self.vs)
+            return self.vs - other
+
+        def add(self, v):
+            self.vs.add(v)
 
     class Counted:
         def __init__(self, peeler):
@@ -564,11 +679,14 @@ def test_hub_neighborhoods_are_not_reread(d, monkeypatch):
             self.adjacency = self
 
         def __getitem__(self, v):
-            taken[0] += len(self._adj[v])
-            return self._adj[v]
+            return Elements(self._adj[v])
 
-    extend = col._extend
+        def __setitem__(self, v, vs):
+            self._adj[v] = vs
+
+    extend, pendants = col._extend, col._extend_pendants
     monkeypatch.setattr(col, "_extend", lambda p, step, c, ls: extend(Counted(p), step, c, ls))
+    monkeypatch.setattr(col, "_extend_pendants", lambda p, run, c, ls: pendants(Counted(p), run, c, ls))
     color_list_3_dynamic(d, uniform_lists(d, 6))
     assert 0 < taken[0] < 10 * d.n
 

@@ -59,6 +59,28 @@ def test_constructor_refuses_bad_graphs(n, edges, message):
         Drawing.from_edges(n, edges)
 
 
+def test_only_known_edges_skip_the_edge_check(monkeypatch):
+    # the parser, and is_maximal's and check_d1's one-edge supersets of a
+    # valid drawing, build with no second edge check; the public
+    # constructors keep it
+    from outer1planar import check_d1, find_matches, get_pattern, is_maximal
+
+    for cls in (AbstractGraph, Drawing):
+        with pytest.raises(InvalidDrawingError, match="loop at vertex 2"):
+            cls(3, frozenset({(2, 2)}))
+        with pytest.raises(InvalidDrawingError, match=re.escape("edge (1,4) out of range for n=3")):
+            cls(3, frozenset({(1, 4)}))
+    checked = []
+    check = AbstractGraph.__post_init__
+    monkeypatch.setattr(AbstractGraph, "__post_init__", lambda self: checked.append(self) or check(self))
+    # check_d1 asks the oracle about the edge 2-4, which d lacks
+    d = parse_drawing("n 5\ne 1 3\ne 2 5\ne 2 3\ne 3 4\ne 4 5\n")
+    assert not is_maximal(d) and check_d1(d, find_matches(d, get_pattern(3))[0]) and checked == []
+    assert Drawing(d.n, d.edges) == d and AbstractGraph(d.n, d.edges) and len(checked) == 2
+    with pytest.raises(InvalidDrawingError, match="crossed 2 times"):
+        parse_drawing("n 6\ne 1 4\ne 2 6\ne 3 5\n")
+
+
 def test_parse_reports_line_numbers():
     with pytest.raises(DrawingFormatError, match="line 2"):
         parse_drawing("n 3\ne 1\n")
