@@ -247,10 +247,11 @@ def extend_step(
     Implements the per-shape rules; only deleted vertices receive colors,
     except for the recolorings of the 10th and 11th configurations' rules.
     A rule that leaves a violation, a kind with no rule, or anchors missing a
-    label the rule reads raise ExtensionFailure naming the shape.
+    label the rule reads raise ExtensionFailure naming the shape; a partial
+    or a step that names a vertex outside d raises it before any rule runs.
     """
-    if not partial.keys() <= d.adjacency.keys():
-        raise ExtensionFailure("partial coloring names vertices outside the drawing")
+    if not partial.keys() | set(step.deleted) <= d.adjacency.keys():
+        raise ExtensionFailure("partial coloring or step names vertices outside the drawing")
     colors = dict(partial)
     _extend(d, step, colors, lists)
     return colors

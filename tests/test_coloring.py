@@ -631,6 +631,16 @@ def test_extend_step_rejects_a_partial_with_stray_keys(classes):
     assert cases > 100
 
 
+@pytest.mark.parametrize("kind", ["P1-pendant", "P5-G6"])
+def test_extend_step_refuses_a_step_outside_the_drawing(kind):
+    # a step that deletes a vertex d lacks is refused before its rule runs,
+    # not by a bare KeyError from the peeler or the local check
+    d = cycle(5)
+    step = ReductionStep(kind, (9,), {"u": 1, "x": 2, "y": 5, "v": 3})
+    with pytest.raises(ExtensionFailure, match="outside the drawing"):
+        extend_step(d, step, {2: 1, 3: 2, 4: 1, 5: 2}, uniform_lists(d, 6))
+
+
 @pytest.mark.parametrize("kind, key", [("nope", "nope"), ("P5-G6", "x")], ids=["no-rule", "no-x-anchor"])
 def test_extend_step_names_a_shape_it_cannot_run(kind, key):
     # a kind with no rule, or anchors that miss a label the rule reads, is
