@@ -17,9 +17,8 @@ count shows every vertex colored, then one pass stops at the first
 improper edge or short neighborhood and skips the wide neighbors the shape
 cannot leave short; a rule that leaves a violation raises ExtensionFailure
 naming its shape.  Pendants (P1) come off and go back in runs, with no
-step objects, each checked on u and its one neighbor v.  A P2 or P3 step is
-checked on its own vertices and anchors, the rest by the generic local
-check; both give its verdict.  The result is verified once in full, in one
+step objects, each checked on u and its one neighbor v; every other step
+gets the generic local check.  The result is verified once in full, in one
 pass that also checks the lists.
 """
 
@@ -258,12 +257,10 @@ def extend_step(
 
 
 def _extend(d: Drawing, step: ReductionStep, colors: Coloring, lists: ListAssignment) -> None:
-    """extend_step on colors itself, so a peel copies nothing per step.
-    A pendant step is a run of one on a peeler of d less the pendant."""
+    """extend_step on colors itself, so a peel copies nothing per step."""
     a, kind = step.anchors, step.kind
     if kind == "P1-pendant":
-        p = _Peeler(d)
-        return _extend_pendants(p, [*zip(step.deleted, p.remove(step.deleted))], colors, lists)
+        return _color_pendant(d.adjacency, d.degrees, step.deleted[0], colors, lists)
     before = {v: colors[v] for v in a.values() if v in colors}
     try:
         _HANDLERS[kind](d, a, colors, lists)
@@ -271,64 +268,46 @@ def _extend(d: Drawing, step: ReductionStep, colors: Coloring, lists: ListAssign
         raise ExtensionFailure(f"rule for {kind} failed: {exc}") from None
     except KeyError as exc:  # a kind with no rule, or a label or color its rule reads is missing
         raise ExtensionFailure(f"rule for {kind} failed: missing {exc}") from None
-    check = _primitive_valid if kind in ("P2-adjacent-deg2", "P3-triangle-deg2") else _valid_around
-    if not check(d, step, before, colors):
+    if not _valid_around(d, step, before, colors):
         raise ExtensionFailure(f"rule for {kind} left a violation")
 
 
 def _extend_pendants(p: _Peeler, run: list, colors: Coloring, lists: ListAssignment) -> None:
-    """Put a run of p.peel_pendants back, last deletion first, coloring
-    each u by the P1 rule: the least list color unlike its neighbor v's and,
-    if d(v) <= 3, unlike v's other neighbors'.  Each pick gets _valid_around's
-    verdict on the step (u, v), whose T is {u} while v keeps its color and
-    whose wide is 4: the count, v's color kept, u's unlike it, and v's
-    neighborhood if d(v) < 4.  u's neighborhood, v or nothing, always passes."""
-    adj, degs, get = p.adjacency, p.degrees, colors.get
+    """Put a run of p.peel_pendants back, last deletion first, coloring each u."""
+    adj, degs = p.adjacency, p.degrees
     for u, vs in reversed(run):
         adj[u] = vs
         degs[u] = len(vs)
-        forbidden: set[int | None] = set()
-        for v in vs:  # u's neighbor, if any
-            nv = adj[v]
-            nv.add(u)
-            degs[v] = k = degs[v] + 1
-            forbidden = set(map(get, nv)) if k <= 3 else set()
-            forbidden.add(cv := get(v))
-        forbidden.discard(None)
-        try:
-            colors[u] = _pick(lists, u, forbidden)
-        except ExtensionFailure as exc:
-            raise ExtensionFailure(f"rule for P1-pendant failed: {exc}") from None
-        except KeyError as exc:
-            raise ExtensionFailure(f"rule for P1-pendant failed: missing {exc}") from None
-        if len(colors) != len(degs) or vs and (
-            get(v) != cv or colors[u] == cv or k < 4 and len(set(map(get, nv))) < min(3, k)
-        ):
-            raise ExtensionFailure("rule for P1-pendant left a violation")
+        for v in vs:
+            adj[v].add(u)
+            degs[v] += 1
+        _color_pendant(adj, degs, u, colors, lists)
 
 
-def _primitive_valid(d: Drawing, step: ReductionStep, kept: Coloring, colors: Coloring) -> bool:
-    """_valid_around's verdict on a P2 or P3 step, given kept, the colors
-    its surviving anchors x, y, x1 and y1 had before the rule; False if the
-    rule recolored one.  T is then P2's u and v or P3's u, next to their
-    anchors only, and of those x and y are read where their degree is
-    below |T| + 3."""
-    adj, degs, get, a = d.adjacency, d.degrees, colors.get, step.anchors
-    if len(colors) != len(degs):
-        return False
-    for v, c in kept.items():
-        if colors[v] != c:
-            return False
-    x, y = a["x"], a["y"]
-    cu, cv, cx, cy = colors[a["u"]], get(a.get("v")), colors[x], colors[y]
-    if cu in (cv, cx, cy) or cv in (cx, cy):  # P2: u sees v and x, v sees u and y
-        return False  # P3 (cv None): u sees x and y, colored apart by the partial
-    wide = len(step.deleted) + 3
-    for h in (x,) if x == y else (x, y):
-        k = degs[h]
-        if k < wide and len(set(map(get, adj[h]))) < min(3, k):
-            return False
-    return True
+def _color_pendant(adj, degs: dict[int, int], u: int, colors: Coloring, lists: ListAssignment) -> None:
+    """The P1 rule on a pendant u, present in adj with at most one neighbor
+    v: the least list color unlike v's and, if d(v) <= 3, unlike v's other
+    neighbors'.  The pick gets _valid_around's verdict on the step (u, v),
+    whose T is {u} while v keeps its color and whose wide is 4: the count,
+    v's color kept, u's unlike it, and v's neighborhood if d(v) < 4.  u's
+    neighborhood, v or nothing, always passes."""
+    get, v = colors.get, None
+    forbidden: set[int | None] = set()
+    for v in adj[u]:  # u's neighbor, if any
+        k = degs[v]
+        forbidden = set(map(get, adj[v])) if k <= 3 else set()
+        forbidden.add(cv := get(v))
+    forbidden.discard(None)
+    try:
+        colors[u] = _pick(lists, u, forbidden)
+    except ExtensionFailure as exc:
+        raise ExtensionFailure(f"rule for P1-pendant failed: {exc}") from None
+    except KeyError as exc:
+        raise ExtensionFailure(f"rule for P1-pendant failed: missing {exc}") from None
+    if len(colors) != len(degs) or v is not None and (
+        get(v) != cv or colors[u] == cv or k < 4 and len(set(map(get, adj[v]))) < min(3, k)
+    ):
+        raise ExtensionFailure("rule for P1-pendant left a violation")
 
 
 def _valid_around(d: Drawing, step: ReductionStep, partial: Coloring, colors: Coloring) -> bool:

@@ -70,18 +70,14 @@ class AbstractGraph:
                 if u == v:
                     raise InvalidDrawingError(f"loop at vertex {u}")
                 raise InvalidDrawingError(f"edge ({u},{v}) out of range for n={n}")
-        self._validate()
-
-    def _validate(self) -> None:
-        """What construction checks past the edges' range: nothing, for a graph."""
 
     @classmethod
-    def _of_checked_edges(cls, n: int, edges: frozenset[Edge]):
-        """cls(n, edges) minus the edge check, for edges known to be in range with no loop."""
+    def _unchecked(cls, n: int, edges: frozenset[Edge]):
+        """cls(n, edges) with no check at all, for edges known to be valid;
+        a caller that still wants a drawing's crossing sweep runs _validate."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "edges", edges)
-        g._validate()
         return g
 
     @classmethod
@@ -138,8 +134,10 @@ class Drawing(AbstractGraph):
         if self.n < 1:
             raise InvalidDrawingError("a drawing needs at least one vertex")
         super().__post_init__()
+        self._validate()
 
     def _validate(self) -> None:
+        """The crossing sweep: each edge interleaves with at most one other."""
         pairs = []
         crossed: set[Edge] = set()
         for pair in self._interleaving_pairs():
@@ -263,7 +261,9 @@ def parse_drawing(text: str) -> Drawing:
                 continue
             raise InvalidDrawingError(f"line {ln}: duplicate edge ({u},{v})")
         _edge_line_error(ln, raw, n)
-    return Drawing._of_checked_edges(n, frozenset(edges))
+    d = Drawing._unchecked(n, frozenset(edges))  # every edge checked above
+    d._validate()
+    return d
 
 
 def _edge_line_error(ln: int, raw: str, n: int) -> None:

@@ -196,7 +196,7 @@ def is_maximal(d: Drawing) -> bool:
     for e in iter_all_pairs(d.n):
         if e in d.edges:
             continue
-        if is_outer_1_planar(AbstractGraph._of_checked_edges(d.n, d.edges | {e})):
+        if is_outer_1_planar(AbstractGraph._unchecked(d.n, d.edges | {e})):
             return False
     return True
 
@@ -292,12 +292,8 @@ def _walk(n: int, filter: str) -> Iterator[tuple[int, int, int]]:
         i, mask, crossed, slack, nbrs, images, copies = stack.pop()
 
 
-def _trusted_drawing(n: int, edges: frozenset[Edge]) -> Drawing:
-    # Construction path for the enumerator, which guarantees validity itself.
-    d = object.__new__(Drawing)
-    object.__setattr__(d, "n", n)
-    object.__setattr__(d, "edges", edges)
-    return d
+# Construction path for the enumerator, which guarantees validity itself.
+_trusted_drawing = Drawing._unchecked
 
 
 @cache

@@ -368,4 +368,4 @@ def check_d1(d: Drawing, m: Match) -> bool:
     e = (min(u, v), max(u, v))
     if e in d.edges:
         return True
-    return oracle.is_outer_1_planar(AbstractGraph._of_checked_edges(d.n, d.edges | {e}))
+    return oracle.is_outer_1_planar(AbstractGraph._unchecked(d.n, d.edges | {e}))

@@ -481,9 +481,6 @@ def test_pendant_check_gives_the_generic_verdict(classes, monkeypatch):
     assert {(False, r, w) for r in (True, False) for w in (True, False)} <= seen
 
 
-PRIMITIVE = ("P2-adjacent-deg2", "P3-triangle-deg2")
-
-
 def _lean_population(classes):
     """Every class with n <= 7, the minimality witnesses, a fan and a windmill."""
     drawings = [d for n in range(1, 8) for d in classes(n, "all")]
@@ -513,76 +510,23 @@ def test_pendant_runs_give_the_steps_of_pop(classes):
     assert pendants > 30000
 
 
-def test_primitive_checks_give_the_generic_verdict(classes, monkeypatch):
-    # at every P2 and P3 step of the peels, a rule that writes random colors
-    # to u or v, and at times to x, y, x1 or y1, is refused exactly when
-    # _valid_around refuses the same state, and always when it recolored one
-    # of those survivors.  Where x or y has degree |deleted| + 3 or more,
-    # neither check reads its neighbors.
-    import outer1planar.coloring as col
-
-    rng = random.Random(27)
-    extend = col._extend
-    scrambling = [False]
-    seen = set()
-
-    def scrambled(rule):
-        def scramble(d, a, colors, lists):
-            if not scrambling[0]:
-                return rule(d, a, colors, lists)
-            for label, v in a.items():
-                if rng.random() < (0.9 if label in ("u", "v") else 0.05):
-                    colors[v] = rng.randint(1, 4)
-
-        return scramble
-
-    def probe(p, step, colors, lists):
-        for _ in range(4 if step.kind in PRIMITIVE else 0):
-            trial = dict(colors)
-            scrambling[0] = True
-            try:
-                extend(p, step, trial, lists)
-                refused = False
-            except ExtensionFailure as exc:
-                assert step.kind in str(exc)
-                refused = True
-            scrambling[0] = False
-            recolored = any(trial[v] != colors[v] for v in step.anchors.values() if v in colors)
-            if recolored:
-                assert refused
-            else:
-                assert refused != col._valid_around(p, step, colors, trial)
-            wide = max(p.degrees[step.anchors[h]] for h in "xy") >= len(step.deleted) + 3
-            seen.add((step.kind, recolored, refused, wide))
-        extend(p, step, colors, lists)
-
-    for kind in PRIMITIVE:
-        monkeypatch.setitem(col._HANDLERS, kind, scrambled(col._HANDLERS[kind]))
-    monkeypatch.setattr(col, "_extend", probe)
-    for d in _lean_population(classes):
-        color_list_3_dynamic(d, uniform_lists(d, 6))
-    for kind in PRIMITIVE:
-        assert {(kind, True, True, w) for w in (True, False)} <= seen, kind
-        assert {(kind, False, r, w) for r in (True, False) for w in (True, False)} <= seen, kind
-
-
 def test_pendant_rule_recoloring_v_raises(monkeypatch, tmp_path, capsys):
     # the pendant rule colors u only, so a pick that also recolors v is
     # refused, here where the whole coloring stays valid: through a peel,
     # through extend_step and by o1p color with exit 3.  A pick that leaves
     # an improper edge is refused through extend_step too.  The faults ride
     # on _first, which reaches the coloring being extended through
-    # _extend_pendants.
+    # _color_pendant.
     import outer1planar.coloring as col
     from outer1planar import emit_drawing
     from outer1planar.cli import run
 
-    first, extend = col._first, col._extend_pendants
+    first, extend = col._first, col._color_pendant
     extending = []
 
-    def holding(p, run, colors, lists):
+    def holding(adj, degs, u, colors, lists):
         extending.append(colors)
-        extend(p, run, colors, lists)
+        extend(adj, degs, u, colors, lists)
 
     def recolor(lists, v, forbidden):
         if v == 1:
@@ -602,7 +546,7 @@ def test_pendant_rule_recoloring_v_raises(monkeypatch, tmp_path, capsys):
     assert verify_dynamic(d, out, 3).valid
     path = tmp_path / "path.txt"
     path.write_text(emit_drawing(d), encoding="utf-8")
-    monkeypatch.setattr(col, "_extend_pendants", holding)
+    monkeypatch.setattr(col, "_color_pendant", holding)
     for bad in (recolor, improper):
         monkeypatch.setattr(col, "_first", bad)
         with pytest.raises(ExtensionFailure, match="P1-pendant"):
