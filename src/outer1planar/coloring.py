@@ -284,7 +284,9 @@ def _extend_pendants(p: _Peeler, run: list, colors: Coloring, lists: ListAssignm
         _color_pendant(adj, degs, u, colors, lists)
 
 
-def _color_pendant(adj, degs: dict[int, int], u: int, colors: Coloring, lists: ListAssignment) -> None:
+def _color_pendant(
+    adj: dict[int, set[int] | frozenset[int]], degs: dict[int, int], u: int, colors: Coloring, lists: ListAssignment
+) -> None:
     """The P1 rule on a pendant u, present in adj with at most one neighbor
     v: the least list color unlike v's and, if d(v) <= 3, unlike v's other
     neighbors'.  The pick gets _valid_around's verdict on the step (u, v),
