@@ -201,7 +201,7 @@ def test_shapes_table_fits_the_catalog():
         assert {frozenset(sigma.get(l, l) for l in e) for e in edges} == edges, kind
     # the reducible configurations of catalog fact (d), in priority order
     assert [row[0] for row in _SHAPES] == [3, 6, 7, 8, 9, 10, 11]
-    # P1's rule is no handler: coloring._extend_pendants plays it on runs
+    # P1's rule is no handler: coloring._color_pendant plays it
     kinds = [row[1] for row in _SHAPES] + ["P2-adjacent-deg2", "P3-triangle-deg2"]
     assert sorted(kinds) == sorted(_HANDLERS)
 
