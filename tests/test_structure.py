@@ -29,7 +29,7 @@ from outer1planar.catalog import Match
 from outer1planar.drawing import InvalidDrawingError, iter_all_pairs, normalize_edge
 from outer1planar.structure import StructureNotFound, _Peeler
 
-from .conftest import double_g10, double_g11, g3_flip_host
+from .conftest import double_g10, double_g11, g3_flip_host, polygon_drawing
 
 
 def test_cycle_yields_g1():
@@ -335,11 +335,23 @@ def test_rooted_search_schedule_is_pinned(monkeypatch):
         return out
 
     monkeypatch.setattr(structure, "_rooted_occurrences", counted)
-    for density, seed in ((0.3, 1), (0.6, 2), (0.9, 3)):
-        d = random_outer_1_planar(200, density, seed)
+    for seed, keep in ((1, 0.3), (2, 0.6), (3, 0.9)):
+        d = polygon_drawing(200, seed, keep)
         color_list_3_dynamic(d, uniform_lists(d, 6))
-    assert searches == {(3, "y"): 69, (6, "u"): 247, (6, "v"): 247, (6, "y"): 69}
-    assert sum(searches.values()) == 632 and len(found) == 393
+    assert searches == {
+        (3, "u"): 14,
+        (3, "v"): 14,
+        (3, "y"): 23,
+        (6, "u"): 91,
+        (6, "v"): 91,
+        (6, "y"): 23,
+        (7, "u"): 2,
+        (7, "v"): 6,
+        (7, "w"): 6,
+        (7, "y"): 2,
+        (8, "w"): 1,
+    }
+    assert sum(searches.values()) == 273 and len(found) == 91
 
 
 def _state(g):
@@ -384,7 +396,7 @@ def test_peel_without_a_reducible_shape_is_refused():
 # find_light_edge in both modes, the first match of `o1p find-config
 # --check-d2` and find_reduction.  Their tie-breaks are fixed, so any change
 # of an answer, by design or by accident, shows up here.
-GOLDEN_STRUCTURE_SHA256 = "6e45062d6bc4ac7a5166e31521955702d798e29631c952532678c38a59c7d80e"
+GOLDEN_STRUCTURE_SHA256 = "727b9d1e967b9c7fa85a25a644f80033ec208d74071acd56cf3632c60bbb5fde"
 
 
 def test_structure_layer_golden_digest(classes, monkeypatch, capsys):
@@ -392,8 +404,7 @@ def test_structure_layer_golden_digest(classes, monkeypatch, capsys):
     drawings += [h_family(i) for i in range(2, 18)] + [sharp_example()]
     drawings += [double_g10(), double_g11(), g3_flip_host()]
     drawings += [
-        random_outer_1_planar(n, density, seed)
-        for n, density, seed in ((12, 0.4, 1), (20, 0.7, 2), (30, 0.5, 3), (40, 0.9, 4))
+        polygon_drawing(n, seed, keep) for n, seed, keep in ((12, 1, 0.4), (20, 2, 0.7), (30, 3, 0.5), (40, 4, 0.9))
     ]
 
     def answer(fn, d) -> str:
