@@ -226,12 +226,18 @@ class _Peeler:
             return ReductionStep("P1-pendant", (v,), anchors)
 
         if self._pairs is None:
-            twos = [v for v, k in degs.items() if k == 2]
-            corners = [(u, *sorted(adj[u])) for u in twos]
-            self._pairs = [(u, v) for u in twos for v in adj[u] if u < v and degs[v] == 2]
-            self._triangles = [(u, x, y) for u, x, y in corners if y in adj[x]]
-            heapify(self._pairs)
-            heapify(self._triangles)
+            self._pairs, self._triangles = pairs, triangles = [], []
+            for u, k in degs.items():
+                if k == 2:
+                    x, y = adj[u]
+                    if u < x and degs[x] == 2:
+                        pairs.append((u, x))
+                    if u < y and degs[y] == 2:
+                        pairs.append((u, y))
+                    if y in adj[x]:
+                        triangles.append((u, x, y) if x < y else (u, y, x))
+            heapify(pairs)
+            heapify(triangles)
         pairs = self._pairs
         while pairs and not degs.get(pairs[0][0]) == 2 == degs.get(pairs[0][1]):
             heappop(pairs)
