@@ -234,12 +234,10 @@ def _cmd_enumerate(args) -> tuple[int, dict]:
 
 
 # The largest vertex counts o1p reads or generates, and the largest uniform
-# palette o1p color builds.  Most commands build per-vertex tables, the
-# random generator's candidate pool is quadratic in n, a cycle is written
-# out edge by edge and a palette color by color, so a larger count would
-# only end in running out of memory.
+# palette o1p color builds.  Most commands build per-vertex tables, a
+# generated drawing is written out edge by edge and a palette color by
+# color, so a larger count would only end in running out of memory.
 _MAX_N = 10**5
-_RANDOM_MAX_N = 2000
 _PALETTE_MAX = 10**5
 
 
@@ -262,8 +260,8 @@ def _cmd_generate(args) -> tuple[int, dict]:
             raise DrawingError(f"generate h<i> needs an integer i, got {what!r}")
         d = generators.h_family(int(what[1:]))
     elif what == "random":
-        if args.n > _RANDOM_MAX_N:
-            raise DrawingError(f"generate random is capped at --n {_RANDOM_MAX_N}, got {args.n}")
+        if args.n > _MAX_N:
+            raise DrawingError(f"generate random is capped at --n {_MAX_N}, got {args.n}")
         d = generators.random_outer_1_planar(args.n, args.density, args.seed)
     else:
         raise DrawingError(f"unknown generator {what!r}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from .catalog import HOLLOW, MARKED, SOLID, get_pattern
-from .drawing import Drawing, Edge, iter_all_pairs, normalize_edge
+from .drawing import Drawing, Edge, normalize_edge
 
 # Degree targets when a configuration is planted inside a witness drawing:
 # hollow vertices are pushed past every exact role and past the marked cap,
@@ -86,51 +86,49 @@ def h_family(i: int) -> Drawing:
 
 
 def random_outer_1_planar(n: int, density: float, seed: int) -> Drawing:
-    """Boundary cycle plus randomly inserted chords, deterministic per seed.
+    """Boundary cycle plus int(density * n(n - 3)/2) chords, or as many as
+    fit, deterministic per seed; O(n + m) time and memory.
 
-    Chords from the full candidate pool are tried in a seeded random order,
-    stopping once the accepted count reaches density times the pool size.
-    The drawing grows incrementally: a candidate is accepted iff it
-    interleaves with at most one accepted chord and that chord is not
-    crossed yet, which is exactly when the grown drawing stays valid
-    (boundary edges never cross anything).
-
-    An accepted chord (c, d) interleaves a candidate (a, b), a < b, iff one
-    of c, d lies strictly between a and b and the other outside [a, b].  So
-    each vertex keeps a bitmask of its accepted chord neighbors, and the
-    test walks the vertices strictly between a and b, masking each one's
-    neighbors to those outside [a, b], until it has seen a second crossing.
+    A seeded random triangulation of the n-gon (each interval split at a
+    random apex) gets the second diagonal of a random maximal set of
+    triangle-disjoint adjacent triangle pairs.  That diagonal crosses only
+    the pair's shared chord, and any other chord would cross two edges, so
+    at density 1 the drawing is maximal.  Its chords are then kept in one
+    seeded order that does not depend on density, so the chord sets nest as
+    density rises: each crossing pair goes first, as a unit, with
+    probability 1/2, and the other chords follow shuffled.  The pairs up
+    front keep sparse drawings with crossings as common as dense ones.
     """
     if n < 3:
         raise ValueError("need at least 3 vertices")
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must be in [0, 1]")
-    boundary = {normalize_edge(i, i % n + 1) for i in range(1, n + 1)}
-    pool = [e for e in iter_all_pairs(n) if e not in boundary]
     rng = random.Random(seed)
-    rng.shuffle(pool)
-    target = int(density * len(pool))
-    full = (1 << (n + 1)) - 2  # bits 1..n
-    nbrs = [0] * (n + 1)
-    chords: list[Edge] = []
-    crossed: set[Edge] = set()
-    for a, b in pool:
-        if len(chords) >= target:
-            break
-        outside = full ^ ((1 << (b + 1)) - (1 << a))  # bits not in a..b
-        hit = None
-        for v in range(a + 1, b):
-            m = nbrs[v] & outside
-            if m:
-                if hit is not None or m & (m - 1):
-                    break  # crossed twice
-                hit = normalize_edge(v, m.bit_length() - 1)
-        else:
-            if hit is not None:
-                if hit in crossed:
-                    continue
-                crossed.update((hit, (a, b)))
-            chords.append((a, b))
-            nbrs[a] |= 1 << b
-            nbrs[b] |= 1 << a
-    return Drawing(n, frozenset(boundary.union(chords)))
+    # (a, apex, b, parent index): the chord (a, b) is shared with the parent
+    triangles: list[tuple[int, int, int, int]] = []
+    todo = [(1, n, -1)]
+    while todo:
+        a, b, parent = todo.pop()
+        if b - a >= 2:
+            c = rng.randint(a + 1, b - 1)
+            triangles.append((a, c, b, parent))
+            todo += [(a, c, len(triangles) - 1), (c, b, len(triangles) - 1)]
+    children = list(range(1, len(triangles)))  # one per diagonal: all but the root
+    rng.shuffle(children)
+    free = [True] * len(triangles)
+    front: list[Edge] = []
+    rest: list[Edge] = []
+    for i in children:
+        a, c, b, parent = triangles[i]
+        if free[i] and free[parent]:
+            free[i] = free[parent] = False
+            pa, pc, pb, _ = triangles[parent]
+            second = normalize_edge(c, pa if (a, b) == (pc, pb) else pb)  # to the parent corner off (a, b)
+            if rng.random() < 0.5:
+                front += ((a, b), second)
+                continue
+            rest.append(second)
+        rest.append((a, b))
+    rng.shuffle(rest)
+    keep = int(density * (n * (n - 3) // 2))
+    return Drawing(n, frozenset([(i, i + 1) for i in range(1, n)] + [(1, n)] + (front + rest)[:keep]))

@@ -156,7 +156,7 @@ GENERATE_N = st.one_of(
 )
 # the generator each command calls, and the command's cap
 GENERATORS = {
-    "random": ("random_outer_1_planar", cli._RANDOM_MAX_N),
+    "random": ("random_outer_1_planar", cli._MAX_N),
     "cycle": ("cycle", cli._MAX_N),
 }
 

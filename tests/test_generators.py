@@ -2,18 +2,20 @@
 
 import hashlib
 import random
-from itertools import islice
+from itertools import combinations
 
 import pytest
 
 from outer1planar import (
     Drawing,
     cycle,
+    find_matches,
+    get_pattern,
     h_family,
     random_outer_1_planar,
     sharp_example,
 )
-from outer1planar.drawing import emit_drawing, interleave, iter_all_pairs, normalize_edge
+from outer1planar.drawing import InvalidDrawingError, emit_drawing, interleave, iter_all_pairs
 
 
 def test_cycle_basics():
@@ -72,39 +74,67 @@ def test_random_contains_boundary_cycle():
 
 
 def test_random_golden_digest():
-    # Every test population is drawn from this generator, so its drawings are
-    # pinned for each (n, density, seed) of the grid.
+    # Every sampled test population is drawn from this generator, so its
+    # drawings are pinned for each (n, density, seed) of the grid.
     h = hashlib.sha256()
     for n in range(3, 31):
         for density in (0.0, 0.1, 0.3, 0.5, 0.7, 1.0):
             for seed in range(4):
                 h.update(emit_drawing(random_outer_1_planar(n, density, seed)).encode())
-    assert h.hexdigest() == "3567b3097107e080b32dbf58b5c97360639d5a829eef90f22c90647605a7790d"
+    assert h.hexdigest() == "79bc1b2ea3a208ccac88d366886df837c211e375736124032bd0b35af90c1477"
 
 
-def _reference_random_edges(n: int, density: float, seed: int) -> frozenset:
-    """The generator's acceptance rule tested against every accepted chord."""
-    boundary = {normalize_edge(i, i % n + 1) for i in range(1, n + 1)}
-    pool = [e for e in iter_all_pairs(n) if e not in boundary]
-    rng = random.Random(seed)
-    rng.shuffle(pool)
-    target = int(density * len(pool))
-    crossed: dict = {}
-    for chord in pool:
-        if len(crossed) >= target:
-            break
-        hits = list(islice((f for f in crossed if interleave(n, chord, f)), 2))
-        if len(hits) > 1 or (hits and crossed[hits[0]]):
-            continue
-        for f in hits:
-            crossed[f] = True
-        crossed[chord] = bool(hits)
-    return frozenset(boundary | crossed.keys())
+def _chords(d: Drawing) -> frozenset:
+    return d.edges - cycle(d.n).edges
 
 
-def test_random_bitmask_chord_test_matches_reference():
-    cases = [(n, density, n % 5) for n in range(3, 61) for density in (0.1, 0.5, 1.0)]
-    cases += [(40, 0.5, seed) for seed in range(6)] + [(60, 0.3, 7), (57, 0.7, 8)]
-    for n, density, seed in cases:
-        want = _reference_random_edges(n, density, seed)
-        assert random_outer_1_planar(n, density, seed).edges == want, (n, density, seed)
+def test_random_edges_cross_at_most_once():
+    # counted pair by pair, independently of Drawing's crossing sweep
+    for n in range(3, 41):
+        for density, seed in ((0.2, n), (0.6, n + 1), (1.0, n + 2)):
+            edges = sorted(random_outer_1_planar(n, density, seed).edges)
+            crossings = {e: 0 for e in edges}
+            for e, f in combinations(edges, 2):
+                if interleave(n, e, f):
+                    crossings[e] += 1
+                    crossings[f] += 1
+            assert max(crossings.values()) <= 1, (n, density, seed)
+
+
+def test_random_density_one_is_maximal():
+    # every pair the drawing misses would cross twice, or cross a crossed edge
+    for n in range(3, 12):
+        for seed in range(60):
+            d = random_outer_1_planar(n, 1.0, seed)
+            for e in iter_all_pairs(n):
+                if e not in d.edges:
+                    with pytest.raises(InvalidDrawingError):
+                        Drawing(n, d.edges | {e})
+
+
+def test_random_chords_nest_and_count():
+    # one keep order for every density: the chord sets grow with it, and
+    # each holds density times the n(n - 3)/2 pairs, or every chord there is
+    densities = [0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0]
+    for n in range(3, 41):
+        for seed in range(3):
+            sets = [_chords(random_outer_1_planar(n, density, seed)) for density in densities]
+            for density, chords in zip(densities, sets):
+                assert len(chords) == min(int(density * (n * (n - 3) // 2)), len(sets[-1])), (n, density, seed)
+            assert all(a <= b for a, b in zip(sets, sets[1:])), (n, seed)
+
+
+# For each configuration, the number of drawings that contain it among 5,000
+# sampled as below, from the generator that scanned the whole pair pool.
+# The sampled test populations must not lose a configuration's coverage.
+POOL_SCAN_COVERAGE = [1878, 1052, 642, 99, 118, 2315, 106, 281, 39, 38, 7, 712, 1137, 57, 386, 233, 86]
+
+
+def test_random_configuration_coverage_floor():
+    rng = random.Random(117)
+    counts = [0] * 17
+    for trial in range(5000):
+        d = random_outer_1_planar(rng.randint(3, 10), rng.random(), seed=trial)
+        for pid in range(1, 18):
+            counts[pid - 1] += bool(find_matches(d, get_pattern(pid)))
+    assert all(2 * c >= floor for c, floor in zip(counts, POOL_SCAN_COVERAGE)), counts
