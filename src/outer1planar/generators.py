@@ -3,7 +3,9 @@
 The sharp example is the 7-vertex drawing whose 3-dynamic chromatic number
 is exactly 6; the h_family drawings are per-configuration witnesses that
 contain exactly one of the seventeen configurations.  Both carry built-in
-self-checks so a mistranscription fails loudly at construction.
+self-checks so a mistranscription fails loudly at construction.  The
+seeded random drawings, which every sampled test population draws from,
+take O(n + m) time and memory.
 """
 
 from __future__ import annotations
@@ -87,17 +89,16 @@ def h_family(i: int) -> Drawing:
 
 def random_outer_1_planar(n: int, density: float, seed: int) -> Drawing:
     """Boundary cycle plus int(density * n(n - 3)/2) chords, or as many as
-    fit, deterministic per seed; O(n + m) time and memory.
+    fit, deterministic per seed, in O(n + m) time and memory.
 
     A seeded random triangulation of the n-gon (each interval split at a
     random apex) gets the second diagonal of a random maximal set of
-    triangle-disjoint adjacent triangle pairs.  That diagonal crosses only
-    the pair's shared chord, and any other chord would cross two edges, so
-    at density 1 the drawing is maximal.  Its chords are then kept in one
-    seeded order that does not depend on density, so the chord sets nest as
-    density rises: each crossing pair goes first, as a unit, with
-    probability 1/2, and the other chords follow shuffled.  The pairs up
-    front keep sparse drawings with crossings as common as dense ones.
+    triangle-disjoint adjacent triangle pairs; it crosses only their shared
+    chord, and any other chord would cross two edges, so at density 1 the
+    drawing is maximal.  The chords are kept in one seeded order that does
+    not depend on density, so chord sets nest as density rises: each
+    crossing pair goes first, as a unit, with probability 1/2, and the other
+    chords follow shuffled, which keeps crossings common in sparse drawings.
     """
     if n < 3:
         raise ValueError("need at least 3 vertices")

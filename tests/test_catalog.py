@@ -154,6 +154,17 @@ def test_matcher_agrees_with_naive_exhaustively_small(classes):
                 assert mine == naive_matches(d, p)
 
 
+def test_matcher_agrees_with_naive_on_witnesses():
+    # h_family(i) holds configuration i, so every configuration is compared
+    # here, including the rare ones that a small random sample can miss
+    for i in range(2, 18):
+        d = h_family(i)
+        for pid in range(1, 18):
+            p = get_pattern(pid)
+            mine = [tuple(m.assignment[l] for l in p.labels) for m in find_matches(d, p)]
+            assert mine == naive_matches(d, p), (i, pid)
+
+
 @lru_cache(maxsize=None)
 def _reference_plan(pid, root):
     """The labels of configuration pid in breadth-first order from root, as
