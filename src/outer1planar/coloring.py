@@ -3,10 +3,11 @@
 The engine peels one reducible shape at a time until nothing is left, then
 puts the shapes back in reverse order and extends by each shape's local
 rule: each deleted vertex gets the smallest list color outside a small
-forbidden set assembled from its surroundings.  Every rule but P1's and
-P2's plays rows of such picks through one runner; a pick names its vertex,
-the labels whose colors it avoids, and the labels x or y whose third
-neighbor it avoids at degree 3.  Two rules may first recolor a surviving
+forbidden set assembled from its surroundings.  The rules of the three
+primitive shapes P1-P3 take their vertices as arguments; every other rule
+plays rows of such picks through one runner, where a pick names its
+vertex, the labels whose colors it avoids, and the labels x or y whose
+third neighbor it avoids at degree 3.  Two rules may first recolor a surviving
 vertex of the shape: the 10th configuration's, when its z repeats a color
 that a deleted vertex must see twice, and the 11th configuration's
 recoloring branch for the rainbow worst case.  Peeling works on the
@@ -16,10 +17,12 @@ deletion.  Every extension is checked around the vertices it touched: a
 count shows every vertex colored, then one pass stops at the first
 improper edge or short neighborhood and skips the wide neighbors the shape
 cannot leave short; a rule that leaves a violation raises ExtensionFailure
-naming its shape.  Pendants (P1) come off and go back in runs, with no
-step objects, each checked on u and its one neighbor v; every other step
-gets the generic local check.  The result is verified once in full, in one
-pass that also checks the lists.
+naming its shape.  The primitive shapes come off and go back in runs, with
+no step objects: a pendant is checked on u and its one neighbor v, a P2 or
+P3 shape by the local check's core on its deleted vertices, and none of
+their rules may recolor a neighbor; the configurations get the generic
+local check.  The result is verified once in full, in one pass that also
+checks the lists.
 """
 
 from __future__ import annotations
@@ -197,20 +200,21 @@ def color_list_3_dynamic(d: Drawing, lists: ListAssignment) -> Coloring:
 
 def _color(d: Drawing, lists: ListAssignment) -> Coloring:
     peeler = _Peeler(d)
-    pendants, pop, remove, restore = peeler.peel_pendants, peeler.pop, peeler.remove, peeler.restore
-    # each pop follows a run of pendants; the last run empties the drawing
+    primitives, pop, remove, restore = peeler.peel_primitives, peeler.pop, peeler.remove, peeler.restore
+    # each pop of a configuration follows a run of primitive shapes; the
+    # last run empties the drawing
     peeled: list[tuple[list, ReductionStep, list[set[int] | frozenset[int]]]] = []
-    run = pendants()
+    run = primitives()
     while peeler.degrees:
         step = pop()
         peeled.append((run, step, remove(step.deleted)))
-        run = pendants()
+        run = primitives()
     colors: Coloring = {}
-    _extend_pendants(peeler, run, colors, lists)
+    _extend_primitives(peeler, run, colors, lists)
     for run, step, popped in reversed(peeled):
         restore(step.deleted, popped)
         _extend(peeler, step, colors, lists)
-        _extend_pendants(peeler, run, colors, lists)
+        _extend_primitives(peeler, run, colors, lists)
     if _is_dynamic(d, colors, 3, lists):  # the full check, with the report built only on failure
         return colors
     verdict = verify_dynamic(d, colors, 3)
@@ -264,24 +268,51 @@ def _extend(d: Drawing, step: ReductionStep, colors: Coloring, lists: ListAssign
     before = {v: colors[v] for v in a.values() if v in colors}
     try:
         _HANDLERS[kind](d, a, colors, lists)
-    except ExtensionFailure as exc:
-        raise ExtensionFailure(f"rule for {kind} failed: {exc}") from None
-    except KeyError as exc:  # a kind with no rule, or a label or color its rule reads is missing
-        raise ExtensionFailure(f"rule for {kind} failed: missing {exc}") from None
+    except (ExtensionFailure, KeyError) as exc:  # a KeyError: a kind with no rule, or a label or color its rule reads is missing
+        raise _failed(kind, exc) from None
     if not _valid_around(d, step, before, colors):
         raise ExtensionFailure(f"rule for {kind} left a violation")
 
 
-def _extend_pendants(p: _Peeler, run: list, colors: Coloring, lists: ListAssignment) -> None:
-    """Put a run of p.peel_pendants back, last deletion first, coloring each u."""
+def _failed(kind: str, exc: Exception) -> ExtensionFailure:
+    """The failure of kind's rule, from the ExtensionFailure or KeyError it raised."""
+    return ExtensionFailure(f"rule for {kind} failed: {'missing ' if isinstance(exc, KeyError) else ''}{exc}")
+
+
+def _extend_primitives(p: _Peeler, run: list, colors: Coloring, lists: ListAssignment) -> None:
+    """Put a run of p.peel_primitives back, last deletion first, playing each
+    shape's rule.  A record (u, us) is a pendant if |us| <= 1 and a P3
+    triangle otherwise; (u, v, us, vs) is a P2 pair.  x and y are read off
+    the restored sets, which are the sets pop read.  A pair or triangle
+    gets _valid_around's verdict on its step, whose T is its deleted
+    vertices, since its rule refuses to recolor x or y."""
     adj, degs = p.adjacency, p.degrees
-    for u, vs in reversed(run):
-        adj[u] = vs
-        degs[u] = len(vs)
-        for v in vs:
-            adj[v].add(u)
-            degs[v] += 1
-        _color_pendant(adj, degs, u, colors, lists)
+    for rec in reversed(run):
+        k = len(rec) // 2  # the number of deleted vertices
+        # put back as _Peeler.restore does, inline: a call per shape costs
+        # the census a few percent
+        for w, ws in (rec,) if k == 1 else ((rec[1], rec[3]), (rec[0], rec[2])):
+            adj[w] = ws
+            degs[w] = len(ws)
+            for z in ws:
+                adj[z].add(w)
+                degs[z] += 1
+        u, us = rec[0], rec[k]
+        if k == 1 and len(us) < 2:
+            _color_pendant(adj, degs, u, colors, lists)
+            continue
+        kind = "P2-adjacent-deg2" if k == 2 else "P3-triangle-deg2"
+        try:
+            if k == 2:
+                v = rec[1]
+                (x,), (y,) = us - {v}, rec[3] - {u}
+                _color_p2(adj, degs, u, v, x, y, colors, lists)
+            else:
+                _color_p3(adj, degs, u, *us, colors, lists)
+        except (ExtensionFailure, KeyError) as exc:
+            raise _failed(kind, exc) from None
+        if not _valid_near(adj, degs, colors, rec[:k], k + 3):
+            raise ExtensionFailure(f"rule for {kind} left a violation")
 
 
 def _color_pendant(
@@ -302,10 +333,8 @@ def _color_pendant(
     forbidden.discard(None)
     try:
         colors[u] = _pick(lists, u, forbidden)
-    except ExtensionFailure as exc:
-        raise ExtensionFailure(f"rule for P1-pendant failed: {exc}") from None
-    except KeyError as exc:
-        raise ExtensionFailure(f"rule for P1-pendant failed: missing {exc}") from None
+    except (ExtensionFailure, KeyError) as exc:
+        raise _failed("P1-pendant", exc) from None
     if len(colors) != len(degs) or v is not None and (
         get(v) != cv or colors[u] == cv or k < 4 and len(set(map(get, adj[v]))) < min(3, k)
     ):
@@ -326,22 +355,29 @@ def _valid_around(d: Drawing, step: ReductionStep, partial: Coloring, colors: Co
     three colors under partial on its neighbors outside step.deleted, and
     still does.  It is not read, so a hub costs a peel no extra pass.
     """
-    adj, degs, get = d.adjacency, d.degrees, colors.get
+    adj, degs, deleted = d.adjacency, d.degrees, step.deleted
+    if not _valid_near(adj, degs, colors, deleted, len(deleted) + 3):
+        return False
+    recolored = [v for v in step.anchors.values() if v in partial and partial[v] != colors[v]]
+    return not recolored or _valid_near(adj, degs, colors, recolored, len(degs))
+
+
+def _valid_near(
+    adj: dict[int, set[int] | frozenset[int]], degs: dict[int, int], colors: Coloring, touched, wide: int
+) -> bool:
+    """_valid_around's core: a count shows every vertex colored, then each
+    vertex of touched must be proper with three colors (or all its degree)
+    on its neighbors, and so must each neighbor outside touched of degree
+    below wide on its own neighbors."""
+    get = colors.get
     if len(colors) != len(degs):
         return False
-    touched = list(step.deleted)
-    for v in step.anchors.values():
-        if v in partial and partial[v] != colors[v]:
-            touched.append(v)
     done = set(touched)
-    wide = len(step.deleted) + 3
     for v in touched:
         ns = adj[v]
         seen = set(map(get, ns))
         if colors[v] in seen or len(seen) < 3 and len(seen) < degs[v]:
             return False
-        if v in partial:  # recolored anchors come last; read all their neighbors
-            wide = len(degs)
         for w in ns:
             if w not in done and degs[w] < wide:
                 done.add(w)
@@ -355,25 +391,53 @@ def _colors_of(colors: Coloring, vs) -> set[int]:
     return {colors[w] for w in vs if w in colors}
 
 
-def _extend_p2(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
-    u, v, x, y = a["u"], a["v"], a["x"], a["y"]
+def _color_p2(
+    adj: dict[int, set[int] | frozenset[int]], degs: dict[int, int], u: int, v: int, x: int, y: int,
+    colors: Coloring, lists: ListAssignment,
+) -> None:
+    """P2's rule on adjacent degree-2 vertices u and v, whose other
+    neighbors are x and y: u, then v, gets the least list color unlike its
+    neighbors' and, where its other neighbor has degree at most 3, unlike
+    that neighbor's other neighbors'.  If x = y, a triangle with two
+    degree-2 corners, x's neighborhood must still end up colorful, so u
+    avoids x's other neighbors up to d(x) = 4.  Refuses a pick that
+    recolored x or y."""
+    cx, cy = colors[x], colors[y]
     if x == y:
-        # both endpoints hang off the same vertex (a triangle with two
-        # degree-2 corners); its neighborhood must still end up colorful
-        shared = _colors_of(colors, d.adjacency[x] - {u, v}) if d.degrees[x] <= 4 else set()
-        fu = {colors[x]} | shared
+        shared = _colors_of(colors, adj[x] - {u, v}) if degs[x] <= 4 else set()
+        colors[u] = _pick(lists, u, {cx} | shared)
+        colors[v] = _pick(lists, v, {cx, colors[u]} | (shared if degs[x] <= 3 else set()))
+    else:
+        fu = {cx, cy}
+        if degs[x] <= 3:
+            fu |= _colors_of(colors, adj[x] - {u, v})
         colors[u] = _pick(lists, u, fu)
-        fv = {colors[x], colors[u]} | (shared if d.degrees[x] <= 3 else set())
+        fv = {cx, colors[u], cy}
+        if degs[y] <= 3:
+            fv |= _colors_of(colors, adj[y] - {u, v})
         colors[v] = _pick(lists, v, fv)
-        return
-    fu = {colors[x], colors[y]}
-    if d.degrees[x] <= 3:
-        fu |= _colors_of(colors, d.adjacency[x] - {u, v})
-    colors[u] = _pick(lists, u, fu)
-    fv = {colors[x], colors[u], colors[y]}
-    if d.degrees[y] <= 3:
-        fv |= _colors_of(colors, d.adjacency[y] - {u, v})
-    colors[v] = _pick(lists, v, fv)
+    if colors[x] != cx or colors[y] != cy:
+        raise ExtensionFailure("a pick recolored x or y")
+
+
+def _color_p3(
+    adj: dict[int, set[int] | frozenset[int]], degs: dict[int, int], u: int, x: int, y: int,
+    colors: Coloring, lists: ListAssignment,
+) -> None:
+    """P3's rule on a degree-2 u whose neighbors x and y are adjacent: the
+    least list color unlike theirs and, at a neighbor of degree 3, unlike
+    its third neighbor's, which it shows three colors only with.  Refuses a
+    pick that recolored x or y."""
+    get = colors.get
+    cx, cy = colors[x], colors[y]
+    forbidden = {cx, cy}
+    for h in (x, y):
+        if degs[h] == 3:
+            forbidden.update(map(get, adj[h]))
+    forbidden.discard(None)  # u's own
+    colors[u] = _pick(lists, u, forbidden)
+    if colors[x] != cx or colors[y] != cy:
+        raise ExtensionFailure("a pick recolored x or y")
 
 
 def _run(row: tuple, d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
@@ -393,7 +457,6 @@ def _run(row: tuple, d: Drawing, a: dict[str, int], colors: Coloring, lists: Lis
 
 
 # each rule that is a fixed sequence of picks, as a row of (label, avoid, thirds)
-_P3 = (("u", ("x", "y"), ("x", "y")),)
 _G6 = (("u", ("x", "y", "v"), ("x", "y")),)
 _G7 = (("v", ("x", "y", "w"), ("x", "y")), ("u", ("x", "y", "w", "v"), ()))
 _G8 = (("w", ("x", "y", "v"), ("y",)), ("u", ("x", "y", "w", "v"), ("x",)))
@@ -411,8 +474,11 @@ _G11_PINNED = (("w", ("x", "z", "y", "y1"), ()), ("v", ("x", "z", "y", "w", "x1"
 
 
 def _extend_g3(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
-    """Configuration 6's pick if x or y has degree 3, else P3's: u avoids x and y."""
-    _run(_G6 if 3 in (d.degrees[a["x"]], d.degrees[a["y"]]) else _P3, d, a, colors, lists)
+    """Configuration 6's pick if x or y has degree 3, else P3's rule on u."""
+    if 3 in (d.degrees[a["x"]], d.degrees[a["y"]]):
+        _run(_G6, d, a, colors, lists)
+    else:
+        _color_p3(d.adjacency, d.degrees, a["u"], a["x"], a["y"], colors, lists)
 
 
 def _extend_g10(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
@@ -461,8 +527,12 @@ def _extend_g11(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssi
 
 
 _HANDLERS = {
-    "P2-adjacent-deg2": _extend_p2,
-    "P3-triangle-deg2": partial(_run, _P3),
+    "P2-adjacent-deg2": lambda d, a, colors, lists: _color_p2(
+        d.adjacency, d.degrees, a["u"], a["v"], a["x"], a["y"], colors, lists
+    ),
+    "P3-triangle-deg2": lambda d, a, colors, lists: _color_p3(
+        d.adjacency, d.degrees, a["u"], a["x"], a["y"], colors, lists
+    ),
     "P4-G3": _extend_g3,
     "P5-G6": partial(_run, _G6),
     "P6-G7": partial(_run, _G7),

@@ -196,8 +196,9 @@ class _Peeler:
     leader: an automorphism preserves roles, so the label a new
     occurrence's leader puts on the vertex newly admits it too.
     Configurations are read in `_SHAPES` order.  The coloring engine takes
-    pendants off in runs by `peel_pendants` and pops only the other kinds;
-    `restore` is for the extension phase, after the last `pop`.
+    the primitive shapes P1-P3 off in runs by `peel_primitives`, which
+    selects them as `pop` does, and pops only the configurations; `restore`
+    is for the extension phase, after the last `pop`.
     """
 
     def __init__(self, d: Drawing) -> None:
@@ -215,45 +216,20 @@ class _Peeler:
     def pop(self) -> ReductionStep:
         """The first reducible shape among the survivors (see find_reduction)."""
         degs, adj = self.degrees, self.adjacency
-        pendant = self._pendant
-        while pendant and degs.get(pendant[0], 2) > 1:
-            heappop(pendant)
-        if pendant:
-            v = pendant[0]
-            anchors = {"u": v}
-            if degs[v] == 1:
-                anchors["v"] = min(adj[v])
-            return ReductionStep("P1-pendant", (v,), anchors)
-
-        if self._pairs is None:
-            self._pairs, self._triangles = pairs, triangles = [], []
-            for u, k in degs.items():
-                if k == 2:
-                    x, y = adj[u]
-                    if u < x and degs[x] == 2:
-                        pairs.append((u, x))
-                    if u < y and degs[y] == 2:
-                        pairs.append((u, y))
-                    if y in adj[x]:
-                        triangles.append((u, x, y) if x < y else (u, y, x))
-            heapify(pairs)
-            heapify(triangles)
-        pairs = self._pairs
-        while pairs and not degs.get(pairs[0][0]) == 2 == degs.get(pairs[0][1]):
-            heappop(pairs)
-        if pairs:
-            u, v = pairs[0]
-            x = min(adj[u] - {v})
-            y = min(adj[v] - {u})
-            return ReductionStep("P2-adjacent-deg2", (u, v), {"u": u, "v": v, "x": x, "y": y})
-
-        # u keeps degree 2 only while both its neighbors survive
-        triangles = self._triangles
-        while triangles and degs.get(triangles[0][0]) != 2:
-            heappop(triangles)
-        if triangles:
-            u, x, y = triangles[0]
-            anchors = {"u": u, "x": x, "y": y}
+        s = self._least_primitive()
+        if s:
+            u = s[0]
+            if len(s) == 1:
+                anchors = {"u": u}
+                if degs[u] == 1:
+                    anchors["v"] = min(adj[u])
+                return ReductionStep("P1-pendant", s, anchors)
+            if len(s) == 2:
+                v = s[1]
+                x = min(adj[u] - {v})
+                y = min(adj[v] - {u})
+                return ReductionStep("P2-adjacent-deg2", s, {"u": u, "v": v, "x": x, "y": y})
+            anchors = {"u": u, "x": s[1], "y": s[2]}
             self._note_thirds(anchors, (("u", "y"), ("u", "x")))
             return ReductionStep("P3-triangle-deg2", (u,), anchors)
 
@@ -275,15 +251,50 @@ class _Peeler:
             "no reducible configuration: the input is not outer-1-planar, or the catalog is wrong"
         )
 
-    def peel_pendants(self) -> list[tuple[int, set[int] | frozenset[int]]]:
-        """Delete pendants in pop's order, the least vertex of degree at most
-        1 first, until none is left; returns [(u, u's popped neighbor set), ...]."""
-        degs, pendant, remove = self.degrees, self._pendant, self.remove
+    def _least_primitive(self) -> tuple[int, ...]:
+        """The least primitive shape in pop's order: a pendant (u,), then a
+        pair (u, v) of adjacent degree-2 vertices, then a triangle (u, x, y)
+        at a degree-2 u; () if there is none."""
+        degs, adj = self.degrees, self.adjacency
+        pendant = self._pendant
+        while pendant and degs.get(pendant[0], 2) > 1:
+            heappop(pendant)
+        if pendant:
+            return (pendant[0],)
+
+        if self._pairs is None:
+            self._pairs, self._triangles = pairs, triangles = [], []
+            for u, k in degs.items():
+                if k == 2:
+                    x, y = adj[u]
+                    if u < x and degs[x] == 2:
+                        pairs.append((u, x))
+                    if u < y and degs[y] == 2:
+                        pairs.append((u, y))
+                    if y in adj[x]:
+                        triangles.append((u, x, y) if x < y else (u, y, x))
+            heapify(pairs)
+            heapify(triangles)
+        pairs = self._pairs
+        while pairs and not degs.get(pairs[0][0]) == 2 == degs.get(pairs[0][1]):
+            heappop(pairs)
+        if pairs:
+            return pairs[0]
+
+        # u keeps degree 2 only while both its neighbors survive
+        triangles = self._triangles
+        while triangles and degs.get(triangles[0][0]) != 2:
+            heappop(triangles)
+        return triangles[0] if triangles else ()
+
+    def peel_primitives(self) -> list[tuple]:
+        """Delete primitive shapes in pop's order until none is left; returns
+        one record per shape: (u, u's popped neighbor set) for a pendant or
+        a triangle, (u, v, u's set, v's set) for a pair."""
+        least, remove = self._least_primitive, self.remove
         run = []
-        while pendant:
-            u = heappop(pendant)
-            if degs.get(u, 2) <= 1:
-                run.append((u, remove((u,))[0]))
+        while s := least():
+            run.append((*s, *remove(s)) if len(s) == 2 else (s[0], *remove(s[:1])))
         return run
 
     def _least_occurrence(self, pid: int) -> tuple[int, ...] | None:

@@ -427,58 +427,86 @@ def test_local_check_rejects_uncolored(classes):
     assert cases > 1000
 
 
-def test_pendant_check_gives_the_generic_verdict(classes, monkeypatch):
-    # at every pendant of the peels' runs, a pick of a random color (at times
-    # none) that at times also recolors v is refused exactly when
-    # _valid_around refuses the same state, and always when v changed.  Each
-    # trial puts the pendant back alone and takes it off again.  The pendants
-    # of h_family hang off vertices of degree 6 and 8, where v's neighbors
-    # are not read.
+def _record_step(rec, adj, degs):
+    """(kind, deleted, anchors) of the step a record of
+    _Peeler.peel_primitives stands for, read off adj and degs while the
+    record's vertices are present: as pop reads them before the deletion
+    and as the extension reads them once the record is put back."""
+    k = len(rec) // 2
+    u, deleted = rec[0], rec[:k]
+    if k == 2:
+        v = rec[1]
+        return "P2-adjacent-deg2", deleted, {"u": u, "v": v, "x": min(adj[u] - {v}), "y": min(adj[v] - {u})}
+    if degs[u] <= 1:
+        return "P1-pendant", deleted, {"u": u, "v": min(adj[u])} if degs[u] else {"u": u}
+    x, y = sorted(adj[u])
+    anchors = {"u": u, "x": x, "y": y}
+    for label, h, o in (("x1", x, y), ("y1", y, x)):
+        if degs[h] == 3:
+            (anchors[label],) = adj[h] - {u, o}
+    return "P3-triangle-deg2", deleted, anchors
+
+
+def test_primitive_check_gives_the_generic_verdict(classes, monkeypatch):
+    # at every shape of the peels' primitive runs, a pick of a random color
+    # (at times none) that at times also recolors a neighbor the rule must
+    # keep (a pendant's v, a pair's or a triangle's x or y) is refused
+    # exactly when _valid_around refuses the same state, and always when
+    # such a neighbor changed.  Each trial puts the record back alone and
+    # takes it off again.  The pendants of h_family hang off vertices of
+    # degree 6 and 8, where v's neighbors are not read.
     import outer1planar.coloring as col
 
     rng = random.Random(24)
-    extend, first = col._extend_pendants, col._first
-    trial = []  # (the coloring being scrambled, v) while a trial runs
+    extend, first = col._extend_primitives, col._first
+    trial = []  # (the coloring being scrambled, the neighbors to keep) while a trial runs
     seen = set()
 
     def scramble(lists, u, forbidden):
         if not trial:
             return first(lists, u, forbidden)
-        colors, v = trial[0]
-        if v is not None and rng.random() < 0.2:
-            colors[v] = rng.randint(1, 4)
+        colors, kept = trial[0]
+        if kept and rng.random() < 0.2:
+            colors[rng.choice(kept)] = rng.randint(1, 4)
         return rng.randint(1, 4) if rng.random() < 0.9 else None
 
     def probe(p, run, colors, lists):
-        for u, vs in reversed(run):
-            v = min(vs, default=None)
-            step = ReductionStep("P1-pendant", (u,), {"u": u} if v is None else {"u": u, "v": v})
+        for rec in reversed(run):
+            k = len(rec) // 2
+            deleted, sets = rec[:k], list(rec[k:])
+            # a pendant keeps v, a pair and a triangle keep x and y
+            kept = sorted((rec[2] - {rec[1]}) | rec[3]) if k == 2 else sorted(rec[1])
             for _ in range(4):
                 t = dict(colors)
-                trial.append((t, v))
+                trial.append((t, kept))
                 try:
-                    extend(p, [(u, vs)], t, lists)
-                    refused = False
+                    extend(p, [rec], t, lists)
+                    refused = ""
                 except ExtensionFailure as exc:
-                    assert "P1-pendant" in str(exc)
-                    refused = True
+                    refused = str(exc)
                 trial.clear()
-                recolored = v is not None and t[v] != colors[v]
+                kind, _, anchors = _record_step(rec, p.adjacency, p.degrees)
+                assert not refused or kind in refused, (kind, refused)
+                recolored = any(t[w] != colors[w] for w in kept)
                 if recolored:
                     assert refused
                 else:
-                    assert refused != col._valid_around(p, step, colors, t)
-                seen.add((recolored, refused, v is not None and p.degrees[v] >= 4))
-                assert p.remove((u,)) == [vs]
-            extend(p, [(u, vs)], colors, lists)
+                    assert bool(refused) != col._valid_around(p, ReductionStep(kind, deleted, anchors), colors, t)
+                wide = kind == "P1-pendant" and bool(kept) and p.degrees[kept[0]] >= 4
+                seen.add((kind, recolored, bool(refused), wide))
+                assert p.remove(deleted) == sets
+            extend(p, [rec], colors, lists)
 
     monkeypatch.setattr(col, "_first", scramble)
-    monkeypatch.setattr(col, "_extend_pendants", probe)
+    monkeypatch.setattr(col, "_extend_primitives", probe)
     hosts = [h_family(i) for i in range(2, 18)]
     for d in [d for n in range(1, 7) for d in classes(n, "all")] + hosts:
         color_list_3_dynamic(d, uniform_lists(d, 6))
-    assert {(True, True, False), (True, True, True)} <= seen
-    assert {(False, r, w) for r in (True, False) for w in (True, False)} <= seen
+    pendant = "P1-pendant"
+    assert {(pendant, True, True, False), (pendant, True, True, True)} <= seen
+    assert {(pendant, False, r, w) for r in (True, False) for w in (True, False)} <= seen
+    for kind in ("P2-adjacent-deg2", "P3-triangle-deg2"):
+        assert {(kind, True, True, False), (kind, False, True, False), (kind, False, False, False)} <= seen
 
 
 def _lean_population(classes):
@@ -488,26 +516,32 @@ def _lean_population(classes):
 
 
 def _peel_steps(d, runs):
-    """(kind, deleted, anchors) of each step of d's peel, by pop alone or
-    by pendant runs before each pop."""
-    p, steps = _Peeler(d), []
+    """(kind, deleted, anchors) of each step of d's peel, by pop alone or by
+    primitive runs before each pop.  A lockstep peeler q holds the state
+    before each record's deletion, and its sets must be the record's."""
+    p, q, steps = _Peeler(d), _Peeler(d), []
     while p.degrees:
-        for u, vs in p.peel_pendants() if runs else ():
-            steps.append(("P1-pendant", (u,), {"u": u, "v": min(vs)} if vs else {"u": u}))
+        for rec in p.peel_primitives() if runs else ():
+            k = len(rec) // 2
+            steps.append(_record_step(rec, q.adjacency, q.degrees))
+            assert q.remove(rec[:k]) == list(rec[k:])
         if p.degrees:
             step = p.pop()
             p.remove(step.deleted)
+            q.remove(step.deleted)
             steps.append((step.kind, step.deleted, step.anchors))
     return steps
 
 
-def test_pendant_runs_give_the_steps_of_pop(classes):
-    pendants = 0
+def test_primitive_runs_give_the_steps_of_pop(classes):
+    kinds = {}
     for d in _lean_population(classes):
         steps = _peel_steps(d, runs=True)
         assert steps == _peel_steps(d, runs=False), sorted(d.edges)
-        pendants += sum(kind == "P1-pendant" for kind, _, _ in steps)
-    assert pendants > 30000
+        for kind, _, _ in steps:
+            kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds["P1-pendant"] > 30000
+    assert kinds["P2-adjacent-deg2"] > 5000 and kinds["P3-triangle-deg2"] > 3000, kinds
 
 
 def test_pendant_rule_recoloring_v_raises(monkeypatch, tmp_path, capsys):
@@ -555,6 +589,61 @@ def test_pendant_rule_recoloring_v_raises(monkeypatch, tmp_path, capsys):
             color_list_3_dynamic(d, lists)
         assert run(["color", str(path)]) == 3
         assert "P1-pendant" in json.loads(capsys.readouterr().out)["error"]
+
+
+@pytest.mark.parametrize(
+    "kind, rule, edges, u, x",
+    [  # the pair 1, 2 between 5 and 3 of a 5-cycle; 2 on the triangle 1, 2, 3 of a diamond
+        ("P2-adjacent-deg2", "_color_p2", [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)], 1, 5),
+        ("P3-triangle-deg2", "_color_p3", [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)], 2, 1),
+    ],
+    ids=["P2", "P3"],
+)
+def test_pair_and_triangle_faults_name_their_shape(kind, rule, edges, u, x, monkeypatch, tmp_path, capsys):
+    # a pair's or a triangle's rule colors its deleted vertices only, so a
+    # pick that also recolors x is refused, here where the whole coloring
+    # stays valid, and so is a pick that leaves a violation: through a
+    # peel, through extend_step and by o1p color with exit 3.  The faults
+    # ride on _first, which reaches the coloring being extended through
+    # the rule.
+    import outer1planar.coloring as col
+    from outer1planar import emit_drawing
+    from outer1planar.cli import run
+
+    first, extend = col._first, getattr(col, rule)
+    extending = []
+
+    def holding(*args):
+        extending.append(args[-2])
+        extend(*args)
+
+    def recolor(lists, v, forbidden):
+        if v == u:
+            extending[-1][x] = 6
+        return first(lists, v, forbidden)
+
+    def improper(lists, v, forbidden):
+        return min(forbidden) if v == u else first(lists, v, forbidden)
+
+    d = Drawing.from_edges(max(map(max, edges)), edges)
+    lists = uniform_lists(d, 6)
+    step = find_reduction(d)
+    assert step.kind == kind and step.deleted[0] == u and x in (step.anchors["x"], step.anchors["y"])
+    partial = {v: c for v, c in color_list_3_dynamic(d, lists).items() if v not in step.deleted}
+    out = extend_step(d, step, partial, lists)
+    out[x] = 6
+    assert verify_dynamic(d, out, 3).valid
+    path = tmp_path / "host.txt"
+    path.write_text(emit_drawing(d), encoding="utf-8")
+    monkeypatch.setattr(col, rule, holding)
+    for bad in (recolor, improper):
+        monkeypatch.setattr(col, "_first", bad)
+        with pytest.raises(ExtensionFailure, match=kind):
+            extend_step(d, step, partial, lists)
+        with pytest.raises(ExtensionFailure, match=kind):
+            color_list_3_dynamic(d, lists)
+        assert run(["color", str(path)]) == 3
+        assert kind in json.loads(capsys.readouterr().out)["error"]
 
 
 def test_extend_step_rejects_a_partial_with_stray_keys(classes):
@@ -638,9 +727,9 @@ def test_hub_neighborhoods_are_not_reread(d, monkeypatch):
         def __setitem__(self, v, vs):
             self._adj[v] = vs
 
-    extend, pendants = col._extend, col._extend_pendants
+    extend, primitives = col._extend, col._extend_primitives
     monkeypatch.setattr(col, "_extend", lambda p, step, c, ls: extend(Counted(p), step, c, ls))
-    monkeypatch.setattr(col, "_extend_pendants", lambda p, run, c, ls: pendants(Counted(p), run, c, ls))
+    monkeypatch.setattr(col, "_extend_primitives", lambda p, run, c, ls: primitives(Counted(p), run, c, ls))
     color_list_3_dynamic(d, uniform_lists(d, 6))
     assert 0 < taken[0] < 10 * d.n
 
