@@ -268,7 +268,7 @@ def _extend(d: Drawing, step: ReductionStep, colors: Coloring, lists: ListAssign
     before = {v: colors[v] for v in a.values() if v in colors}
     try:
         _HANDLERS[kind](d, a, colors, lists)
-    except (ExtensionFailure, KeyError) as exc:  # a KeyError: a kind with no rule, or a label or color its rule reads is missing
+    except (ExtensionFailure, KeyError) as exc:  # KeyError: no rule, or a label or color it reads is missing
         raise _failed(kind, exc) from None
     if not _valid_around(d, step, before, colors):
         raise ExtensionFailure(f"rule for {kind} left a violation")
@@ -276,7 +276,8 @@ def _extend(d: Drawing, step: ReductionStep, colors: Coloring, lists: ListAssign
 
 def _failed(kind: str, exc: Exception) -> ExtensionFailure:
     """The failure of kind's rule, from the ExtensionFailure or KeyError it raised."""
-    return ExtensionFailure(f"rule for {kind} failed: {'missing ' if isinstance(exc, KeyError) else ''}{exc}")
+    missing = "missing " if isinstance(exc, KeyError) else ""
+    return ExtensionFailure(f"rule for {kind} failed: {missing}{exc}")
 
 
 def _extend_primitives(p: _Peeler, run: list, colors: Coloring, lists: ListAssignment) -> None:
@@ -290,7 +291,7 @@ def _extend_primitives(p: _Peeler, run: list, colors: Coloring, lists: ListAssig
     for rec in reversed(run):
         k = len(rec) // 2  # the number of deleted vertices
         # put back as _Peeler.restore does, inline: a call per shape costs
-        # the census a few percent
+        # the peel-large colorings about 4%
         for w, ws in (rec,) if k == 1 else ((rec[1], rec[3]), (rec[0], rec[2])):
             adj[w] = ws
             degs[w] = len(ws)
@@ -425,9 +426,9 @@ def _color_p3(
     colors: Coloring, lists: ListAssignment,
 ) -> None:
     """P3's rule on a degree-2 u whose neighbors x and y are adjacent: the
-    least list color unlike theirs and, at a neighbor of degree 3, unlike
-    its third neighbor's, which it shows three colors only with.  Refuses a
-    pick that recolored x or y."""
+    least list color unlike theirs and, for each of them of degree 3, unlike
+    its third neighbor's: a degree-3 x shows three colors only if u avoids
+    x1 too.  Refuses a pick that recolored x or y."""
     get = colors.get
     cx, cy = colors[x], colors[y]
     forbidden = {cx, cy}

@@ -485,13 +485,14 @@ def test_primitive_check_gives_the_generic_verdict(classes, monkeypatch):
                 except ExtensionFailure as exc:
                     refused = str(exc)
                 trial.clear()
-                kind, _, anchors = _record_step(rec, p.adjacency, p.degrees)
+                step = ReductionStep(*_record_step(rec, p.adjacency, p.degrees))
+                kind = step.kind
                 assert not refused or kind in refused, (kind, refused)
                 recolored = any(t[w] != colors[w] for w in kept)
                 if recolored:
                     assert refused
                 else:
-                    assert bool(refused) != col._valid_around(p, ReductionStep(kind, deleted, anchors), colors, t)
+                    assert bool(refused) != col._valid_around(p, step, colors, t)
                 wide = kind == "P1-pendant" and bool(kept) and p.degrees[kept[0]] >= 4
                 seen.add((kind, recolored, bool(refused), wide))
                 assert p.remove(deleted) == sets
