@@ -7,13 +7,13 @@ forbidden set assembled from its surroundings.  The rules of the three
 primitive shapes P1-P3 take their vertices as arguments; every other rule
 plays rows of such picks through one runner, where a pick names its
 vertex, the labels whose colors it avoids, and the labels x or y whose
-third neighbor it avoids at degree 3.  Two rules may first recolor a surviving
-vertex of the shape: the 10th configuration's, when its z repeats a color
-that a deleted vertex must see twice, and the 11th configuration's
-recoloring branch for the rainbow worst case.  Peeling works on the
-original labels, so no sub-drawing is ever rebuilt, and the structure
-module's peeler finds each shape by searching only around the previous
-deletion.  Every extension is checked around the vertices it touched: a
+third neighbor it avoids at degree 3.  Two rules may first recolor a
+surviving vertex of the shape: the 10th configuration's, when its z
+repeats a color that a deleted vertex must see twice, and the 11th
+configuration's recoloring branch for the rainbow worst case.  Peeling
+works on the original labels, so no sub-drawing is ever rebuilt, and the
+structure module's peeler finds each shape by searching only around the
+previous deletion.  Every extension is checked around the vertices it touched: a
 count shows every vertex colored, then one pass stops at the first
 improper edge or short neighborhood and skips the wide neighbors the shape
 cannot leave short; a rule that leaves a violation raises ExtensionFailure
@@ -251,10 +251,13 @@ def extend_step(
     except for the recolorings of the 10th and 11th configurations' rules.
     A rule that leaves a violation, a kind with no rule, or anchors missing a
     label the rule reads raise ExtensionFailure naming the shape; a partial
-    or a step that names a vertex outside d raises it before any rule runs.
+    or a step that names a vertex outside d, or a partial that colors a
+    deleted vertex, raises it before any rule runs.
     """
     if not partial.keys() | set(step.deleted) <= d.adjacency.keys():
         raise ExtensionFailure("partial coloring or step names vertices outside the drawing")
+    if not partial.keys().isdisjoint(step.deleted):
+        raise ExtensionFailure("partial coloring colors a deleted vertex")
     colors = dict(partial)
     _extend(d, step, colors, lists)
     return colors

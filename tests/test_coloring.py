@@ -650,7 +650,8 @@ def test_pair_and_triangle_faults_name_their_shape(kind, rule, edges, u, x, monk
 def test_extend_step_rejects_a_partial_with_stray_keys(classes):
     # the local check counts colors to see every vertex colored, so a
     # partial that leaves out a vertex of d but names one outside it must
-    # be refused before the rule runs
+    # be refused before the rule runs.  So must a partial that already
+    # colors a deleted vertex: the P1 and P3 rules would avoid that color.
     cases = 0
     for n in range(2, 7):
         for d in classes(n, "connected"):
@@ -662,6 +663,9 @@ def test_extend_step_rejects_a_partial_with_stray_keys(classes):
                 with pytest.raises(ExtensionFailure, match="outside the drawing"):
                     extend_step(d, step, stray, uniform_lists(d, 6))
                 cases += 1
+            for v in step.deleted:
+                with pytest.raises(ExtensionFailure, match="colors a deleted vertex"):
+                    extend_step(d, step, partial | {v: colors[v]}, uniform_lists(d, 6))
     assert cases > 100
 
 
