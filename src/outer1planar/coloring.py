@@ -18,24 +18,21 @@ count shows every vertex colored, then one pass stops at the first
 improper edge or short neighborhood and skips the wide neighbors the shape
 cannot leave short; a rule that leaves a violation raises ExtensionFailure
 naming its shape.  The primitive shapes come off and go back in runs, with
-no step objects: a pendant is checked on u and its one neighbor v, a P2 or
-P3 shape by the local check's core on its deleted vertices, and none of
-their rules may recolor a neighbor; the configurations get the generic
-local check.  The result is verified once in full, in one pass that also
-checks the lists.
+no step objects, and extend_step plays such a step as a run of one: a
+pendant is checked on u and its one neighbor v, a P2 or P3 shape by the
+local check's core once x and y kept their colors; the configurations get
+the generic local check.  The result is verified once in full, in one
+pass that also checks the lists.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 from .drawing import Drawing
 from .structure import ReductionStep, _Peeler
-
-logger = logging.getLogger("outer1planar.coloring")
 
 Coloring = dict[int, int]
 ListAssignment = dict[int, frozenset[int]]
@@ -249,25 +246,31 @@ def extend_step(
 
     Implements the per-shape rules; only deleted vertices receive colors,
     except for the recolorings of the 10th and 11th configurations' rules.
-    A rule that leaves a violation, a kind with no rule, or anchors missing a
-    label the rule reads raise ExtensionFailure naming the shape; a partial
-    or a step that names a vertex outside d, or a partial that colors a
-    deleted vertex, raises it before any rule runs.
+    Every refusal is an ExtensionFailure naming the shape: of a rule that
+    leaves a violation, a kind with no rule, anchors missing a label the
+    rule reads, or a P1-P3 step that deletes no shape of its kind; and,
+    before any rule runs, of a partial or a step that names a vertex
+    outside d, or a partial that colors a deleted vertex.
     """
-    if not partial.keys() | set(step.deleted) <= d.adjacency.keys():
-        raise ExtensionFailure("partial coloring or step names vertices outside the drawing")
+    if not partial.keys() | set(step.deleted) | set(step.anchors.values()) <= d.adjacency.keys():
+        raise ExtensionFailure(f"{step.kind} step: partial coloring or step names vertices outside the drawing")
     if not partial.keys().isdisjoint(step.deleted):
-        raise ExtensionFailure("partial coloring colors a deleted vertex")
+        raise ExtensionFailure(f"{step.kind} step: partial coloring colors a deleted vertex")
     colors = dict(partial)
     _extend(d, step, colors, lists)
     return colors
 
 
 def _extend(d: Drawing, step: ReductionStep, colors: Coloring, lists: ListAssignment) -> None:
-    """extend_step on colors itself, so a peel copies nothing per step."""
+    """extend_step on colors itself, so a peel copies nothing per step.  A
+    P1-P3 step of the right shape is played as a run of one record, which
+    reads x and y off the neighbor sets, not the anchors."""
     a, kind = step.anchors, step.kind
-    if kind == "P1-pendant":
-        return _color_pendant(d.adjacency, d.degrees, step.deleted[0], colors, lists)
+    if kind in ("P1-pendant", "P2-adjacent-deg2", "P3-triangle-deg2"):
+        if not _is_primitive(d.adjacency, kind, step.deleted):
+            raise ExtensionFailure(f"rule for {kind} failed: deleted {step.deleted} is not its shape")
+        p = _Peeler(d)
+        return _extend_primitives(p, [(*step.deleted, *p.remove(step.deleted))], colors, lists)
     before = {v: colors[v] for v in a.values() if v in colors}
     try:
         _HANDLERS[kind](d, a, colors, lists)
@@ -275,6 +278,17 @@ def _extend(d: Drawing, step: ReductionStep, colors: Coloring, lists: ListAssign
         raise _failed(kind, exc) from None
     if not _valid_around(d, step, before, colors):
         raise ExtensionFailure(f"rule for {kind} left a violation")
+
+
+def _is_primitive(adj: dict[int, frozenset[int]], kind: str, s: tuple[int, ...]) -> bool:
+    """Is s kind's shape: one vertex of degree at most 1 (P1), two adjacent
+    degree-2 vertices (P2), or a degree-2 vertex with adjacent neighbors (P3)?"""
+    if kind == "P2-adjacent-deg2":
+        return len(s) == 2 and s[1] in adj[s[0]] and len(adj[s[0]]) == len(adj[s[1]]) == 2
+    if len(s) != 1:
+        return False
+    ns = adj[s[0]]
+    return len(ns) <= 1 if kind == "P1-pendant" else len(ns) == 2 and max(ns) in adj[min(ns)]
 
 
 def _failed(kind: str, exc: Exception) -> ExtensionFailure:
@@ -289,8 +303,8 @@ def _extend_primitives(p: _Peeler, run: list, colors: Coloring, lists: ListAssig
     triangle otherwise; (u, v, us, vs) is a P2 pair.  x and y are read off
     the restored sets, which are the sets pop read.  A pair or triangle
     gets _valid_around's verdict on its step, whose T is its deleted
-    vertices, since its rule refuses to recolor x or y."""
-    adj, degs = p.adjacency, p.degrees
+    vertices once x and y kept their colors."""
+    adj, degs, get = p.adjacency, p.degrees, colors.get
     for rec in reversed(run):
         k = len(rec) // 2  # the number of deleted vertices
         # put back as _Peeler.restore does, inline: a call per shape costs
@@ -306,16 +320,16 @@ def _extend_primitives(p: _Peeler, run: list, colors: Coloring, lists: ListAssig
             _color_pendant(adj, degs, u, colors, lists)
             continue
         kind = "P2-adjacent-deg2" if k == 2 else "P3-triangle-deg2"
+        x, y = (*(us - {rec[1]}), *(rec[3] - {u})) if k == 2 else us
+        kept = get(x), get(y)
         try:
             if k == 2:
-                v = rec[1]
-                (x,), (y,) = us - {v}, rec[3] - {u}
-                _color_p2(adj, degs, u, v, x, y, colors, lists)
+                _color_p2(adj, degs, u, rec[1], x, y, colors, lists)
             else:
-                _color_p3(adj, degs, u, *us, colors, lists)
+                _color_p3(adj, degs, u, x, y, colors, lists)
         except (ExtensionFailure, KeyError) as exc:
             raise _failed(kind, exc) from None
-        if not _valid_near(adj, degs, colors, rec[:k], k + 3):
+        if (get(x), get(y)) != kept or not _valid_near(adj, degs, colors, rec[:k], k + 3):
             raise ExtensionFailure(f"rule for {kind} left a violation")
 
 
@@ -404,8 +418,7 @@ def _color_p2(
     neighbors' and, where its other neighbor has degree at most 3, unlike
     that neighbor's other neighbors'.  If x = y, a triangle with two
     degree-2 corners, x's neighborhood must still end up colorful, so u
-    avoids x's other neighbors up to d(x) = 4.  Refuses a pick that
-    recolored x or y."""
+    avoids x's other neighbors up to d(x) = 4."""
     cx, cy = colors[x], colors[y]
     if x == y:
         shared = _colors_of(colors, adj[x] - {u, v}) if degs[x] <= 4 else set()
@@ -420,8 +433,6 @@ def _color_p2(
         if degs[y] <= 3:
             fv |= _colors_of(colors, adj[y] - {u, v})
         colors[v] = _pick(lists, v, fv)
-    if colors[x] != cx or colors[y] != cy:
-        raise ExtensionFailure("a pick recolored x or y")
 
 
 def _color_p3(
@@ -431,17 +442,14 @@ def _color_p3(
     """P3's rule on a degree-2 u whose neighbors x and y are adjacent: the
     least list color unlike theirs and, for each of them of degree 3, unlike
     its third neighbor's: a degree-3 x shows three colors only if u avoids
-    x1 too.  Refuses a pick that recolored x or y."""
+    x1 too."""
     get = colors.get
-    cx, cy = colors[x], colors[y]
-    forbidden = {cx, cy}
+    forbidden = {colors[x], colors[y]}
     for h in (x, y):
         if degs[h] == 3:
             forbidden.update(map(get, adj[h]))
     forbidden.discard(None)  # u's own
     colors[u] = _pick(lists, u, forbidden)
-    if colors[x] != cx or colors[y] != cy:
-        raise ExtensionFailure("a pick recolored x or y")
 
 
 def _run(row: tuple, d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
@@ -513,7 +521,6 @@ def _extend_g11(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssi
     if cu is not None:
         colors[a["u"]] = cu
         return
-    logger.debug("rainbow case at configuration 11; trying recolorings")
     cz_new = _first(lists, a["z"], {cx, cz, cw, cv, cy, colors[a["x1"]]})
     if cz_new is not None:
         colors[a["u"]], colors[a["z"]] = cz, cz_new
@@ -531,12 +538,6 @@ def _extend_g11(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssi
 
 
 _HANDLERS = {
-    "P2-adjacent-deg2": lambda d, a, colors, lists: _color_p2(
-        d.adjacency, d.degrees, a["u"], a["v"], a["x"], a["y"], colors, lists
-    ),
-    "P3-triangle-deg2": lambda d, a, colors, lists: _color_p3(
-        d.adjacency, d.degrees, a["u"], a["x"], a["y"], colors, lists
-    ),
     "P4-G3": _extend_g3,
     "P5-G6": partial(_run, _G6),
     "P6-G7": partial(_run, _G7),

@@ -545,68 +545,23 @@ def test_primitive_runs_give_the_steps_of_pop(classes):
     assert kinds["P2-adjacent-deg2"] > 5000 and kinds["P3-triangle-deg2"] > 3000, kinds
 
 
-def test_pendant_rule_recoloring_v_raises(monkeypatch, tmp_path, capsys):
-    # the pendant rule colors u only, so a pick that also recolors v is
-    # refused, here where the whole coloring stays valid: through a peel,
-    # through extend_step and by o1p color with exit 3.  A pick that leaves
-    # an improper edge is refused through extend_step too.  The faults ride
-    # on _first, which reaches the coloring being extended through
-    # _color_pendant.
-    import outer1planar.coloring as col
-    from outer1planar import emit_drawing
-    from outer1planar.cli import run
-
-    first, extend = col._first, col._color_pendant
-    extending = []
-
-    def holding(adj, degs, u, colors, lists):
-        extending.append(colors)
-        extend(adj, degs, u, colors, lists)
-
-    def recolor(lists, v, forbidden):
-        if v == 1:
-            extending[-1][2] = 6
-        return first(lists, v, forbidden)
-
-    def improper(lists, v, forbidden):
-        return min(forbidden, default=1)
-
-    d = Drawing.from_edges(3, [(1, 2), (2, 3)])
-    lists = uniform_lists(d, 6)
-    step = find_reduction(d)
-    assert step.kind == "P1-pendant" and step.anchors == {"u": 1, "v": 2}
-    partial = {v: c for v, c in color_list_3_dynamic(d, lists).items() if v != 1}
-    out = extend_step(d, step, partial, lists)
-    out[2] = 6
-    assert verify_dynamic(d, out, 3).valid
-    path = tmp_path / "path.txt"
-    path.write_text(emit_drawing(d), encoding="utf-8")
-    monkeypatch.setattr(col, "_color_pendant", holding)
-    for bad in (recolor, improper):
-        monkeypatch.setattr(col, "_first", bad)
-        with pytest.raises(ExtensionFailure, match="P1-pendant"):
-            extend_step(d, step, partial, lists)
-        with pytest.raises(ExtensionFailure, match="P1-pendant"):
-            color_list_3_dynamic(d, lists)
-        assert run(["color", str(path)]) == 3
-        assert "P1-pendant" in json.loads(capsys.readouterr().out)["error"]
-
-
 @pytest.mark.parametrize(
     "kind, rule, edges, u, x",
-    [  # the pair 1, 2 between 5 and 3 of a 5-cycle; 2 on the triangle 1, 2, 3 of a diamond
+    [  # the pendant 1 off 2 of a path; the pair 1, 2 between 5 and 3 of a
+        # 5-cycle; 2 on the triangle 1, 2, 3 of a diamond
+        ("P1-pendant", "_color_pendant", [(1, 2), (2, 3)], 1, 2),
         ("P2-adjacent-deg2", "_color_p2", [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)], 1, 5),
         ("P3-triangle-deg2", "_color_p3", [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)], 2, 1),
     ],
-    ids=["P2", "P3"],
+    ids=["P1", "P2", "P3"],
 )
 def test_pair_and_triangle_faults_name_their_shape(kind, rule, edges, u, x, monkeypatch, tmp_path, capsys):
-    # a pair's or a triangle's rule colors its deleted vertices only, so a
-    # pick that also recolors x is refused, here where the whole coloring
-    # stays valid, and so is a pick that leaves a violation: through a
-    # peel, through extend_step and by o1p color with exit 3.  The faults
-    # ride on _first, which reaches the coloring being extended through
-    # the rule.
+    # a primitive shape's rule colors its deleted vertices only, so a pick
+    # that also recolors a kept neighbor x (a pendant's v, a pair's or a
+    # triangle's x or y) is refused, here where the whole coloring stays
+    # valid, and so is a pick that leaves a violation: through a peel,
+    # through extend_step and by o1p color with exit 3.  The faults ride on
+    # _first, which reaches the coloring being extended through the rule.
     import outer1planar.coloring as col
     from outer1planar import emit_drawing
     from outer1planar.cli import run
@@ -629,7 +584,7 @@ def test_pair_and_triangle_faults_name_their_shape(kind, rule, edges, u, x, monk
     d = Drawing.from_edges(max(map(max, edges)), edges)
     lists = uniform_lists(d, 6)
     step = find_reduction(d)
-    assert step.kind == kind and step.deleted[0] == u and x in (step.anchors["x"], step.anchors["y"])
+    assert step.kind == kind and step.deleted[0] == u and x in step.anchors.values()
     partial = {v: c for v, c in color_list_3_dynamic(d, lists).items() if v not in step.deleted}
     out = extend_step(d, step, partial, lists)
     out[x] = 6
@@ -671,22 +626,39 @@ def test_extend_step_rejects_a_partial_with_stray_keys(classes):
 
 @pytest.mark.parametrize("kind", ["P1-pendant", "P5-G6"])
 def test_extend_step_refuses_a_step_outside_the_drawing(kind):
-    # a step that deletes a vertex d lacks is refused before its rule runs,
-    # not by a bare KeyError from the peeler or the local check
+    # a step that deletes a vertex d lacks, or whose anchors name one, is
+    # refused before its rule runs, not by a bare KeyError from the peeler
+    # or the local check; the lists name that vertex too, so the rule could
+    # color it in place of a deleted vertex
     d = cycle(5)
-    step = ReductionStep(kind, (9,), {"u": 1, "x": 2, "y": 5, "v": 3})
-    with pytest.raises(ExtensionFailure, match="outside the drawing"):
-        extend_step(d, step, {2: 1, 3: 2, 4: 1, 5: 2}, uniform_lists(d, 6))
+    lists = dict.fromkeys(range(1, 10), frozenset(range(1, 7)))
+    for deleted, u in (((9,), 1), ((1,), 9)):
+        step = ReductionStep(kind, deleted, {"u": u, "x": 2, "y": 5, "v": 3})
+        with pytest.raises(ExtensionFailure, match=f"{kind} step: .* outside the drawing"):
+            extend_step(d, step, {2: 1, 3: 2, 4: 1, 5: 2}, lists)
 
 
-@pytest.mark.parametrize("kind, key", [("nope", "nope"), ("P5-G6", "x")], ids=["no-rule", "no-x-anchor"])
-def test_extend_step_names_a_shape_it_cannot_run(kind, key):
-    # a kind with no rule, or anchors that miss a label the rule reads, is
-    # refused by name, not by a bare KeyError
-    d = cycle(5)
-    partial = {2: 1, 3: 2, 4: 1, 5: 2}
-    with pytest.raises(ExtensionFailure, match=f"rule for {kind} failed: missing '{key}'"):
-        extend_step(d, ReductionStep(kind, (1,), {"u": 1}), partial, uniform_lists(d, 6))
+@pytest.mark.parametrize(
+    "kind, deleted, anchors, chords, partial, match",
+    [
+        ("nope", (1,), {"u": 1}, [], {2: 1, 3: 2, 4: 1, 5: 2}, " failed: missing 'nope'"),
+        ("P5-G6", (1,), {"u": 1}, [], {2: 1, 3: 2, 4: 1, 5: 2}, " failed: missing 'x'"),
+        ("P1-pendant", (1,), {"u": 1, "v": 2}, [], {2: 1, 3: 2, 4: 3, 5: 1}, ""),
+        ("P1-pendant", (), {"u": 1}, [], {1: 1, 2: 2, 3: 3, 4: 4, 5: 5}, ""),
+        ("P2-adjacent-deg2", (1, 3), {"u": 1, "v": 3, "x": 5, "y": 4}, [], {2: 1, 4: 1, 5: 2}, ""),
+        ("P3-triangle-deg2", (1,), {"u": 1, "x": 2, "y": 3}, [(1, 3)], {2: 1, 3: 2, 4: 3, 5: 1}, ""),
+    ],
+    ids=["no-rule", "no-x-anchor", "P1-degree-2", "P1-empty", "P2-not-adjacent", "P3-degree-3"],
+)
+def test_extend_step_names_a_shape_it_cannot_run(kind, deleted, anchors, chords, partial, match):
+    # a kind with no rule, anchors that miss a label the rule reads, or a
+    # primitive step whose deleted vertices are not its kind's shape on the
+    # 5-cycle (plus chords) is refused by name, not by a bare KeyError or
+    # IndexError, and not with an invalid coloring.  Each partial is a
+    # valid coloring of d minus the deleted vertices.
+    d = Drawing.from_edges(5, [*cycle(5).edges, *chords])
+    with pytest.raises(ExtensionFailure, match=f"rule for {kind}{match}"):
+        extend_step(d, ReductionStep(kind, deleted, anchors), partial, uniform_lists(d, 6))
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -17,6 +18,9 @@ from hypothesis import strategies as st
 import outer1planar
 from outer1planar import cli, coloring, emit_drawing, generators, oracle, parse_drawing, random_outer_1_planar
 from outer1planar.cli import run
+from outer1planar.structure import ReductionStep
+
+from .conftest import delete_with_map
 
 TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=60)
 SMALL = st.integers(-2, 12)
@@ -294,3 +298,42 @@ def test_cli_caps_the_vertex_count(tmp_path):
         else:
             # refused with the cap named, before any per-vertex table is built
             assert code == 2 and str(cli._MAX_N) in payload["error"], (argv, payload)
+
+
+# the ten reducible kinds and one that has no rule
+STEP_KINDS = ["P1-pendant", "P2-adjacent-deg2", "P3-triangle-deg2", *coloring._HANDLERS, "nope"]
+ANCHOR_LABELS = ("u", "v", "w", "x", "y", "z", "a", "x1", "y1")
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    n=st.integers(3, 9),
+    density=st.floats(0, 1),
+    seed=st.integers(0, 99),
+    kind=st.sampled_from(STEP_KINDS),
+    data=st.data(),
+)
+def test_extend_step_never_returns_an_invalid_coloring(n, density, seed, kind, data):
+    # any step on a drawing, with a valid coloring of the drawing minus the
+    # step's deleted vertices (the engine's coloring of that sub-drawing):
+    # extend_step either returns a valid coloring from the lists or refuses
+    # with an ExtensionFailure that names the kind, never another error or a
+    # wrong coloring
+    d = random_outer_1_planar(n, density, seed)
+    deleted = tuple(data.draw(st.lists(st.integers(1, n), max_size=3), label="deleted"))
+    # an anchor may name the one vertex past d, which has a list too
+    anchors = data.draw(st.dictionaries(st.sampled_from(ANCHOR_LABELS), st.integers(1, n + 1)), label="anchors")
+    rng = random.Random(seed)
+    lists = {v: frozenset(rng.sample(range(1, 10), 6)) for v in range(1, n + 2)}
+    partial = {}
+    if len(set(deleted)) < n:
+        sub, relabel = delete_with_map(d, deleted)
+        sub_colors = coloring.color_list_3_dynamic(sub, {new: lists[old] for old, new in relabel.items()})
+        partial = {old: sub_colors[new] for old, new in relabel.items()}
+    try:
+        colors = coloring.extend_step(d, ReductionStep(kind, deleted, anchors), partial, lists)
+    except coloring.ExtensionFailure as exc:
+        assert kind in str(exc)
+        return
+    assert coloring.verify_dynamic(d, colors, 3).valid, (kind, deleted, anchors, partial)
+    assert all(colors[v] in lists[v] for v in d.vertices)

@@ -201,9 +201,8 @@ def test_shapes_table_fits_the_catalog():
         assert {frozenset(sigma.get(l, l) for l in e) for e in edges} == edges, kind
     # the reducible configurations of catalog fact (d), in priority order
     assert [row[0] for row in _SHAPES] == [3, 6, 7, 8, 9, 10, 11]
-    # P1's rule is no handler: coloring._color_pendant plays it
-    kinds = [row[1] for row in _SHAPES] + ["P2-adjacent-deg2", "P3-triangle-deg2"]
-    assert sorted(kinds) == sorted(_HANDLERS)
+    # the primitive shapes have no handler: coloring._extend_primitives plays them
+    assert [row[1] for row in _SHAPES] == list(_HANDLERS)
 
 
 def test_reduction_delete_keeps_drawing_valid(classes):
