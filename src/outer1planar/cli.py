@@ -118,6 +118,8 @@ def _cmd_color(args) -> tuple[int, dict]:
 def _cmd_verify(args) -> tuple[int, dict]:
     d = _drawing_from(args)
     colors = coloring.parse_coloring_json(_read_input(args, args.coloring))
+    if stray := [v for v in colors if not 1 <= v <= d.n]:
+        raise ValueError(f"coloring names vertex {stray[0]}, outside the drawing's 1..{d.n}")
     verdict = coloring.verify_dynamic(d, colors, args.r)
     payload: dict = {"valid": verdict.valid, "r": args.r}
     if not verdict.valid:

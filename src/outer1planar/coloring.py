@@ -4,25 +4,26 @@ The engine peels one reducible shape at a time until nothing is left, then
 puts the shapes back in reverse order and extends by each shape's local
 rule: each deleted vertex gets the smallest list color outside a small
 forbidden set assembled from its surroundings.  The rules of the three
-primitive shapes P1-P3 take their vertices as arguments; every other rule
-plays rows of such picks through one runner, where a pick names its
-vertex, the labels whose colors it avoids, and the labels x or y whose
-third neighbor it avoids at degree 3.  Two rules may first recolor a
-surviving vertex of the shape: the 10th configuration's, when its z
-repeats a color that a deleted vertex must see twice, and the 11th
-configuration's recoloring branch for the rainbow worst case.  Peeling
+primitive shapes P1-P3 and of configuration 6 take their vertices as
+arguments; every other rule plays rows of such picks through one runner,
+where a pick names its vertex, the labels whose colors it avoids, and the
+labels x or y whose third neighbor it avoids at degree 3.  Two rules may
+first recolor a surviving vertex of the shape: the 10th configuration's,
+when its z repeats a color that a deleted vertex must see twice, and the
+11th configuration's recoloring branch for the rainbow worst case.  Peeling
 works on the original labels, so no sub-drawing is ever rebuilt, and the
 structure module's peeler finds each shape by searching only around the
 previous deletion.  Every extension is checked around the vertices it touched: a
 count shows every vertex colored, then one pass stops at the first
 improper edge or short neighborhood and skips the wide neighbors the shape
 cannot leave short; a rule that leaves a violation raises ExtensionFailure
-naming its shape.  The primitive shapes come off and go back in runs, with
-no step objects, and extend_step plays such a step as a run of one: a
-pendant is checked on u and its one neighbor v, a P2 or P3 shape by the
-local check's core once x and y kept their colors; the configurations get
-the generic local check.  The result is verified once in full, in one
-pass that also checks the lists.
+naming its shape.  The primitive shapes and configuration 6 come off and
+go back in runs, with no step objects, and extend_step plays a primitive
+step as a run of one: a pendant is checked on u and its one neighbor v,
+any other shape by the local check's core once the survivors its rule
+avoids kept their colors; the configurations get the generic local
+check.  The result is verified once in full, in one pass that also
+checks the lists.
 """
 
 from __future__ import annotations
@@ -247,12 +248,14 @@ def extend_step(
     Implements the per-shape rules; only deleted vertices receive colors,
     except for the recolorings of the 10th and 11th configurations' rules.
     Every refusal is an ExtensionFailure naming the shape: of a rule that
-    leaves a violation, a kind with no rule, anchors missing a label the
-    rule reads, or a P1-P3 step that deletes no shape of its kind; and,
-    before any rule runs, of a partial or a step that names a vertex
-    outside d, or a partial that colors a deleted vertex.
+    leaves a violation (or recolors configuration 6's v, x or y), a kind
+    with no rule, anchors missing a label the rule reads, or a P1-P3 step
+    that deletes no shape of its kind; and, before any rule runs, of a
+    partial or a step that names a vertex outside d, or a partial that
+    colors a deleted vertex.
     """
-    if not partial.keys() | set(step.deleted) | set(step.anchors.values()) <= d.adjacency.keys():
+    adj = d.adjacency
+    if not (partial.keys() <= adj.keys() and all(v in adj for v in (*step.deleted, *step.anchors.values()))):
         raise ExtensionFailure(f"{step.kind} step: partial coloring or step names vertices outside the drawing")
     if not partial.keys().isdisjoint(step.deleted):
         raise ExtensionFailure(f"{step.kind} step: partial coloring colors a deleted vertex")
@@ -300,36 +303,46 @@ def _failed(kind: str, exc: Exception) -> ExtensionFailure:
 def _extend_primitives(p: _Peeler, run: list, colors: Coloring, lists: ListAssignment) -> None:
     """Put a run of p.peel_primitives back, last deletion first, playing each
     shape's rule.  A record (u, us) is a pendant if |us| <= 1 and a P3
-    triangle otherwise; (u, v, us, vs) is a P2 pair.  x and y are read off
-    the restored sets, which are the sets pop read.  A pair or triangle
-    gets _valid_around's verdict on its step, whose T is its deleted
-    vertices once x and y kept their colors."""
+    triangle otherwise; (u, v, us, vs) is a P2 pair and (u, v, us) a
+    configuration 6.  x and y are read off the restored sets, which are
+    the sets pop read.  Any shape but a pendant gets _valid_around's
+    verdict on its step, whose T is its deleted vertices once x and y (and
+    configuration 6's v) kept their colors."""
     adj, degs, get = p.adjacency, p.degrees, colors.get
     for rec in reversed(run):
-        k = len(rec) // 2  # the number of deleted vertices
+        k = 2 if len(rec) == 4 else 1  # the number of deleted vertices
+        u, us = rec[0], rec[-1] if k == 1 else rec[2]
         # put back as _Peeler.restore does, inline: a call per shape costs
         # the peel-large colorings about 4%
-        for w, ws in (rec,) if k == 1 else ((rec[1], rec[3]), (rec[0], rec[2])):
+        for w, ws in ((u, us),) if k == 1 else ((rec[1], rec[3]), (u, us)):
             adj[w] = ws
             degs[w] = len(ws)
             for z in ws:
                 adj[z].add(w)
                 degs[z] += 1
-        u, us = rec[0], rec[k]
-        if k == 1 and len(us) < 2:
+        if len(rec) == 2 and len(us) < 2:
             _color_pendant(adj, degs, u, colors, lists)
             continue
-        kind = "P2-adjacent-deg2" if k == 2 else "P3-triangle-deg2"
-        x, y = (*(us - {rec[1]}), *(rec[3] - {u})) if k == 2 else us
-        kept = get(x), get(y)
+        if k == 2:
+            kind, v = "P2-adjacent-deg2", rec[1]
+            x, y = (*(us - {v}), *(rec[3] - {u}))
+        elif len(rec) == 3:
+            kind, v = "P5-G6", rec[1]
+            x, y = us - {v}
+        else:
+            kind, (x, y) = "P3-triangle-deg2", us
+        held = v if len(rec) == 3 else x  # kept beside x and y: configuration 6's v
+        kept = get(held), get(x), get(y)
         try:
             if k == 2:
-                _color_p2(adj, degs, u, rec[1], x, y, colors, lists)
+                _color_p2(adj, degs, u, v, x, y, colors, lists)
+            elif len(rec) == 3:
+                _color_g6(adj, degs, u, v, x, y, colors, lists)
             else:
                 _color_p3(adj, degs, u, x, y, colors, lists)
         except (ExtensionFailure, KeyError) as exc:
             raise _failed(kind, exc) from None
-        if (get(x), get(y)) != kept or not _valid_near(adj, degs, colors, rec[:k], k + 3):
+        if (get(held), get(x), get(y)) != kept or not _valid_near(adj, degs, colors, rec[:k], k + 3):
             raise ExtensionFailure(f"rule for {kind} left a violation")
 
 
@@ -435,21 +448,30 @@ def _color_p2(
         colors[v] = _pick(lists, v, fv)
 
 
+def _color_g6(
+    adj: dict[int, set[int] | frozenset[int]], degs: dict[int, int], u: int, v: int, x: int, y: int,
+    colors: Coloring, lists: ListAssignment,
+) -> None:
+    """Configuration 6's rule on u, where u and v are both next to x and y:
+    the least list color unlike v's, x's and y's and, for each of x and y
+    of degree 3, unlike its third neighbor's (besides u and v): a degree-3
+    x shows three colors only if u avoids x1 too."""
+    get = colors.get
+    forbidden = {colors[x], colors[y], colors[v]}
+    for h in (x, y):
+        if degs[h] == 3:
+            forbidden.update(map(get, adj[h]))  # u, v and h1
+    forbidden.discard(None)  # u's own
+    colors[u] = _pick(lists, u, forbidden)
+
+
 def _color_p3(
     adj: dict[int, set[int] | frozenset[int]], degs: dict[int, int], u: int, x: int, y: int,
     colors: Coloring, lists: ListAssignment,
 ) -> None:
-    """P3's rule on a degree-2 u whose neighbors x and y are adjacent: the
-    least list color unlike theirs and, for each of them of degree 3, unlike
-    its third neighbor's: a degree-3 x shows three colors only if u avoids
-    x1 too."""
-    get = colors.get
-    forbidden = {colors[x], colors[y]}
-    for h in (x, y):
-        if degs[h] == 3:
-            forbidden.update(map(get, adj[h]))
-    forbidden.discard(None)  # u's own
-    colors[u] = _pick(lists, u, forbidden)
+    """P3's rule on a degree-2 u whose neighbors x and y are adjacent:
+    configuration 6's with x standing for v."""
+    _color_g6(adj, degs, u, x, x, y, colors, lists)
 
 
 def _run(row: tuple, d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
@@ -469,7 +491,6 @@ def _run(row: tuple, d: Drawing, a: dict[str, int], colors: Coloring, lists: Lis
 
 
 # each rule that is a fixed sequence of picks, as a row of (label, avoid, thirds)
-_G6 = (("u", ("x", "y", "v"), ("x", "y")),)
 _G7 = (("v", ("x", "y", "w"), ("x", "y")), ("u", ("x", "y", "w", "v"), ()))
 _G8 = (("w", ("x", "y", "v"), ("y",)), ("u", ("x", "y", "w", "v"), ("x",)))
 _G9 = (("w", ("x", "y", "v", "z"), ("y",)), ("u", ("x", "y", "w", "v"), ("x",)))
@@ -486,11 +507,21 @@ _G11_PINNED = (("w", ("x", "z", "y", "y1"), ()), ("v", ("x", "z", "y", "w", "x1"
 
 
 def _extend_g3(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
-    """Configuration 6's pick if x or y has degree 3, else P3's rule on u."""
+    """Configuration 6's rule if x or y has degree 3, else P3's rule on u."""
     if 3 in (d.degrees[a["x"]], d.degrees[a["y"]]):
-        _run(_G6, d, a, colors, lists)
+        _color_g6(d.adjacency, d.degrees, a["u"], a["v"], a["x"], a["y"], colors, lists)
     else:
         _color_p3(d.adjacency, d.degrees, a["u"], a["x"], a["y"], colors, lists)
+
+
+def _extend_g6(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
+    """Configuration 6's rule, refused as in the peel's run if it recolored
+    v, x or y, which the generic check would accept if still valid."""
+    x, y, v = a["x"], a["y"], a["v"]
+    kept = colors[v], colors[x], colors[y]
+    _color_g6(d.adjacency, d.degrees, a["u"], v, x, y, colors, lists)
+    if (colors[v], colors[x], colors[y]) != kept:
+        raise ExtensionFailure("it recolored v, x or y")
 
 
 def _extend_g10(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
@@ -539,7 +570,7 @@ def _extend_g11(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssi
 
 _HANDLERS = {
     "P4-G3": _extend_g3,
-    "P5-G6": partial(_run, _G6),
+    "P5-G6": _extend_g6,
     "P6-G7": partial(_run, _G7),
     "P7-G8": partial(_run, _G8),
     "P8-G9": partial(_run, _G9),

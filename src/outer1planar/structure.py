@@ -196,16 +196,16 @@ class _Peeler:
     leader: an automorphism preserves roles, so the label a new
     occurrence's leader puts on the vertex newly admits it too.
     Configurations are read in `_SHAPES` order.  The coloring engine takes
-    the primitive shapes P1-P3 off in runs by `peel_primitives`, which
-    selects them as `pop` does, and pops only the configurations; `restore`
-    is for the extension phase, after the last `pop`.
+    the primitive shapes P1-P3 and configuration 6 off in runs by
+    `peel_primitives`, which selects them as `pop` does, and pops only the
+    other configurations; `restore` is for the extension phase, after the
+    last `pop`.
     """
 
     def __init__(self, d: Drawing) -> None:
         self.adjacency = dict(d.adjacency)  # frozensets until written
-        self.degrees = degs = dict(d.degrees)
-        self._pendant = [v for v, k in degs.items() if k <= 1]
-        heapify(self._pendant)
+        self.degrees = dict(d.degrees)
+        self._pendant: list[int] | None = None
         self._pairs: list[Edge] | None = None  # P2 and P3 are scanned together
         self._triangles: list[tuple[int, int, int]] | None = None
         self._found: dict[int, list] = {}
@@ -257,6 +257,9 @@ class _Peeler:
         at a degree-2 u; () if there is none."""
         degs, adj = self.degrees, self.adjacency
         pendant = self._pendant
+        if pendant is None:
+            self._pendant = pendant = [v for v, k in degs.items() if k <= 1]
+            heapify(pendant)
         while pendant and degs.get(pendant[0], 2) > 1:
             heappop(pendant)
         if pendant:
@@ -288,14 +291,19 @@ class _Peeler:
         return triangles[0] if triangles else ()
 
     def peel_primitives(self) -> list[tuple]:
-        """Delete primitive shapes in pop's order until none is left; returns
-        one record per shape: (u, u's popped neighbor set) for a pendant or
-        a triangle, (u, v, u's set, v's set) for a pair."""
-        least, remove = self._least_primitive, self.remove
+        """Delete shapes in pop's order while the next one is primitive or
+        configuration 6, read as pop reads it, never on an empty peeler;
+        returns one record per shape: (u, u's popped neighbor set) for a
+        pendant or a triangle, (u, v, u's set, v's set) for a pair and
+        (u, v, u's set) for configuration 6."""
+        least, remove, degs = self._least_primitive, self.remove, self.degrees
         run = []
-        while s := least():
-            run.append((*s, *remove(s)) if len(s) == 2 else (s[0], *remove(s[:1])))
-        return run
+        while True:
+            while s := least():
+                run.append((*s, *remove(s)) if len(s) == 2 else (s[0], *remove(s[:1])))
+            if not degs or self._least_occurrence(3) or not (key := self._least_occurrence(6)):
+                return run
+            run.append((key[0], key[1], *remove(key[:1])))  # a key starts (u, v, ...)
 
     def _least_occurrence(self, pid: int) -> tuple[int, ...] | None:
         """The least anchor key of an orbit representative, or None."""
@@ -339,7 +347,7 @@ class _Peeler:
                     adj[w] = ns = set(ns)
                 ns.remove(v)
                 degs[w] = new = degs[w] - 1
-                if new == 1:
+                if new == 1 and pendant is not None:
                     heappush(pendant, w)
                 elif new == 2 and pairs is not None:
                     x, y = sorted(ns)

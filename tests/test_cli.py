@@ -382,6 +382,21 @@ def test_verify_coloring_missing_a_vertex_exit_1(tmp_path, capsys):
     assert payload["violation"]["kind"] == "missing-color" and payload["violation"]["vertex"] == 5
 
 
+@pytest.mark.parametrize("stray", ["9", "0", "-1"])
+def test_verify_coloring_of_a_vertex_the_drawing_lacks_exit_2(stray, tmp_path, capsys):
+    # a valid coloring of 1..5 plus one key outside the drawing is an input
+    # error, as it is for --lists, not a valid verdict
+    f = tmp_path / "c5.txt"
+    f.write_text(emit_drawing(cycle(5)))
+    colors = {str(v): v for v in range(1, 6)}
+    extra = tmp_path / "extra.json"
+    extra.write_text(json.dumps({"colors": {**colors, stray: 1, "7": 1}}))
+    code = run(["verify", str(f), "--coloring", str(extra)])
+    out, _ = capsys.readouterr()
+    assert code == 2 and list(json.loads(out)) == ["error"]
+    assert f"vertex {stray}," in json.loads(out)["error"]
+
+
 def test_guarantee_violation_exit_3(monkeypatch, capsys):
     # an edgeless drawing has no configuration: exit 3
     code, out, _ = invoke(["find-config", "-"], "n 2\n", monkeypatch, capsys)

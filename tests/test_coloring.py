@@ -427,14 +427,33 @@ def test_local_check_rejects_uncolored(classes):
     assert cases > 1000
 
 
+def _record_parts(rec):
+    """The deleted vertices of a record of _Peeler.peel_primitives, and
+    their neighbor sets as popped."""
+    k = len(rec) // 2  # a configuration 6 record, (u, v, us), deletes one vertex
+    return rec[:k], list(rec[-k:])
+
+
 def _record_step(rec, adj, degs):
     """(kind, deleted, anchors) of the step a record of
     _Peeler.peel_primitives stands for, read off adj and degs while the
     record's vertices are present: as pop reads them before the deletion
     and as the extension reads them once the record is put back."""
-    k = len(rec) // 2
-    u, deleted = rec[0], rec[:k]
-    if k == 2:
+    u, deleted = rec[0], _record_parts(rec)[0]
+    if len(rec) == 3:
+        # configuration 6: pop's least key puts the lesser of u's other
+        # neighbors on x unless the greater one's degree passes y's cap of
+        # 7; then the mirror swap, and the third neighbors besides u and v
+        v = rec[1]
+        x, y = sorted(rec[2] - {v})
+        if degs[y] > 7 or degs[x] == 3 and degs[y] >= 4:
+            x, y = y, x
+        anchors = {"u": u, "v": v, "x": x, "y": y}
+        for label, h in (("x1", x), ("y1", y)):
+            if degs[h] == 3:
+                (anchors[label],) = adj[h] - {u, v}
+        return "P5-G6", deleted, anchors
+    if len(rec) == 4:
         v = rec[1]
         return "P2-adjacent-deg2", deleted, {"u": u, "v": v, "x": min(adj[u] - {v}), "y": min(adj[v] - {u})}
     if degs[u] <= 1:
@@ -448,13 +467,13 @@ def _record_step(rec, adj, degs):
 
 
 def test_primitive_check_gives_the_generic_verdict(classes, monkeypatch):
-    # at every shape of the peels' primitive runs, a pick of a random color
-    # (at times none) that at times also recolors a neighbor the rule must
-    # keep (a pendant's v, a pair's or a triangle's x or y) is refused
-    # exactly when _valid_around refuses the same state, and always when
-    # such a neighbor changed.  Each trial puts the record back alone and
-    # takes it off again.  The pendants of h_family hang off vertices of
-    # degree 6 and 8, where v's neighbors are not read.
+    # at every shape of the peels' runs, a pick of a random color (at times
+    # none) that at times also recolors a neighbor the rule must keep (a
+    # pendant's v, a pair's or a triangle's x or y, configuration 6's v, x
+    # or y) is refused exactly when _valid_around refuses the same state,
+    # and always when such a neighbor changed.  Each trial puts the record
+    # back alone and takes it off again.  The pendants of h_family hang off
+    # vertices of degree 6 and 8, where v's neighbors are not read.
     import outer1planar.coloring as col
 
     rng = random.Random(24)
@@ -472,10 +491,10 @@ def test_primitive_check_gives_the_generic_verdict(classes, monkeypatch):
 
     def probe(p, run, colors, lists):
         for rec in reversed(run):
-            k = len(rec) // 2
-            deleted, sets = rec[:k], list(rec[k:])
-            # a pendant keeps v, a pair and a triangle keep x and y
-            kept = sorted((rec[2] - {rec[1]}) | rec[3]) if k == 2 else sorted(rec[1])
+            deleted, sets = _record_parts(rec)
+            # a pendant keeps v, a pair and a triangle keep x and y, and
+            # configuration 6 keeps every neighbor of u
+            kept = sorted((rec[2] - {rec[1]}) | rec[3]) if len(rec) == 4 else sorted(sets[0])
             for _ in range(4):
                 t = dict(colors)
                 trial.append((t, kept))
@@ -506,7 +525,7 @@ def test_primitive_check_gives_the_generic_verdict(classes, monkeypatch):
     pendant = "P1-pendant"
     assert {(pendant, True, True, False), (pendant, True, True, True)} <= seen
     assert {(pendant, False, r, w) for r in (True, False) for w in (True, False)} <= seen
-    for kind in ("P2-adjacent-deg2", "P3-triangle-deg2"):
+    for kind in ("P2-adjacent-deg2", "P3-triangle-deg2", "P5-G6"):
         assert {(kind, True, True, False), (kind, False, True, False), (kind, False, False, False)} <= seen
 
 
@@ -518,14 +537,14 @@ def _lean_population(classes):
 
 def _peel_steps(d, runs):
     """(kind, deleted, anchors) of each step of d's peel, by pop alone or by
-    primitive runs before each pop.  A lockstep peeler q holds the state
-    before each record's deletion, and its sets must be the record's."""
+    runs before each pop.  A lockstep peeler q holds the state before each
+    record's deletion, and its sets must be the record's."""
     p, q, steps = _Peeler(d), _Peeler(d), []
     while p.degrees:
         for rec in p.peel_primitives() if runs else ():
-            k = len(rec) // 2
+            deleted, sets = _record_parts(rec)
             steps.append(_record_step(rec, q.adjacency, q.degrees))
-            assert q.remove(rec[:k]) == list(rec[k:])
+            assert q.remove(deleted) == sets
         if p.degrees:
             step = p.pop()
             p.remove(step.deleted)
@@ -543,25 +562,29 @@ def test_primitive_runs_give_the_steps_of_pop(classes):
             kinds[kind] = kinds.get(kind, 0) + 1
     assert kinds["P1-pendant"] > 30000
     assert kinds["P2-adjacent-deg2"] > 5000 and kinds["P3-triangle-deg2"] > 3000, kinds
+    assert kinds["P5-G6"] > 500, kinds
 
 
 @pytest.mark.parametrize(
     "kind, rule, edges, u, x",
     [  # the pendant 1 off 2 of a path; the pair 1, 2 between 5 and 3 of a
-        # 5-cycle; 2 on the triangle 1, 2, 3 of a diamond
+        # 5-cycle; 2 on the triangle 1, 2, 3 of a diamond; u = 1 and its v = 2
+        # of K4, which the run takes before a pair and a pendant
         ("P1-pendant", "_color_pendant", [(1, 2), (2, 3)], 1, 2),
         ("P2-adjacent-deg2", "_color_p2", [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)], 1, 5),
         ("P3-triangle-deg2", "_color_p3", [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)], 2, 1),
+        ("P5-G6", "_color_g6", [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3), (2, 4)], 1, 2),
     ],
-    ids=["P1", "P2", "P3"],
+    ids=["P1", "P2", "P3", "P5-G6"],
 )
 def test_pair_and_triangle_faults_name_their_shape(kind, rule, edges, u, x, monkeypatch, tmp_path, capsys):
-    # a primitive shape's rule colors its deleted vertices only, so a pick
-    # that also recolors a kept neighbor x (a pendant's v, a pair's or a
-    # triangle's x or y) is refused, here where the whole coloring stays
-    # valid, and so is a pick that leaves a violation: through a peel,
-    # through extend_step and by o1p color with exit 3.  The faults ride on
-    # _first, which reaches the coloring being extended through the rule.
+    # a run shape's rule colors its deleted vertices only, so a pick that
+    # also recolors a kept neighbor x (a pendant's v, a pair's or a
+    # triangle's x or y, configuration 6's v) is refused, here where the
+    # whole coloring stays valid, and so is a pick that leaves a violation:
+    # through a peel, through extend_step and by o1p color with exit 3.  The
+    # faults ride on _first, which reaches the coloring being extended
+    # through the rule.
     import outer1planar.coloring as col
     from outer1planar import emit_drawing
     from outer1planar.cli import run
