@@ -354,6 +354,8 @@ def run(argv: list[str] | None = None) -> int:
     args.inputs = []
     start = time.monotonic()
     try:
+        if getattr(args, "r", 1) < 1:  # verify and oracle chi: each vertex must see r colors
+            raise ValueError(f"--r must be at least 1, got {args.r}")
         code, payload = args.fn(args)
     except (ValueError, OSError) as exc:  # input errors are ValueErrors; unreadable paths raise OSError
         _emit({"error": str(exc)})

@@ -4,26 +4,28 @@ The engine peels one reducible shape at a time until nothing is left, then
 puts the shapes back in reverse order and extends by each shape's local
 rule: each deleted vertex gets the smallest list color outside a small
 forbidden set assembled from its surroundings.  The rules of the three
-primitive shapes P1-P3 and of configuration 6 take their vertices as
-arguments; every other rule plays rows of such picks through one runner,
-where a pick names its vertex, the labels whose colors it avoids, and the
-labels x or y whose third neighbor it avoids at degree 3.  Two rules may
-first recolor a surviving vertex of the shape: the 10th configuration's,
-when its z repeats a color that a deleted vertex must see twice, and the
-11th configuration's recoloring branch for the rainbow worst case.  Peeling
-works on the original labels, so no sub-drawing is ever rebuilt, and the
-structure module's peeler finds each shape by searching only around the
-previous deletion.  Every extension is checked around the vertices it touched: a
-count shows every vertex colored, then one pass stops at the first
-improper edge or short neighborhood and skips the wide neighbors the shape
-cannot leave short; a rule that leaves a violation raises ExtensionFailure
-naming its shape.  The primitive shapes and configuration 6 come off and
-go back in runs, with no step objects, and extend_step plays a primitive
-step as a run of one: a pendant is checked on u and its one neighbor v,
-any other shape by the local check's core once the survivors its rule
-avoids kept their colors; the configurations get the generic local
-check.  The result is verified once in full, in one pass that also
-checks the lists.
+primitive shapes P1-P3 and of configurations 3 and 6 take their vertices
+as arguments; every other rule plays rows of such picks through one
+runner, where a pick names its vertex, the labels whose colors it avoids,
+and the labels x or y whose third neighbor it avoids at degree 3.  Two
+rules may first recolor a surviving vertex of the shape: the 10th
+configuration's, when its z repeats a color that a deleted vertex must see
+twice, and the 11th configuration's recoloring branch for the rainbow
+worst case.
+
+One call of the structure module's peeler deletes every shape, searching
+only around the previous deletion and working on the original labels, so
+no sub-drawing is ever rebuilt; it returns one record per shape.  One loop
+puts the records back and extends, and extend_step plays its step as the
+one record a peel would give.  Every extension is checked around the
+vertices it touched: a count shows every vertex colored, then one pass
+stops at the first improper edge or short neighborhood and skips the wide
+neighbors the shape cannot leave short.  A pendant is checked on u and its
+one neighbor v; P2, P3 and configurations 3 and 6 by the same pass once
+the survivors their rules avoid kept their colors; configurations 7-11 by
+the generic local check.  A rule that leaves a violation raises
+ExtensionFailure naming its shape.  The result is verified once in full,
+in one pass that also checks the lists.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ class ListTooSmall(ValueError):
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # "proper" | "dynamic" | "missing-color"
+    kind: str  # "proper" | "dynamic" | "missing-color" | "stray-vertex"
     vertex: int | None = None
     edge: tuple[int, int] | None = None
     detail: str = ""
@@ -74,22 +76,22 @@ def _is_dynamic(d: Drawing, colors: Coloring, r: int, lists: ListAssignment | No
             return False
         if lists is not None and c not in lists[v]:
             return False
-    return True
+    return len(colors) == d.n  # every vertex is colored: only a stray key makes more
 
 
 def verify_dynamic(d: Drawing, colors: Coloring, r: int) -> Verdict:
-    """Check that colors is a proper coloring where every vertex sees at
-    least min(r, deg) distinct colors on its neighborhood.  One pass
-    answers a valid coloring, with the one shared valid Verdict; the report
-    is built only when that pass fails."""
+    """Check that colors is a proper coloring of exactly d's vertices where
+    every vertex sees at least min(r, deg) distinct colors on its
+    neighborhood.  One pass answers a valid coloring, with the one shared
+    valid Verdict; the report is built only when that pass fails."""
     if _is_dynamic(d, colors, r):
         return _VALID
     adj, degs = d.adjacency, d.degrees
-    violations: list[Violation] = []
-    for v in d.vertices:
-        if v not in colors:
-            violations.append(Violation("missing-color", vertex=v, detail="uncolored vertex"))
-    if violations:
+    violations = [Violation("missing-color", vertex=v, detail="uncolored vertex") for v in d.vertices if v not in colors]
+    missing = bool(violations)
+    for v in sorted(colors.keys() - adj.keys()):
+        violations.append(Violation("stray-vertex", vertex=v, detail=f"colored, but outside 1..{d.n}"))
+    if missing:
         return Verdict(False, tuple(violations))
     for u, v in sorted([(u, v) for u, v in d.edges if colors[u] == colors[v]]):
         violations.append(
@@ -197,22 +199,9 @@ def color_list_3_dynamic(d: Drawing, lists: ListAssignment) -> Coloring:
 
 
 def _color(d: Drawing, lists: ListAssignment) -> Coloring:
-    peeler = _Peeler(d)
-    primitives, pop, remove, restore = peeler.peel_primitives, peeler.pop, peeler.remove, peeler.restore
-    # each pop of a configuration follows a run of primitive shapes; the
-    # last run empties the drawing
-    peeled: list[tuple[list, ReductionStep, list[set[int] | frozenset[int]]]] = []
-    run = primitives()
-    while peeler.degrees:
-        step = pop()
-        peeled.append((run, step, remove(step.deleted)))
-        run = primitives()
+    p = _Peeler(d)
     colors: Coloring = {}
-    _extend_primitives(peeler, run, colors, lists)
-    for run, step, popped in reversed(peeled):
-        restore(step.deleted, popped)
-        _extend(peeler, step, colors, lists)
-        _extend_primitives(peeler, run, colors, lists)
+    _extend(p, p.peel(), colors, lists)
     if _is_dynamic(d, colors, 3, lists):  # the full check, with the report built only on failure
         return colors
     verdict = verify_dynamic(d, colors, 3)
@@ -245,14 +234,16 @@ def extend_step(
 ) -> Coloring:
     """Extend a valid coloring of d minus step.deleted to all of d.
 
-    Implements the per-shape rules; only deleted vertices receive colors,
-    except for the recolorings of the 10th and 11th configurations' rules.
-    Every refusal is an ExtensionFailure naming the shape: of a rule that
-    leaves a violation (or recolors configuration 6's v, x or y), a kind
-    with no rule, anchors missing a label the rule reads, or a P1-P3 step
-    that deletes no shape of its kind; and, before any rule runs, of a
-    partial or a step that names a vertex outside d, or a partial that
-    colors a deleted vertex.
+    Plays the one record a peel would give for the step through the peel's
+    extension loop, with the same rule and check.  Only deleted vertices
+    receive colors, except for the recolorings of the 10th and 11th
+    configurations' rules.  Every refusal is an ExtensionFailure naming the
+    shape: of a rule that leaves a violation or recolors a neighbor its
+    record keeps, a kind with no rule, anchors missing a label the rule
+    reads, a step that deletes a vertex twice or, for P1-P3 and
+    configurations 3 and 6, no shape of its kind; and, before any rule
+    runs, of a partial or a step that names a vertex outside d, or a
+    partial that colors a deleted vertex.
     """
     adj = d.adjacency
     if not (partial.keys() <= adj.keys() and all(v in adj for v in (*step.deleted, *step.anchors.values()))):
@@ -260,38 +251,48 @@ def extend_step(
     if not partial.keys().isdisjoint(step.deleted):
         raise ExtensionFailure(f"{step.kind} step: partial coloring colors a deleted vertex")
     colors = dict(partial)
-    _extend(d, step, colors, lists)
+    _extend_step(d, step, colors, lists)
     return colors
 
 
-def _extend(d: Drawing, step: ReductionStep, colors: Coloring, lists: ListAssignment) -> None:
-    """extend_step on colors itself, so a peel copies nothing per step.  A
-    P1-P3 step of the right shape is played as a run of one record, which
-    reads x and y off the neighbor sets, not the anchors."""
-    a, kind = step.anchors, step.kind
-    if kind in ("P1-pendant", "P2-adjacent-deg2", "P3-triangle-deg2"):
-        if not _is_primitive(d.adjacency, kind, step.deleted):
-            raise ExtensionFailure(f"rule for {kind} failed: deleted {step.deleted} is not its shape")
-        p = _Peeler(d)
-        return _extend_primitives(p, [(*step.deleted, *p.remove(step.deleted))], colors, lists)
-    before = {v: colors[v] for v in a.values() if v in colors}
+_RUN_KINDS = ("P1-pendant", "P2-adjacent-deg2", "P3-triangle-deg2", "P4-G3", "P5-G6")
+
+
+def _extend_step(d: Drawing, step: ReductionStep, colors: Coloring, lists: ListAssignment) -> None:
+    """extend_step on colors itself.  A P1-P3 record reads x and y off the
+    sets, and a configuration 3 or 6 record its v off the anchors, so their
+    shape is checked first."""
+    kind, s, p = step.kind, step.deleted, _Peeler(d)
+    if kind not in _RUN_KINDS:
+        if len(set(s)) < len(s):
+            raise ExtensionFailure(f"rule for {kind} failed: deleted {s} repeats a vertex")
+        return _extend(p, [(step, p.remove(s))], colors, lists)
     try:
-        _HANDLERS[kind](d, a, colors, lists)
-    except (ExtensionFailure, KeyError) as exc:  # KeyError: no rule, or a label or color it reads is missing
+        v = step.anchors["v"] if kind in ("P4-G3", "P5-G6") else None
+    except KeyError as exc:
         raise _failed(kind, exc) from None
-    if not _valid_around(d, step, before, colors):
-        raise ExtensionFailure(f"rule for {kind} left a violation")
+    if not _is_shape(p.adjacency, kind, s, v):
+        raise ExtensionFailure(f"rule for {kind} failed: deleted {s} is not its shape")
+    _extend(p, [(*s, *p.remove(s)) if v is None else (s[0], v, *p.remove(s))], colors, lists)
 
 
-def _is_primitive(adj: dict[int, frozenset[int]], kind: str, s: tuple[int, ...]) -> bool:
+def _is_shape(adj: dict[int, frozenset[int]], kind: str, s: tuple[int, ...], v: int | None) -> bool:
     """Is s kind's shape: one vertex of degree at most 1 (P1), two adjacent
-    degree-2 vertices (P2), or a degree-2 vertex with adjacent neighbors (P3)?"""
+    degree-2 vertices (P2), a degree-2 vertex with adjacent neighbors (P3),
+    or a vertex u of degree 2 apart from v (configuration 3) or of degree 3
+    next to v (configuration 6)?"""
     if kind == "P2-adjacent-deg2":
         return len(s) == 2 and s[1] in adj[s[0]] and len(adj[s[0]]) == len(adj[s[1]]) == 2
     if len(s) != 1:
         return False
     ns = adj[s[0]]
-    return len(ns) <= 1 if kind == "P1-pendant" else len(ns) == 2 and max(ns) in adj[min(ns)]
+    if kind == "P1-pendant":
+        return len(ns) <= 1
+    if kind == "P3-triangle-deg2":
+        return len(ns) == 2 and max(ns) in adj[min(ns)]
+    if kind == "P5-G6":
+        return len(ns) == 3 and v in ns
+    return len(ns) == 2 and v not in ns and v != s[0]
 
 
 def _failed(kind: str, exc: Exception) -> ExtensionFailure:
@@ -300,46 +301,60 @@ def _failed(kind: str, exc: Exception) -> ExtensionFailure:
     return ExtensionFailure(f"rule for {kind} failed: {missing}{exc}")
 
 
-def _extend_primitives(p: _Peeler, run: list, colors: Coloring, lists: ListAssignment) -> None:
-    """Put a run of p.peel_primitives back, last deletion first, playing each
-    shape's rule.  A record (u, us) is a pendant if |us| <= 1 and a P3
-    triangle otherwise; (u, v, us, vs) is a P2 pair and (u, v, us) a
-    configuration 6.  x and y are read off the restored sets, which are
-    the sets pop read.  Any shape but a pendant gets _valid_around's
-    verdict on its step, whose T is its deleted vertices once x and y (and
-    configuration 6's v) kept their colors."""
+def _extend(p: _Peeler, run: list, colors: Coloring, lists: ListAssignment) -> None:
+    """Put the records of p.peel back, last deletion first, with the sets
+    they were popped with (inline: a call per shape costs the peel-large
+    colorings about 4%), and play each shape's rule.  A record (u, us) is
+    a pendant if |us| <= 1 and a P3 triangle otherwise; (u, v, us, vs) a
+    P2 pair; (u, v, us) configuration 6 if v is in us, else 3; (step,
+    popped) one of 7-11, whose handler runs on p under _valid_around.  The
+    others read x and y off the sets, which are the sets pop read, and get
+    _valid_around's verdict on their step once x and y (and configuration
+    3's or 6's v) kept their colors."""
     adj, degs, get = p.adjacency, p.degrees, colors.get
     for rec in reversed(run):
-        k = 2 if len(rec) == 4 else 1  # the number of deleted vertices
-        u, us = rec[0], rec[-1] if k == 1 else rec[2]
-        # put back as _Peeler.restore does, inline: a call per shape costs
-        # the peel-large colorings about 4%
-        for w, ws in ((u, us),) if k == 1 else ((rec[1], rec[3]), (u, us)):
+        u, k = rec[0], 2 if len(rec) == 4 else 1  # k: the number of deleted vertices
+        config = type(u) is ReductionStep
+        if config:
+            back = zip(reversed(u.deleted), reversed(rec[1]))
+        else:
+            us = rec[-1] if k == 1 else rec[2]
+            back = ((u, us),) if k == 1 else ((rec[1], rec[3]), (u, us))
+        for w, ws in back:
             adj[w] = ws
             degs[w] = len(ws)
             for z in ws:
                 adj[z].add(w)
                 degs[z] += 1
+        if config:
+            kind, a = u.kind, u.anchors
+            before = {v: colors[v] for v in a.values() if v in colors}
+            try:
+                _HANDLERS[kind](p, a, colors, lists)
+            except (ExtensionFailure, KeyError) as exc:  # KeyError: no rule, or a label or color it reads is missing
+                raise _failed(kind, exc) from None
+            if not _valid_around(p, u, before, colors):
+                raise ExtensionFailure(f"rule for {kind} left a violation")
+            continue
         if len(rec) == 2 and len(us) < 2:
             _color_pendant(adj, degs, u, colors, lists)
             continue
         if k == 2:
             kind, v = "P2-adjacent-deg2", rec[1]
             x, y = (*(us - {v}), *(rec[3] - {u}))
-        elif len(rec) == 3:
+        elif len(rec) == 2:
+            kind, (x, y) = "P3-triangle-deg2", us
+            v = x  # P3's rule is configuration 6's with x standing for v
+        elif rec[1] in us:
             kind, v = "P5-G6", rec[1]
             x, y = us - {v}
-        else:
-            kind, (x, y) = "P3-triangle-deg2", us
-        held = v if len(rec) == 3 else x  # kept beside x and y: configuration 6's v
+        else:  # configuration 3's rule is configuration 6's if x or y has degree 3, else P3's
+            kind, (x, y) = "P4-G3", us
+            v = rec[1] if 3 in (degs[x], degs[y]) else x
+        held = rec[1] if len(rec) == 3 else x  # kept beside x and y: configuration 3's or 6's v
         kept = get(held), get(x), get(y)
         try:
-            if k == 2:
-                _color_p2(adj, degs, u, v, x, y, colors, lists)
-            elif len(rec) == 3:
-                _color_g6(adj, degs, u, v, x, y, colors, lists)
-            else:
-                _color_p3(adj, degs, u, x, y, colors, lists)
+            (_color_g6 if k == 1 else _color_p2)(adj, degs, u, v, x, y, colors, lists)
         except (ExtensionFailure, KeyError) as exc:
             raise _failed(kind, exc) from None
         if (get(held), get(x), get(y)) != kept or not _valid_near(adj, degs, colors, rec[:k], k + 3):
@@ -465,15 +480,6 @@ def _color_g6(
     colors[u] = _pick(lists, u, forbidden)
 
 
-def _color_p3(
-    adj: dict[int, set[int] | frozenset[int]], degs: dict[int, int], u: int, x: int, y: int,
-    colors: Coloring, lists: ListAssignment,
-) -> None:
-    """P3's rule on a degree-2 u whose neighbors x and y are adjacent:
-    configuration 6's with x standing for v."""
-    _color_g6(adj, degs, u, x, x, y, colors, lists)
-
-
 def _run(row: tuple, d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
     """Color each pick's label in turn by the least list color unlike its
     avoid labels' colors and, for each of its thirds h of degree 3, h1's: a
@@ -504,24 +510,6 @@ _G11_43 = (("u", ("x", "y", "z", "w"), ()), ("a", ("w", "y", "y1", "u", "x"), ()
 _G11_33 = (("v", ("x", "x1", "z", "w", "y"), ()), ("a", ("v", "y", "y1", "w", "x"), ()))
 _G11_PINNED = (("w", ("x", "z", "y", "y1"), ()), ("v", ("x", "z", "y", "w", "x1"), ()),
                ("u", ("x", "z", "y", "v", "w"), ()))
-
-
-def _extend_g3(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
-    """Configuration 6's rule if x or y has degree 3, else P3's rule on u."""
-    if 3 in (d.degrees[a["x"]], d.degrees[a["y"]]):
-        _color_g6(d.adjacency, d.degrees, a["u"], a["v"], a["x"], a["y"], colors, lists)
-    else:
-        _color_p3(d.adjacency, d.degrees, a["u"], a["x"], a["y"], colors, lists)
-
-
-def _extend_g6(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
-    """Configuration 6's rule, refused as in the peel's run if it recolored
-    v, x or y, which the generic check would accept if still valid."""
-    x, y, v = a["x"], a["y"], a["v"]
-    kept = colors[v], colors[x], colors[y]
-    _color_g6(d.adjacency, d.degrees, a["u"], v, x, y, colors, lists)
-    if (colors[v], colors[x], colors[y]) != kept:
-        raise ExtensionFailure("it recolored v, x or y")
 
 
 def _extend_g10(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
@@ -569,8 +557,6 @@ def _extend_g11(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssi
 
 
 _HANDLERS = {
-    "P4-G3": _extend_g3,
-    "P5-G6": _extend_g6,
     "P6-G7": partial(_run, _G7),
     "P7-G8": partial(_run, _G8),
     "P8-G9": partial(_run, _G9),

@@ -18,10 +18,11 @@ would both sit between x and y, forcing n = 4, where a chord still fits.
 
 Both searches are realized by exhaustive catalog matching with
 deterministic tie-breaking, not by the inductive case analysis that proves
-they cannot fail.  The reduction search lives in a peeler that the
-coloring engine keeps for a whole peel: it holds the candidates of every
-kind and, after each deletion, searches only around the vertices whose
-degree fell.
+they cannot fail.  The reduction search lives in a peeler that holds the
+candidates of every kind and, after each deletion, searches only around
+the vertices whose degree fell.  find_reduction asks it for one step; the
+coloring engine has it delete every shape in one peel, which records each
+shape in the form the engine's extension loop reads.
 """
 
 from __future__ import annotations
@@ -195,11 +196,11 @@ class _Peeler:
     the new entries under each label with that bound.  They miss no new
     leader: an automorphism preserves roles, so the label a new
     occurrence's leader puts on the vertex newly admits it too.
-    Configurations are read in `_SHAPES` order.  The coloring engine takes
-    the primitive shapes P1-P3 and configuration 6 off in runs by
-    `peel_primitives`, which selects them as `pop` does, and pops only the
-    other configurations; `restore` is for the extension phase, after the
-    last `pop`.
+    Configurations are read in `_SHAPES` order.  `pop` names the next
+    shape as a step, for find_reduction and for a caller that deletes it
+    with `remove`.  The coloring engine calls `peel` once: it deletes every
+    shape in pop's order and returns the records that the engine's one
+    extension loop puts back.
     """
 
     def __init__(self, d: Drawing) -> None:
@@ -232,24 +233,31 @@ class _Peeler:
             anchors = {"u": u, "x": s[1], "y": s[2]}
             self._note_thirds(anchors, (("u", "y"), ("u", "x")))
             return ReductionStep("P3-triangle-deg2", (u,), anchors)
+        return self._config_step(*self._least_config())
 
-        for pid, kind, deletes, swaps, avoid in _SHAPES:
-            key = self._least_occurrence(pid)
-            if key is None:
-                continue
-            anchors = dict(zip(_config_kind(pid)[1], key))
-            if swaps and degs[anchors["x"]] == 3 and degs[anchors["y"]] >= 4:
-                # The mirror is again an occurrence: the swap preserves the
-                # configuration graph, and where a degree cap moves onto the
-                # old x its degree is 3, comfortably inside every cap.
-                for a, b in swaps:
-                    anchors[a], anchors[b] = anchors[b], anchors[a]
-            self._note_thirds(anchors, avoid)
-            return ReductionStep(kind, tuple(sorted(anchors[l] for l in deletes)), anchors)
-
+    def _least_config(self) -> tuple[tuple, tuple[int, ...]]:
+        """The first `_SHAPES` row whose configuration the survivors hold,
+        with its least anchor key, reading the kinds in order."""
+        for row in _SHAPES:
+            key = self._least_occurrence(row[0])
+            if key is not None:
+                return row, key
         raise StructureNotFound(
             "no reducible configuration: the input is not outer-1-planar, or the catalog is wrong"
         )
+
+    def _config_step(self, row: tuple, key: tuple[int, ...]) -> ReductionStep:
+        """pop's step for the configuration of row at the anchor key."""
+        pid, kind, deletes, swaps, avoid = row
+        anchors = dict(zip(_config_kind(pid)[1], key))
+        if swaps and self.degrees[anchors["x"]] == 3 and self.degrees[anchors["y"]] >= 4:
+            # The mirror is again an occurrence: the swap preserves the
+            # configuration graph, and where a degree cap moves onto the
+            # old x its degree is 3, comfortably inside every cap.
+            for a, b in swaps:
+                anchors[a], anchors[b] = anchors[b], anchors[a]
+        self._note_thirds(anchors, avoid)
+        return ReductionStep(kind, tuple(sorted(anchors[l] for l in deletes)), anchors)
 
     def _least_primitive(self) -> tuple[int, ...]:
         """The least primitive shape in pop's order: a pendant (u,), then a
@@ -290,20 +298,25 @@ class _Peeler:
             heappop(triangles)
         return triangles[0] if triangles else ()
 
-    def peel_primitives(self) -> list[tuple]:
-        """Delete shapes in pop's order while the next one is primitive or
-        configuration 6, read as pop reads it, never on an empty peeler;
-        returns one record per shape: (u, u's popped neighbor set) for a
-        pendant or a triangle, (u, v, u's set, v's set) for a pair and
-        (u, v, u's set) for configuration 6."""
+    def peel(self) -> list[tuple]:
+        """Delete shapes in pop's order, with pop's reads, until no vertex is
+        left; returns one record per shape: (u, u's popped neighbor set) for
+        a pendant or a triangle, (u, v, u's set, v's set) for a pair, (u, v,
+        u's set) for configuration 3 (u not next to v) or 6 (u next to v),
+        and (pop's step, the popped sets) for configurations 7-11."""
         least, remove, degs = self._least_primitive, self.remove, self.degrees
         run = []
         while True:
             while s := least():
                 run.append((*s, *remove(s)) if len(s) == 2 else (s[0], *remove(s[:1])))
-            if not degs or self._least_occurrence(3) or not (key := self._least_occurrence(6)):
+            if not degs:
                 return run
-            run.append((key[0], key[1], *remove(key[:1])))  # a key starts (u, v, ...)
+            row, key = self._least_config()
+            if row[0] <= 6:
+                run.append((key[0], key[1], *remove(key[:1])))  # a key starts (u, v, ...)
+            else:
+                step = self._config_step(row, key)
+                run.append((step, remove(step.deleted)))
 
     def _least_occurrence(self, pid: int) -> tuple[int, ...] | None:
         """The least anchor key of an orbit representative, or None."""
@@ -368,17 +381,6 @@ class _Peeler:
             v = anchors[label]
             if self.degrees[v] == 3:
                 (anchors[label + "1"],) = self.adjacency[v] - {anchors[o] for o in skip}
-
-    def restore(self, deleted: tuple[int, ...], popped: list[set[int] | frozenset[int]]) -> None:
-        """Undo the remove call that returned popped, last deletion first.
-        Each set it adds to lost that neighbor in remove, so was copied then."""
-        degs, adj = self.degrees, self.adjacency
-        for v, vs in zip(reversed(deleted), reversed(popped)):
-            adj[v] = vs
-            degs[v] = len(vs)
-            for w in vs:
-                adj[w].add(v)
-                degs[w] += 1
 
 
 def check_d1(d: Drawing, m: Match) -> bool:

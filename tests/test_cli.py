@@ -397,6 +397,21 @@ def test_verify_coloring_of_a_vertex_the_drawing_lacks_exit_2(stray, tmp_path, c
     assert f"vertex {stray}," in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("r", ["0", "-1", "-3"])
+def test_r_below_1_exits_2(r, tmp_path, capsys):
+    # each vertex must see r colors, so an r below 1 is an input error for
+    # verify and for the chi oracle, not a valid verdict or a chi of 3
+    f = tmp_path / "c5.txt"
+    f.write_text(emit_drawing(cycle(5)))
+    c = tmp_path / "c.json"
+    c.write_text(json.dumps({"colors": {str(v): v for v in range(1, 6)}}))
+    for argv in (["verify", str(f), "--coloring", str(c)], ["oracle", "chi", str(f)]):
+        code = run([*argv, "--r", r])
+        out, _ = capsys.readouterr()
+        assert code == 2 and list(json.loads(out)) == ["error"], argv
+        assert "--r" in json.loads(out)["error"]
+
+
 def test_guarantee_violation_exit_3(monkeypatch, capsys):
     # an edgeless drawing has no configuration: exit 3
     code, out, _ = invoke(["find-config", "-"], "n 2\n", monkeypatch, capsys)

@@ -51,6 +51,19 @@ def test_verify_c6_monochromatic_neighbors():
     assert any(v.kind == "dynamic" for v in verdict.violations)
 
 
+def test_verify_reports_a_stray_vertex():
+    # a key outside 1..n makes a coloring of another vertex set: each one is
+    # reported, beside any uncolored vertex, and the one-pass check agrees
+    c5 = cycle(5)
+    colors = {1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 9: 1}
+    verdict = verify_dynamic(c5, colors, 3)
+    assert not verdict.valid and not _is_dynamic(c5, colors, 3)
+    assert [(v.kind, v.vertex) for v in verdict.violations] == [("stray-vertex", 9)]
+    verdict = verify_dynamic(c5, {1: 1, 2: 2, 3: 3, 4: 4, 0: 5, -1: 1}, 3)
+    kinds = [(v.kind, v.vertex) for v in verdict.violations]
+    assert kinds == [("missing-color", 5), ("stray-vertex", -1), ("stray-vertex", 0)]
+
+
 def test_verify_r1_is_properness():
     rng = random.Random(9)
     for trial in range(100):
@@ -428,22 +441,27 @@ def test_local_check_rejects_uncolored(classes):
 
 
 def _record_parts(rec):
-    """The deleted vertices of a record of _Peeler.peel_primitives, and
-    their neighbor sets as popped."""
-    k = len(rec) // 2  # a configuration 6 record, (u, v, us), deletes one vertex
+    """The deleted vertices of a record of _Peeler.peel, and their neighbor
+    sets as popped."""
+    if isinstance(rec[0], ReductionStep):  # configurations 7-11: (step, popped)
+        return rec[0].deleted, list(rec[1])
+    k = len(rec) // 2  # a configuration 3 or 6 record, (u, v, us), deletes one vertex
     return rec[:k], list(rec[-k:])
 
 
 def _record_step(rec, adj, degs):
-    """(kind, deleted, anchors) of the step a record of
-    _Peeler.peel_primitives stands for, read off adj and degs while the
-    record's vertices are present: as pop reads them before the deletion
-    and as the extension reads them once the record is put back."""
+    """(kind, deleted, anchors) of the step a record of _Peeler.peel stands
+    for, read off adj and degs while the record's vertices are present: as
+    pop reads them before the deletion and as the extension reads them
+    once the record is put back."""
+    if isinstance(rec[0], ReductionStep):
+        return rec[0].kind, rec[0].deleted, rec[0].anchors
     u, deleted = rec[0], _record_parts(rec)[0]
     if len(rec) == 3:
-        # configuration 6: pop's least key puts the lesser of u's other
-        # neighbors on x unless the greater one's degree passes y's cap of
-        # 7; then the mirror swap, and the third neighbors besides u and v
+        # configuration 3 (v apart from u) or 6 (v next to u): pop's least
+        # key puts the lesser of u's other neighbors on x unless the greater
+        # one's degree passes y's cap of 7; then the mirror swap, and the
+        # third neighbors besides u and v
         v = rec[1]
         x, y = sorted(rec[2] - {v})
         if degs[y] > 7 or degs[x] == 3 and degs[y] >= 4:
@@ -452,7 +470,7 @@ def _record_step(rec, adj, degs):
         for label, h in (("x1", x), ("y1", y)):
             if degs[h] == 3:
                 (anchors[label],) = adj[h] - {u, v}
-        return "P5-G6", deleted, anchors
+        return "P5-G6" if v in rec[2] else "P4-G3", deleted, anchors
     if len(rec) == 4:
         v = rec[1]
         return "P2-adjacent-deg2", deleted, {"u": u, "v": v, "x": min(adj[u] - {v}), "y": min(adj[v] - {u})}
@@ -467,17 +485,18 @@ def _record_step(rec, adj, degs):
 
 
 def test_primitive_check_gives_the_generic_verdict(classes, monkeypatch):
-    # at every shape of the peels' runs, a pick of a random color (at times
-    # none) that at times also recolors a neighbor the rule must keep (a
-    # pendant's v, a pair's or a triangle's x or y, configuration 6's v, x
-    # or y) is refused exactly when _valid_around refuses the same state,
-    # and always when such a neighbor changed.  Each trial puts the record
-    # back alone and takes it off again.  The pendants of h_family hang off
-    # vertices of degree 6 and 8, where v's neighbors are not read.
+    # at every shape of a peel but configurations 7-11, a pick of a random
+    # color (at times none) that at times also recolors a neighbor the rule
+    # must keep (a pendant's v, a pair's or a triangle's x or y,
+    # configuration 3's or 6's v, x or y) is refused exactly when
+    # _valid_around refuses the same state, and always when such a
+    # neighbor changed.  Each trial puts the record back alone and takes it
+    # off again.  The pendants of h_family hang off vertices of degree 6
+    # and 8, where v's neighbors are not read.
     import outer1planar.coloring as col
 
     rng = random.Random(24)
-    extend, first = col._extend_primitives, col._first
+    extend, first = col._extend, col._first
     trial = []  # (the coloring being scrambled, the neighbors to keep) while a trial runs
     seen = set()
 
@@ -491,10 +510,13 @@ def test_primitive_check_gives_the_generic_verdict(classes, monkeypatch):
 
     def probe(p, run, colors, lists):
         for rec in reversed(run):
+            if isinstance(rec[0], ReductionStep):  # configurations 7-11 get _valid_around itself
+                extend(p, [rec], colors, lists)
+                continue
             deleted, sets = _record_parts(rec)
             # a pendant keeps v, a pair and a triangle keep x and y, and
-            # configuration 6 keeps every neighbor of u
-            kept = sorted((rec[2] - {rec[1]}) | rec[3]) if len(rec) == 4 else sorted(sets[0])
+            # configurations 3 and 6 keep v, x and y
+            kept = sorted((rec[2] - {rec[1]}) | rec[3]) if len(rec) == 4 else sorted(sets[0] | set(rec[1:-1]))
             for _ in range(4):
                 t = dict(colors)
                 trial.append((t, kept))
@@ -518,14 +540,14 @@ def test_primitive_check_gives_the_generic_verdict(classes, monkeypatch):
             extend(p, [rec], colors, lists)
 
     monkeypatch.setattr(col, "_first", scramble)
-    monkeypatch.setattr(col, "_extend_primitives", probe)
+    monkeypatch.setattr(col, "_extend", probe)
     hosts = [h_family(i) for i in range(2, 18)]
     for d in [d for n in range(1, 7) for d in classes(n, "all")] + hosts:
         color_list_3_dynamic(d, uniform_lists(d, 6))
     pendant = "P1-pendant"
     assert {(pendant, True, True, False), (pendant, True, True, True)} <= seen
     assert {(pendant, False, r, w) for r in (True, False) for w in (True, False)} <= seen
-    for kind in ("P2-adjacent-deg2", "P3-triangle-deg2", "P5-G6"):
+    for kind in ("P2-adjacent-deg2", "P3-triangle-deg2", "P4-G3", "P5-G6"):
         assert {(kind, True, True, False), (kind, False, True, False), (kind, False, False, False)} <= seen
 
 
@@ -537,19 +559,17 @@ def _lean_population(classes):
 
 def _peel_steps(d, runs):
     """(kind, deleted, anchors) of each step of d's peel, by pop alone or by
-    runs before each pop.  A lockstep peeler q holds the state before each
-    record's deletion, and its sets must be the record's."""
+    one peel.  A lockstep peeler q holds the state before each record's
+    deletion, and its sets must be the record's."""
     p, q, steps = _Peeler(d), _Peeler(d), []
+    for rec in p.peel() if runs else ():
+        deleted, sets = _record_parts(rec)
+        steps.append(_record_step(rec, q.adjacency, q.degrees))
+        assert q.remove(deleted) == sets
     while p.degrees:
-        for rec in p.peel_primitives() if runs else ():
-            deleted, sets = _record_parts(rec)
-            steps.append(_record_step(rec, q.adjacency, q.degrees))
-            assert q.remove(deleted) == sets
-        if p.degrees:
-            step = p.pop()
-            p.remove(step.deleted)
-            q.remove(step.deleted)
-            steps.append((step.kind, step.deleted, step.anchors))
+        step = p.pop()
+        p.remove(step.deleted)
+        steps.append((step.kind, step.deleted, step.anchors))
     return steps
 
 
@@ -562,29 +582,33 @@ def test_primitive_runs_give_the_steps_of_pop(classes):
             kinds[kind] = kinds.get(kind, 0) + 1
     assert kinds["P1-pendant"] > 30000
     assert kinds["P2-adjacent-deg2"] > 5000 and kinds["P3-triangle-deg2"] > 3000, kinds
-    assert kinds["P5-G6"] > 500, kinds
+    assert kinds["P4-G3"] > 200 and kinds["P5-G6"] > 500, kinds
+    assert kinds["P6-G7"] + kinds["P7-G8"] > 20, kinds
 
 
 @pytest.mark.parametrize(
     "kind, rule, edges, u, x",
     [  # the pendant 1 off 2 of a path; the pair 1, 2 between 5 and 3 of a
-        # 5-cycle; 2 on the triangle 1, 2, 3 of a diamond; u = 1 and its v = 2
-        # of K4, which the run takes before a pair and a pendant
+        # 5-cycle; 2 on the triangle 1, 2, 3 of a diamond; u = 1 of K(2, 3)
+        # with its x = 2 (v = 3, y = 4, all three degree-2 vertices on 2 and
+        # 4); u = 1 and its v = 2 of K4, which the peel takes before a pair
+        # and a pendant
         ("P1-pendant", "_color_pendant", [(1, 2), (2, 3)], 1, 2),
         ("P2-adjacent-deg2", "_color_p2", [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)], 1, 5),
-        ("P3-triangle-deg2", "_color_p3", [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)], 2, 1),
+        ("P3-triangle-deg2", "_color_g6", [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)], 2, 1),
+        ("P4-G3", "_color_g6", [(1, 2), (2, 3), (2, 5), (1, 4), (3, 4), (4, 5)], 1, 2),
         ("P5-G6", "_color_g6", [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3), (2, 4)], 1, 2),
     ],
-    ids=["P1", "P2", "P3", "P5-G6"],
+    ids=["P1", "P2", "P3", "P4-G3", "P5-G6"],
 )
 def test_pair_and_triangle_faults_name_their_shape(kind, rule, edges, u, x, monkeypatch, tmp_path, capsys):
     # a run shape's rule colors its deleted vertices only, so a pick that
     # also recolors a kept neighbor x (a pendant's v, a pair's or a
-    # triangle's x or y, configuration 6's v) is refused, here where the
-    # whole coloring stays valid, and so is a pick that leaves a violation:
-    # through a peel, through extend_step and by o1p color with exit 3.  The
-    # faults ride on _first, which reaches the coloring being extended
-    # through the rule.
+    # triangle's x or y, configuration 3's x, configuration 6's v) is
+    # refused, here where the whole coloring stays valid, and so is a pick
+    # that leaves a violation: through a peel, through extend_step and by
+    # o1p color with exit 3.  The faults ride on _first, which reaches the
+    # coloring being extended through the rule.
     import outer1planar.coloring as col
     from outer1planar import emit_drawing
     from outer1planar.cli import run
@@ -665,20 +689,28 @@ def test_extend_step_refuses_a_step_outside_the_drawing(kind):
     "kind, deleted, anchors, chords, partial, match",
     [
         ("nope", (1,), {"u": 1}, [], {2: 1, 3: 2, 4: 1, 5: 2}, " failed: missing 'nope'"),
-        ("P5-G6", (1,), {"u": 1}, [], {2: 1, 3: 2, 4: 1, 5: 2}, " failed: missing 'x'"),
+        ("P6-G7", (1,), {"u": 1}, [], {2: 1, 3: 2, 4: 1, 5: 2}, " failed: missing 'x'"),
+        ("P5-G6", (1,), {"u": 1}, [], {2: 1, 3: 2, 4: 3, 5: 1}, " failed: missing 'v'"),
+        ("P8-G9", (1, 1), {"u": 1}, [], {2: 1, 3: 2, 4: 3, 5: 1}, " failed: deleted"),
         ("P1-pendant", (1,), {"u": 1, "v": 2}, [], {2: 1, 3: 2, 4: 3, 5: 1}, ""),
         ("P1-pendant", (), {"u": 1}, [], {1: 1, 2: 2, 3: 3, 4: 4, 5: 5}, ""),
         ("P2-adjacent-deg2", (1, 3), {"u": 1, "v": 3, "x": 5, "y": 4}, [], {2: 1, 4: 1, 5: 2}, ""),
         ("P3-triangle-deg2", (1,), {"u": 1, "x": 2, "y": 3}, [(1, 3)], {2: 1, 3: 2, 4: 3, 5: 1}, ""),
+        ("P4-G3", (1,), {"u": 1, "v": 2, "x": 5, "y": 3}, [], {2: 1, 3: 2, 4: 3, 5: 1}, ""),
+        ("P5-G6", (1,), {"u": 1, "v": 3, "x": 2, "y": 5}, [], {2: 1, 3: 2, 4: 3, 5: 1}, ""),
     ],
-    ids=["no-rule", "no-x-anchor", "P1-degree-2", "P1-empty", "P2-not-adjacent", "P3-degree-3"],
+    ids=[
+        "no-rule", "no-x-anchor", "no-v-anchor", "repeated-vertex", "P1-degree-2", "P1-empty",
+        "P2-not-adjacent", "P3-degree-3", "P4-G3-next-to-v", "P5-G6-degree-2",
+    ],
 )
 def test_extend_step_names_a_shape_it_cannot_run(kind, deleted, anchors, chords, partial, match):
-    # a kind with no rule, anchors that miss a label the rule reads, or a
-    # primitive step whose deleted vertices are not its kind's shape on the
-    # 5-cycle (plus chords) is refused by name, not by a bare KeyError or
-    # IndexError, and not with an invalid coloring.  Each partial is a
-    # valid coloring of d minus the deleted vertices.
+    # a kind with no rule, anchors that miss a label the rule reads, a step
+    # that deletes a vertex twice, or a P1-P3 or configuration 3 or 6 step
+    # whose deleted vertices are not its kind's shape on the 5-cycle (plus
+    # chords) is refused by name, not by a bare KeyError or IndexError, and
+    # not with an invalid coloring.  Each partial is a valid coloring of d
+    # minus the deleted vertices.
     d = Drawing.from_edges(5, [*cycle(5).edges, *chords])
     with pytest.raises(ExtensionFailure, match=f"rule for {kind}{match}"):
         extend_step(d, ReductionStep(kind, deleted, anchors), partial, uniform_lists(d, 6))
@@ -727,9 +759,8 @@ def test_hub_neighborhoods_are_not_reread(d, monkeypatch):
         def __setitem__(self, v, vs):
             self._adj[v] = vs
 
-    extend, primitives = col._extend, col._extend_primitives
-    monkeypatch.setattr(col, "_extend", lambda p, step, c, ls: extend(Counted(p), step, c, ls))
-    monkeypatch.setattr(col, "_extend_primitives", lambda p, run, c, ls: primitives(Counted(p), run, c, ls))
+    extend = col._extend
+    monkeypatch.setattr(col, "_extend", lambda p, run, c, ls: extend(Counted(p), run, c, ls))
     color_list_3_dynamic(d, uniform_lists(d, 6))
     assert 0 < taken[0] < 10 * d.n
 

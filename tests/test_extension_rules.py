@@ -191,7 +191,7 @@ class _Picks:
             self.counts, self.colors, self.known = [], dict(reduced), {}
             self.runs += 1
             try:
-                col._extend(host, step, self.colors, self.known)
+                col._extend_step(host, step, self.colors, self.known)
             except col.ExtensionFailure as exc:
                 yield str(exc), tuple(self.script)
             script = self.script
@@ -221,7 +221,7 @@ def test_every_rule_passes_its_local_model(monkeypatch):
                 failures.append((kind, degrees, reduced, failure))
             runs[kind] = runs.get(kind, 0) + picks.runs
     assert not failures, f"{len(failures)} failing runs, the first: {failures[:3]}"
-    assert sorted(runs) == sorted(["P1-pendant", "P2-adjacent-deg2", "P3-triangle-deg2", *col._HANDLERS])
+    assert sorted(runs) == sorted(["P1-pendant", "P2-adjacent-deg2", "P3-triangle-deg2", *(row[1] for row in _SHAPES)])
     assert skipped == {(kind, by) for (kind, _), by in PREEMPTED.items()}
     assert (sum(runs.values()), picks.calls) == (85179, 252305)
     assert picks.digest.hexdigest() == PICKS_DIGEST

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import outer1planar
 from outer1planar import cli, coloring, emit_drawing, generators, oracle, parse_drawing, random_outer_1_planar
 from outer1planar.cli import run
-from outer1planar.structure import ReductionStep
+from outer1planar.structure import ReductionStep, _SHAPES
 
 from .conftest import delete_with_map
 
@@ -145,7 +145,9 @@ def test_cli_fuzz_oracle_chi_k_max(k_max, r, n, density, seed):
         path = Path(tmp) / "drawing.txt"
         path.write_text(emit_drawing(random_outer_1_planar(n, density, seed)), encoding="utf-8")
         code, payload = _run_one_object(["oracle", "chi", str(path), "--k-max", str(k_max), "--r", str(r)])
-    if code == 0:
+    if r < 1:  # each vertex must see r colors: an input error
+        assert code == 2 and "--r" in payload["error"]
+    elif code == 0:
         assert 1 <= payload["chi"] <= k_max
     else:
         assert code == 1 and payload["chi"] is None and payload["k_max"] == k_max
@@ -301,7 +303,7 @@ def test_cli_caps_the_vertex_count(tmp_path):
 
 
 # the ten reducible kinds and one that has no rule
-STEP_KINDS = ["P1-pendant", "P2-adjacent-deg2", "P3-triangle-deg2", *coloring._HANDLERS, "nope"]
+STEP_KINDS = ["P1-pendant", "P2-adjacent-deg2", "P3-triangle-deg2", *(row[1] for row in _SHAPES), "nope"]
 ANCHOR_LABELS = ("u", "v", "w", "x", "y", "z", "a", "x1", "y1")
 
 

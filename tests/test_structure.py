@@ -24,10 +24,10 @@ from outer1planar import (
     sharp_example,
     uniform_lists,
 )
-from outer1planar import oracle, structure
+from outer1planar import coloring, oracle, structure
 from outer1planar.catalog import Match
 from outer1planar.drawing import InvalidDrawingError, iter_all_pairs, normalize_edge
-from outer1planar.structure import StructureNotFound, _Peeler
+from outer1planar.structure import ReductionStep, StructureNotFound, _Peeler
 
 from .conftest import double_g10, double_g11, g3_flip_host, polygon_drawing
 
@@ -201,8 +201,9 @@ def test_shapes_table_fits_the_catalog():
         assert {frozenset(sigma.get(l, l) for l in e) for e in edges} == edges, kind
     # the reducible configurations of catalog fact (d), in priority order
     assert [row[0] for row in _SHAPES] == [3, 6, 7, 8, 9, 10, 11]
-    # the primitive shapes have no handler: coloring._extend_primitives plays them
-    assert [row[1] for row in _SHAPES] == list(_HANDLERS)
+    # the primitive shapes and configurations 3 and 6 have no handler:
+    # coloring._extend plays their records itself
+    assert [row[1] for row in _SHAPES[2:]] == list(_HANDLERS)
 
 
 def test_reduction_delete_keeps_drawing_valid(classes):
@@ -358,26 +359,42 @@ def _state(g):
 
 
 def test_restore_undoes_remove(classes):
-    # peel to empty, then put the steps back last first: each restore must
-    # give back the survivors' degrees and neighbor sets from just before
-    # that step's remove, adjacent deletions (P2, configurations 7-11) too
+    # peel to empty, then put the records back last first, one extension
+    # call each: each must give back the survivors' degrees and neighbor
+    # sets from just before that record's deletion, in every record form
+    # (a pendant, a pair, a triangle, configurations 3 and 6, and a step of
+    # 7-11), adjacent deletions too.  A lockstep peeler takes each
+    # record's deletion alone to see the state before it.
     drawings = [d for n in range(1, 8) for d in classes(n, "all")]
     drawings += [h_family(i) for i in range(2, 18)]
     drawings += [double_g10(), double_g11(), g3_flip_host()]
-    kinds = set()
+    forms = set()
     for d in drawings:
-        peeler = _Peeler(d)
-        peeled = []
-        while peeler.degrees:
-            step = peeler.pop()
-            kinds.add(step.kind)
-            before = _state(peeler)
-            peeled.append((step.deleted, peeler.remove(step.deleted), before))
-        for deleted, saved, before in reversed(peeled):
-            peeler.restore(deleted, saved)
-            assert _state(peeler) == before, (sorted(d.edges), deleted)
+        peeler, lockstep = _Peeler(d), _Peeler(d)
+        run = peeler.peel()
+        assert not peeler.degrees
+        before = []
+        for rec in run:
+            before.append(_state(lockstep))
+            config = isinstance(rec[0], ReductionStep)
+            lockstep.remove(rec[0].deleted if config else rec[: 2 if len(rec) == 4 else 1])
+            forms.add(_record_form(rec))
+        colors, lists = {}, uniform_lists(d, 6)
+        for rec, state in zip(reversed(run), reversed(before)):
+            coloring._extend(peeler, [rec], colors, lists)
+            assert _state(peeler) == state, (sorted(d.edges), rec)
         assert _state(peeler) == _state(d)
-    assert kinds == {"P1-pendant", "P2-adjacent-deg2", "P3-triangle-deg2"} | {row[1] for row in structure._SHAPES}
+    assert forms == {"pendant", "pair", "triangle", "P4-G3", "P5-G6"} | {row[1] for row in structure._SHAPES[2:]}
+
+
+def _record_form(rec):
+    """The form of a record of _Peeler.peel: a primitive shape's, the kind of
+    configuration 3 or 6, or the kind of a step of 7-11."""
+    if isinstance(rec[0], ReductionStep):
+        return rec[0].kind
+    if len(rec) == 3:
+        return "P5-G6" if rec[1] in rec[2] else "P4-G3"
+    return "pair" if len(rec) == 4 else "pendant" if len(rec[1]) <= 1 else "triangle"
 
 
 def test_peel_without_a_reducible_shape_is_refused():
