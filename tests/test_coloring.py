@@ -688,8 +688,8 @@ def test_extend_step_refuses_a_step_outside_the_drawing(kind):
 @pytest.mark.parametrize(
     "kind, deleted, anchors, chords, partial, match",
     [
-        ("nope", (1,), {"u": 1}, [], {2: 1, 3: 2, 4: 1, 5: 2}, " failed: missing 'nope'"),
-        ("P6-G7", (1,), {"u": 1}, [], {2: 1, 3: 2, 4: 1, 5: 2}, " failed: missing 'x'"),
+        ("nope", (1,), {"u": 1}, [], {2: 1, 3: 2, 4: 3, 5: 1}, " failed: missing 'nope'"),
+        ("P6-G7", (1,), {"u": 1}, [], {2: 1, 3: 2, 4: 3, 5: 1}, " failed: missing 'x'"),
         ("P5-G6", (1,), {"u": 1}, [], {2: 1, 3: 2, 4: 3, 5: 1}, " failed: missing 'v'"),
         ("P8-G9", (1, 1), {"u": 1}, [], {2: 1, 3: 2, 4: 3, 5: 1}, " failed: deleted"),
         ("P1-pendant", (1,), {"u": 1, "v": 2}, [], {2: 1, 3: 2, 4: 3, 5: 1}, ""),
