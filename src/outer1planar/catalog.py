@@ -329,7 +329,7 @@ def find_matches(d: Drawing, p: ConfigPattern, check_d2: bool = False) -> list[M
     so each occurrence then stands as its least image that realizes them,
     and is dropped only if no image does.
     """
-    leaders = sorted(_occurrences(p, d.degrees, d.adjacency, d.degrees))
+    leaders = sorted(_occurrences(p, d.degrees, d.adjacency))
     if check_d2 and p.id >= 6:
         images = ([tuple([t[i] for i in perm]) for perm in p._orbit_perms] for t in leaders)
         realized = ([s for s in ts if _d2_holds(d, p, dict(zip(p.labels, s)))] for ts in images)
@@ -337,15 +337,15 @@ def find_matches(d: Drawing, p: ConfigPattern, check_d2: bool = False) -> list[M
     return [Match(p.id, dict(zip(p.labels, tup))) for tup in leaders]
 
 
-def _occurrences(p: ConfigPattern, degs, adj, vertices) -> list[tuple[int, ...]]:
-    """Every occurrence of p among the given vertices that leads its orbit,
-    as a tuple in labels order (degs and adj describe the host).
+def _occurrences(p: ConfigPattern, degs, adj) -> list[tuple[int, ...]]:
+    """Every occurrence of p that leads its orbit, as a tuple in labels
+    order, in the host whose degree map and neighbor sets are degs and adj.
 
     The search is rooted at the label that admits the fewest vertices, the
     least such label on a tie; labels with one degree range share a pool."""
     root = roots = None
     for label, (lo, hi) in p._root_choices:
-        pool = [v for v in vertices if lo <= degs[v] <= hi]
+        pool = [v for v, k in degs.items() if lo <= k <= hi]
         if roots is None or len(pool) < len(roots):
             root, roots = label, pool
     return _rooted_occurrences(p, degs, adj, root, roots)

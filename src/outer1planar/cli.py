@@ -142,16 +142,10 @@ def _cmd_oracle_chi(args) -> tuple[int, dict]:
     return EXIT_OK, {"chi": chi, "r": args.r}
 
 
-def _cmd_oracle_recognize(args) -> tuple[int, dict]:
-    d = _drawing_from(args)
-    verdict = oracle.is_outer_1_planar(d)
-    return (EXIT_OK if verdict else EXIT_FALSE), {"outer_1_planar": verdict}
-
-
-def _cmd_oracle_maximal(args) -> tuple[int, dict]:
-    d = _drawing_from(args)
-    verdict = oracle.is_maximal(d)
-    return (EXIT_OK if verdict else EXIT_FALSE), {"maximal": verdict}
+def _cmd_oracle_verdict(decide, key: str, args) -> tuple[int, dict]:
+    """`o1p oracle recognize` and `maximal`: decide's verdict on the drawing, under key."""
+    verdict = decide(_drawing_from(args))
+    return (EXIT_OK if verdict else EXIT_FALSE), {key: verdict}
 
 
 # The witnesses a --check chi run keeps, most recent first.  The walk emits
@@ -323,10 +317,10 @@ def _parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=_cmd_oracle_chi)
     q = osub.add_parser("recognize", help="outer-1-planarity of the underlying graph")
     q.add_argument("file", nargs="?", default="-")
-    q.set_defaults(fn=_cmd_oracle_recognize)
+    q.set_defaults(fn=partial(_cmd_oracle_verdict, oracle.is_outer_1_planar, "outer_1_planar"))
     q = osub.add_parser("maximal", help="maximality of a drawing")
     q.add_argument("file", nargs="?", default="-")
-    q.set_defaults(fn=_cmd_oracle_maximal)
+    q.set_defaults(fn=partial(_cmd_oracle_verdict, oracle.is_maximal, "maximal"))
 
     p = sub.add_parser("enumerate", help="enumerate drawings, optionally checking claims")
     p.add_argument("--n", type=int, required=True)

@@ -3,27 +3,28 @@
 The engine peels one reducible shape at a time until nothing is left, then
 puts the shapes back in reverse order and extends by each shape's local
 rule: each deleted vertex gets the smallest list color outside a small
-forbidden set assembled from its surroundings.  The rules of the three
-primitive shapes P1-P3 and of configurations 3 and 6 take their vertices
-as arguments; every other rule plays rows of such picks through one
-runner, where a pick names its vertex, the labels whose colors it avoids,
-and the labels x or y whose third neighbor it avoids at degree 3.  Two
-rules may first recolor a surviving vertex of the shape: the 10th
-configuration's, when its z repeats a color that a deleted vertex must see
-twice, and the 11th configuration's recoloring branch for the rainbow
-worst case.
+forbidden set assembled from its surroundings.  Every rule reads the
+survivors' neighbor sets and degree map, never a drawing.  P1's rule is
+played in the extension loop itself, and the rules of P2, P3 and
+configurations 3 and 6 take their vertices as arguments; every other rule
+plays rows of such picks through one runner, where a pick names its
+vertex, the labels whose colors it avoids, and the labels x or y whose
+third neighbor it avoids at degree 3.  Two rules may first recolor a
+surviving vertex of the shape: the 10th configuration's, when its z
+repeats a color that a deleted vertex must see twice, and the 11th
+configuration's recoloring branch for the rainbow worst case.
 
-One call of the structure module's peeler deletes every shape, searching
-only around the previous deletion and working on the original labels, so
-no sub-drawing is ever rebuilt; it returns one record per shape.  One loop
-puts the records back and extends, and extend_step plays its step as the
-one record a peel would give.  Every extension is checked around the
-vertices it touched: a count shows every vertex colored, then one pass
-stops at the first improper edge or short neighborhood and skips the wide
-neighbors the shape cannot leave short.  A pendant is checked on u and its
-one neighbor v; P2, P3 and configurations 3 and 6 by the same pass once
-the survivors their rules avoid kept their colors; configurations 7-11 by
-the generic local check.  A rule that leaves a violation raises
+One peel deletes every shape through the structure module's peeler, which
+searches only around the previous deletion and works on the original
+labels, so no sub-drawing is ever rebuilt; the peel keeps one record per
+shape.  One loop puts the records back and extends, and extend_step plays
+its step as the one record a peel would give.  Every extension is checked
+around the vertices it touched: a count shows every vertex colored, then
+one pass stops at the first improper edge or short neighborhood and skips
+the wide neighbors the shape cannot leave short.  A pendant is checked on
+u and its one neighbor v; P2, P3 and configurations 3 and 6 by the same
+pass once the survivors their rules avoid kept their colors;
+configurations 7-11 by the generic local check.  A rule that leaves a violation raises
 ExtensionFailure naming its shape.  The result is verified once in full,
 in one pass that also checks the lists.
 """
@@ -39,6 +40,7 @@ from .structure import ReductionStep, _Peeler
 
 Coloring = dict[int, int]
 ListAssignment = dict[int, frozenset[int]]
+_Adj = dict[int, set[int] | frozenset[int]]  # the survivors' neighbor sets: the drawing's until written
 
 
 class ExtensionFailure(RuntimeError):
@@ -201,7 +203,7 @@ def color_list_3_dynamic(d: Drawing, lists: ListAssignment) -> Coloring:
 def _color(d: Drawing, lists: ListAssignment) -> Coloring:
     p = _Peeler(d)
     colors: Coloring = {}
-    _extend(p, p.peel(), colors, lists)
+    _extend(p.adjacency, p.degrees, _peel(p), colors, lists)
     if _is_dynamic(d, colors, 3, lists):  # the full check, with the report built only on failure
         return colors
     verdict = verify_dynamic(d, colors, 3)
@@ -266,14 +268,15 @@ def _extend_step(d: Drawing, step: ReductionStep, colors: Coloring, lists: ListA
     if kind not in _RUN_KINDS:
         if len(set(s)) < len(s):
             raise ExtensionFailure(f"rule for {kind} failed: deleted {s} repeats a vertex")
-        return _extend(p, [(step, p.remove(s))], colors, lists)
+        return _extend(p.adjacency, p.degrees, [(step, p.remove(s))], colors, lists)
     try:
         v = step.anchors["v"] if kind in ("P4-G3", "P5-G6") else None
     except KeyError as exc:
         raise _failed(kind, exc) from None
     if not _is_shape(p.adjacency, kind, s, v):
         raise ExtensionFailure(f"rule for {kind} failed: deleted {s} is not its shape")
-    _extend(p, [(*s, *p.remove(s)) if v is None else (s[0], v, *p.remove(s))], colors, lists)
+    rec = (*s, *p.remove(s)) if v is None else (s[0], v, *p.remove(s))
+    _extend(p.adjacency, p.degrees, [rec], colors, lists)
 
 
 def _is_shape(adj: dict[int, frozenset[int]], kind: str, s: tuple[int, ...], v: int | None) -> bool:
@@ -301,17 +304,41 @@ def _failed(kind: str, exc: Exception) -> ExtensionFailure:
     return ExtensionFailure(f"rule for {kind} failed: {missing}{exc}")
 
 
-def _extend(p: _Peeler, run: list, colors: Coloring, lists: ListAssignment) -> None:
-    """Put the records of p.peel back, last deletion first, with the sets
-    they were popped with (inline: a call per shape costs the peel-large
-    colorings about 4%), and play each shape's rule.  A record (u, us) is
-    a pendant if |us| <= 1 and a P3 triangle otherwise; (u, v, us, vs) a
-    P2 pair; (u, v, us) configuration 6 if v is in us, else 3; (step,
-    popped) one of 7-11, whose handler runs on p under _valid_around.  The
-    others read x and y off the sets, which are the sets pop read, and get
+def _peel(p: _Peeler) -> list[tuple]:
+    """Delete shapes from p in pop's order, with pop's reads, until no
+    vertex is left; returns one record per shape, in _extend's forms."""
+    least, remove, degs = p._least_primitive, p.remove, p.degrees
+    run = []
+    while True:
+        while s := least():
+            run.append((*s, *remove(s)) if len(s) == 2 else (s[0], *remove(s[:1])))
+        if not degs:
+            return run
+        row, key = p._least_config()
+        if row[0] <= 6:
+            run.append((key[0], key[1], *remove(key[:1])))  # a key starts (u, v, ...)
+        else:
+            step = p._config_step(row, key)
+            run.append((step, remove(step.deleted)))
+
+
+def _extend(adj: _Adj, degs: dict[int, int], run: list, colors: Coloring, lists: ListAssignment) -> None:
+    """Put the records of a peel back into the survivors' maps, last
+    deletion first, with the sets they were popped with (inline: a call per
+    shape costs the peel-large colorings about 4%), and play each shape's
+    rule.  A record (u, us) is a pendant if |us| <= 1 and a P3 triangle
+    otherwise; (u, v, us, vs) a P2 pair; (u, v, us) configuration 6 if v is
+    in us, else 3; (step, popped) one of 7-11, pop's step with its deleted
+    vertices' sets, whose handler runs under _valid_around.
+
+    A pendant u gets the least list color unlike its neighbor t's and, if
+    d(t) <= 3, unlike t's other neighbors', and _valid_around's verdict on
+    the step (u, t): the count, t's color kept, u's unlike it, and t's
+    neighborhood if d(t) < 4 (u's, t or nothing, always passes).  The other
+    records read x and y off the sets, which are the sets pop read, and get
     _valid_around's verdict on their step once x and y (and configuration
     3's or 6's v) kept their colors."""
-    adj, degs, get = p.adjacency, p.degrees, colors.get
+    get = colors.get
     for rec in reversed(run):
         u, k = rec[0], 2 if len(rec) == 4 else 1  # k: the number of deleted vertices
         config = type(u) is ReductionStep
@@ -330,14 +357,27 @@ def _extend(p: _Peeler, run: list, colors: Coloring, lists: ListAssignment) -> N
             kind, a = u.kind, u.anchors
             before = {v: colors[v] for v in a.values() if v in colors}
             try:
-                _HANDLERS[kind](p, a, colors, lists)
+                _HANDLERS[kind](adj, degs, a, colors, lists)
             except (ExtensionFailure, KeyError) as exc:  # KeyError: no rule, or a label or color it reads is missing
                 raise _failed(kind, exc) from None
-            if not _valid_around(p, u, before, colors):
+            if not _valid_around(adj, degs, u, before, colors):
                 raise ExtensionFailure(f"rule for {kind} left a violation")
             continue
         if len(rec) == 2 and len(us) < 2:
-            _color_pendant(adj, degs, u, colors, lists)
+            t, forbidden = None, set()
+            for t in adj[u]:  # the pendant's neighbor, if any
+                dt = degs[t]
+                forbidden = set(map(get, adj[t])) if dt <= 3 else set()
+                forbidden.add(ct := get(t))
+            forbidden.discard(None)
+            try:
+                colors[u] = _pick(lists, u, forbidden)
+            except (ExtensionFailure, KeyError) as exc:
+                raise _failed("P1-pendant", exc) from None
+            if len(colors) != len(degs) or t is not None and (
+                get(t) != ct or colors[u] == ct or dt < 4 and len(set(map(get, adj[t]))) < min(3, dt)
+            ):
+                raise ExtensionFailure("rule for P1-pendant left a violation")
             continue
         if k == 2:
             kind, v = "P2-adjacent-deg2", rec[1]
@@ -361,34 +401,9 @@ def _extend(p: _Peeler, run: list, colors: Coloring, lists: ListAssignment) -> N
             raise ExtensionFailure(f"rule for {kind} left a violation")
 
 
-def _color_pendant(
-    adj: dict[int, set[int] | frozenset[int]], degs: dict[int, int], u: int, colors: Coloring, lists: ListAssignment
-) -> None:
-    """The P1 rule on a pendant u, present in adj with at most one neighbor
-    v: the least list color unlike v's and, if d(v) <= 3, unlike v's other
-    neighbors'.  The pick gets _valid_around's verdict on the step (u, v),
-    whose T is {u} while v keeps its color and whose wide is 4: the count,
-    v's color kept, u's unlike it, and v's neighborhood if d(v) < 4.  u's
-    neighborhood, v or nothing, always passes."""
-    get, v = colors.get, None
-    forbidden: set[int | None] = set()
-    for v in adj[u]:  # u's neighbor, if any
-        k = degs[v]
-        forbidden = set(map(get, adj[v])) if k <= 3 else set()
-        forbidden.add(cv := get(v))
-    forbidden.discard(None)
-    try:
-        colors[u] = _pick(lists, u, forbidden)
-    except (ExtensionFailure, KeyError) as exc:
-        raise _failed("P1-pendant", exc) from None
-    if len(colors) != len(degs) or v is not None and (
-        get(v) != cv or colors[u] == cv or k < 4 and len(set(map(get, adj[v]))) < min(3, k)
-    ):
-        raise ExtensionFailure("rule for P1-pendant left a violation")
-
-
-def _valid_around(d: Drawing, step: ReductionStep, partial: Coloring, colors: Coloring) -> bool:
-    """The verdict of verify_dynamic(d, colors, 3), read only where it can change.
+def _valid_around(adj: _Adj, degs: dict[int, int], step: ReductionStep, partial: Coloring, colors: Coloring) -> bool:
+    """The verdict of verify_dynamic(d, colors, 3) on the drawing d whose
+    neighbor sets and degrees are adj and degs, read only where it can change.
 
     Precondition: partial is valid on d minus step.deleted and colors
     exactly its vertices, and colors differs from it only at step.deleted
@@ -401,16 +416,14 @@ def _valid_around(d: Drawing, step: ReductionStep, partial: Coloring, colors: Co
     three colors under partial on its neighbors outside step.deleted, and
     still does.  It is not read, so a hub costs a peel no extra pass.
     """
-    adj, degs, deleted = d.adjacency, d.degrees, step.deleted
+    deleted = step.deleted
     if not _valid_near(adj, degs, colors, deleted, len(deleted) + 3):
         return False
     recolored = [v for v in step.anchors.values() if v in partial and partial[v] != colors[v]]
     return not recolored or _valid_near(adj, degs, colors, recolored, len(degs))
 
 
-def _valid_near(
-    adj: dict[int, set[int] | frozenset[int]], degs: dict[int, int], colors: Coloring, touched, wide: int
-) -> bool:
+def _valid_near(adj: _Adj, degs: dict[int, int], colors: Coloring, touched, wide: int) -> bool:
     """_valid_around's core: a count shows every vertex colored, then each
     vertex of touched must be proper with three colors (or all its degree)
     on its neighbors, and so must each neighbor outside touched of degree
@@ -438,8 +451,7 @@ def _colors_of(colors: Coloring, vs) -> set[int]:
 
 
 def _color_p2(
-    adj: dict[int, set[int] | frozenset[int]], degs: dict[int, int], u: int, v: int, x: int, y: int,
-    colors: Coloring, lists: ListAssignment,
+    adj: _Adj, degs: dict[int, int], u: int, v: int, x: int, y: int, colors: Coloring, lists: ListAssignment
 ) -> None:
     """P2's rule on adjacent degree-2 vertices u and v, whose other
     neighbors are x and y: u, then v, gets the least list color unlike its
@@ -464,8 +476,7 @@ def _color_p2(
 
 
 def _color_g6(
-    adj: dict[int, set[int] | frozenset[int]], degs: dict[int, int], u: int, v: int, x: int, y: int,
-    colors: Coloring, lists: ListAssignment,
+    adj: _Adj, degs: dict[int, int], u: int, v: int, x: int, y: int, colors: Coloring, lists: ListAssignment
 ) -> None:
     """Configuration 6's rule on u, where u and v are both next to x and y:
     the least list color unlike v's, x's and y's and, for each of x and y
@@ -480,13 +491,15 @@ def _color_g6(
     colors[u] = _pick(lists, u, forbidden)
 
 
-def _run(row: tuple, d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
+def _run(
+    row: tuple, adj: _Adj, degs: dict[int, int], a: dict[str, int], colors: Coloring, lists: ListAssignment
+) -> None:
     """Color each pick's label in turn by the least list color unlike its
     avoid labels' colors and, for each of its thirds h of degree 3, h1's: a
     degree-3 x (or y) shows three colors only if the vertex colored next to
     it avoids x1 too.  Rows read d(x) >= d(y): where a shape has a mirror,
     the peeler's swap (structure._SHAPES) leaves d(x) = 3 only with d(y) = 3."""
-    degs, get, at = d.degrees, colors.__getitem__, a.__getitem__
+    get, at = colors.__getitem__, a.__getitem__
     for label, avoid, thirds in row:
         forbidden = set(map(get, map(at, avoid)))
         for h in thirds:
@@ -512,7 +525,7 @@ _G11_PINNED = (("w", ("x", "z", "y", "y1"), ()), ("v", ("x", "z", "y", "w", "x1"
                ("u", ("x", "z", "y", "v", "w"), ()))
 
 
-def _extend_g10(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
+def _extend_g10(adj: _Adj, degs: dict[int, int], a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
     """The 10th configuration's rule.  Its recolor branch is the one rule
     that reads a surviving vertex's neighborhood without a degree cap: x's,
     once per recoloring."""
@@ -522,19 +535,19 @@ def _extend_g10(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssi
         # first.  Of z's neighbors only x survives, and x needs z's new
         # color only if its other neighbors show too few colors.
         fz = {colors[x], colors[a["v"]], colors[a["y"]]}
-        others = _colors_of(colors, d.adjacency[x] - {z})
-        if len(others) < min(3, d.degrees[x]):
+        others = _colors_of(colors, adj[x] - {z})
+        if len(others) < min(3, degs[x]):
             fz |= others
         colors[z] = _pick(lists, z, fz)
-    _run(_G10, d, a, colors, lists)
+    _run(_G10, adj, degs, a, colors, lists)
 
 
-def _extend_g11(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
-    dx, dy = d.degrees[a["x"]], d.degrees[a["y"]]
+def _extend_g11(adj: _Adj, degs: dict[int, int], a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
+    dx, dy = degs[a["x"]], degs[a["y"]]
     if dx >= 4 and dy >= 3:
-        return _run(_G11_44 if dy >= 4 else _G11_43, d, a, colors, lists)
+        return _run(_G11_44 if dy >= 4 else _G11_43, adj, degs, a, colors, lists)
     # both degree 3, with the rainbow worst case and its recoloring branch
-    _run(_G11_33, d, a, colors, lists)
+    _run(_G11_33, adj, degs, a, colors, lists)
     cx, cy, cz, cw, cv, ca = (colors[a[label]] for label in "xyzwva")
     cu = _first(lists, a["u"], {cx, cz, cw, cv, ca, cy})
     if cu is not None:
@@ -553,7 +566,7 @@ def _extend_g11(d: Drawing, a: dict[str, int], colors: Coloring, lists: ListAssi
     if cw not in lists[a["z"]] or cw not in lists[a["a"]]:
         raise ExtensionFailure("configuration 11 recoloring premises do not hold")
     colors[a["z"]] = colors[a["a"]] = cw
-    _run(_G11_PINNED, d, a, colors, lists)
+    _run(_G11_PINNED, adj, degs, a, colors, lists)
 
 
 _HANDLERS = {

@@ -21,8 +21,8 @@ deterministic tie-breaking, not by the inductive case analysis that proves
 they cannot fail.  The reduction search lives in a peeler that holds the
 candidates of every kind and, after each deletion, searches only around
 the vertices whose degree fell.  find_reduction asks it for one step; the
-coloring engine has it delete every shape in one peel, which records each
-shape in the form the engine's extension loop reads.
+coloring engine's peel reads the same candidates, in the same order, to
+delete every shape.
 """
 
 from __future__ import annotations
@@ -198,9 +198,9 @@ class _Peeler:
     occurrence's leader puts on the vertex newly admits it too.
     Configurations are read in `_SHAPES` order.  `pop` names the next
     shape as a step, for find_reduction and for a caller that deletes it
-    with `remove`.  The coloring engine calls `peel` once: it deletes every
-    shape in pop's order and returns the records that the engine's one
-    extension loop puts back.
+    with `remove`.  The coloring engine's peel reads the least shape
+    through `_least_primitive` and `_least_config`, as pop does, deletes it
+    with `remove` and keeps its own records of the deletions.
     """
 
     def __init__(self, d: Drawing) -> None:
@@ -298,26 +298,6 @@ class _Peeler:
             heappop(triangles)
         return triangles[0] if triangles else ()
 
-    def peel(self) -> list[tuple]:
-        """Delete shapes in pop's order, with pop's reads, until no vertex is
-        left; returns one record per shape: (u, u's popped neighbor set) for
-        a pendant or a triangle, (u, v, u's set, v's set) for a pair, (u, v,
-        u's set) for configuration 3 (u not next to v) or 6 (u next to v),
-        and (pop's step, the popped sets) for configurations 7-11."""
-        least, remove, degs = self._least_primitive, self.remove, self.degrees
-        run = []
-        while True:
-            while s := least():
-                run.append((*s, *remove(s)) if len(s) == 2 else (s[0], *remove(s[:1])))
-            if not degs:
-                return run
-            row, key = self._least_config()
-            if row[0] <= 6:
-                run.append((key[0], key[1], *remove(key[:1])))  # a key starts (u, v, ...)
-            else:
-                step = self._config_step(row, key)
-                run.append((step, remove(step.deleted)))
-
     def _least_occurrence(self, pid: int) -> tuple[int, ...] | None:
         """The least anchor key of an orbit representative, or None."""
         heap, log = self._found.get(pid), self._log
@@ -325,7 +305,7 @@ class _Peeler:
         degs, adj = self.degrees, self.adjacency
         if heap is None:
             self._bounds = _log_bounds()
-            heap = self._found[pid] = list(map(key_of, _occurrences(p, degs, adj, degs)))
+            heap = self._found[pid] = list(map(key_of, _occurrences(p, degs, adj)))
             heapify(heap)
         else:
             for v, hi in log[self._read[pid]:]:

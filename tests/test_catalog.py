@@ -237,7 +237,7 @@ def test_leader_scan_equals_representatives():
     for n in range(1, 8):
         for d, every in _reference_scan(n):
             for p in load_catalog():
-                leaders = _occurrences(p, d.degrees, d.adjacency, d.vertices)
+                leaders = _occurrences(p, d.degrees, d.adjacency)
                 assert len(set(leaders)) == len(leaders)
                 assert set(leaders) == {_least_image(p, t) for t in every[p.id]}, (n, sorted(d.edges), p.id)
 

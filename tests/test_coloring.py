@@ -22,8 +22,8 @@ from outer1planar import (
     uniform_lists,
     verify_dynamic,
 )
-from outer1planar.coloring import Verdict, Violation, _is_dynamic, coloring_to_json, parse_coloring_json
-from outer1planar.structure import ReductionStep, _Peeler
+from outer1planar.coloring import Verdict, Violation, _extend, _is_dynamic, _peel, coloring_to_json, parse_coloring_json
+from outer1planar.structure import _SHAPES, ReductionStep, _Peeler
 
 from .conftest import (
     delete_with_map,
@@ -411,7 +411,7 @@ def test_local_check_agrees_with_full_verify(classes):
                 anchor = rng.choice(sorted(step.anchors.values()))
                 colors[anchor] = rng.randint(1, 4)
                 full = verify_dynamic(d, colors, 3).valid
-                assert col._valid_around(d, step, partial, colors) == full
+                assert col._valid_around(d.adjacency, d.degrees, step, partial, colors) == full
                 verdicts.add(full)
     assert verdicts == {True, False}
 
@@ -435,13 +435,13 @@ def test_local_check_rejects_uncolored(classes):
                 missing = {w: c for w, c in colors.items() if w != v}
                 assert not verify_dynamic(d, missing, 3).valid
                 for before in (partial, {w: c for w, c in partial.items() if w != v}):
-                    assert not col._valid_around(d, step, before, missing), (sorted(d.edges), v)
+                    assert not col._valid_around(d.adjacency, d.degrees, step, before, missing), (sorted(d.edges), v)
                     cases += 1
     assert cases > 1000
 
 
 def _record_parts(rec):
-    """The deleted vertices of a record of _Peeler.peel, and their neighbor
+    """The deleted vertices of a record of a peel, and their neighbor
     sets as popped."""
     if isinstance(rec[0], ReductionStep):  # configurations 7-11: (step, popped)
         return rec[0].deleted, list(rec[1])
@@ -450,7 +450,7 @@ def _record_parts(rec):
 
 
 def _record_step(rec, adj, degs):
-    """(kind, deleted, anchors) of the step a record of _Peeler.peel stands
+    """(kind, deleted, anchors) of the step a record of a peel stands
     for, read off adj and degs while the record's vertices are present: as
     pop reads them before the deletion and as the extension reads them
     once the record is put back."""
@@ -484,6 +484,38 @@ def _record_step(rec, adj, degs):
     return "P3-triangle-deg2", deleted, anchors
 
 
+def _state(g):
+    return dict(g.degrees), {v: set(ns) for v, ns in g.adjacency.items()}
+
+
+def test_restore_undoes_remove(classes):
+    # peel to empty, then put the records back last first, one extension
+    # call each: each must give back the survivors' degrees and neighbor
+    # sets from just before that record's deletion, in every record form
+    # (a pendant, a pair, a triangle, configurations 3 and 6, and a step of
+    # 7-11), adjacent deletions too.  A lockstep peeler takes each
+    # record's deletion alone to see the state before it.
+    drawings = [d for n in range(1, 8) for d in classes(n, "all")]
+    drawings += [h_family(i) for i in range(2, 18)]
+    drawings += [double_g10(), double_g11(), g3_flip_host()]
+    kinds = set()
+    for d in drawings:
+        peeler, lockstep = _Peeler(d), _Peeler(d)
+        run = _peel(peeler)
+        assert not peeler.degrees
+        before = []
+        for rec in run:
+            before.append(_state(lockstep))
+            kinds.add(_record_step(rec, lockstep.adjacency, lockstep.degrees)[0])
+            lockstep.remove(_record_parts(rec)[0])
+        colors, lists = {}, uniform_lists(d, 6)
+        for rec, state in zip(reversed(run), reversed(before)):
+            _extend(peeler.adjacency, peeler.degrees, [rec], colors, lists)
+            assert _state(peeler) == state, (sorted(d.edges), rec)
+        assert _state(peeler) == _state(d)
+    assert kinds == {"P1-pendant", "P2-adjacent-deg2", "P3-triangle-deg2"} | {row[1] for row in _SHAPES}
+
+
 def test_primitive_check_gives_the_generic_verdict(classes, monkeypatch):
     # at every shape of a peel but configurations 7-11, a pick of a random
     # color (at times none) that at times also recolors a neighbor the rule
@@ -496,9 +528,13 @@ def test_primitive_check_gives_the_generic_verdict(classes, monkeypatch):
     import outer1planar.coloring as col
 
     rng = random.Random(24)
-    extend, first = col._extend, col._first
+    extend, first, peel = col._extend, col._first, col._peel
     trial = []  # (the coloring being scrambled, the neighbors to keep) while a trial runs
-    seen = set()
+    seen, peelers = set(), []
+
+    def keeping(p):  # the probe takes each record off again through the peeler's remove
+        peelers.append(p)
+        return peel(p)
 
     def scramble(lists, u, forbidden):
         if not trial:
@@ -508,10 +544,11 @@ def test_primitive_check_gives_the_generic_verdict(classes, monkeypatch):
             colors[rng.choice(kept)] = rng.randint(1, 4)
         return rng.randint(1, 4) if rng.random() < 0.9 else None
 
-    def probe(p, run, colors, lists):
+    def probe(adj, degs, run, colors, lists):
+        p = peelers.pop()
         for rec in reversed(run):
             if isinstance(rec[0], ReductionStep):  # configurations 7-11 get _valid_around itself
-                extend(p, [rec], colors, lists)
+                extend(adj, degs, [rec], colors, lists)
                 continue
             deleted, sets = _record_parts(rec)
             # a pendant keeps v, a pair and a triangle keep x and y, and
@@ -521,25 +558,26 @@ def test_primitive_check_gives_the_generic_verdict(classes, monkeypatch):
                 t = dict(colors)
                 trial.append((t, kept))
                 try:
-                    extend(p, [rec], t, lists)
+                    extend(adj, degs, [rec], t, lists)
                     refused = ""
                 except ExtensionFailure as exc:
                     refused = str(exc)
                 trial.clear()
-                step = ReductionStep(*_record_step(rec, p.adjacency, p.degrees))
+                step = ReductionStep(*_record_step(rec, adj, degs))
                 kind = step.kind
                 assert not refused or kind in refused, (kind, refused)
                 recolored = any(t[w] != colors[w] for w in kept)
                 if recolored:
                     assert refused
                 else:
-                    assert bool(refused) != col._valid_around(p, step, colors, t)
-                wide = kind == "P1-pendant" and bool(kept) and p.degrees[kept[0]] >= 4
+                    assert bool(refused) != col._valid_around(adj, degs, step, colors, t)
+                wide = kind == "P1-pendant" and bool(kept) and degs[kept[0]] >= 4
                 seen.add((kind, recolored, bool(refused), wide))
                 assert p.remove(deleted) == sets
-            extend(p, [rec], colors, lists)
+            extend(adj, degs, [rec], colors, lists)
 
     monkeypatch.setattr(col, "_first", scramble)
+    monkeypatch.setattr(col, "_peel", keeping)
     monkeypatch.setattr(col, "_extend", probe)
     hosts = [h_family(i) for i in range(2, 18)]
     for d in [d for n in range(1, 7) for d in classes(n, "all")] + hosts:
@@ -562,7 +600,7 @@ def _peel_steps(d, runs):
     one peel.  A lockstep peeler q holds the state before each record's
     deletion, and its sets must be the record's."""
     p, q, steps = _Peeler(d), _Peeler(d), []
-    for rec in p.peel() if runs else ():
+    for rec in _peel(p) if runs else ():
         deleted, sets = _record_parts(rec)
         steps.append(_record_step(rec, q.adjacency, q.degrees))
         assert q.remove(deleted) == sets
@@ -593,7 +631,7 @@ def test_primitive_runs_give_the_steps_of_pop(classes):
         # with its x = 2 (v = 3, y = 4, all three degree-2 vertices on 2 and
         # 4); u = 1 and its v = 2 of K4, which the peel takes before a pair
         # and a pendant
-        ("P1-pendant", "_color_pendant", [(1, 2), (2, 3)], 1, 2),
+        ("P1-pendant", "_extend", [(1, 2), (2, 3)], 1, 2),
         ("P2-adjacent-deg2", "_color_p2", [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)], 1, 5),
         ("P3-triangle-deg2", "_color_g6", [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)], 2, 1),
         ("P4-G3", "_color_g6", [(1, 2), (2, 3), (2, 5), (1, 4), (3, 4), (4, 5)], 1, 2),
@@ -749,9 +787,8 @@ def test_hub_neighborhoods_are_not_reread(d, monkeypatch):
             self.vs.add(v)
 
     class Counted:
-        def __init__(self, peeler):
-            self.degrees, self._adj = peeler.degrees, peeler.adjacency
-            self.adjacency = self
+        def __init__(self, adj):
+            self._adj = adj
 
         def __getitem__(self, v):
             return Elements(self._adj[v])
@@ -760,7 +797,7 @@ def test_hub_neighborhoods_are_not_reread(d, monkeypatch):
             self._adj[v] = vs
 
     extend = col._extend
-    monkeypatch.setattr(col, "_extend", lambda p, run, c, ls: extend(Counted(p), run, c, ls))
+    monkeypatch.setattr(col, "_extend", lambda adj, degs, run, c, ls: extend(Counted(adj), degs, run, c, ls))
     color_list_3_dynamic(d, uniform_lists(d, 6))
     assert 0 < taken[0] < 10 * d.n
 
