@@ -329,7 +329,7 @@ def find_matches(d: Drawing, p: ConfigPattern, check_d2: bool = False) -> list[M
     so each occurrence then stands as its least image that realizes them,
     and is dropped only if no image does.
     """
-    leaders = sorted(_occurrences(p, d.degrees, d.adjacency))
+    leaders = sorted(_occurrences(p, d.adjacency))
     if check_d2 and p.id >= 6:
         images = ([tuple([t[i] for i in perm]) for perm in p._orbit_perms] for t in leaders)
         realized = ([s for s in ts if _d2_holds(d, p, dict(zip(p.labels, s)))] for ts in images)
@@ -337,21 +337,21 @@ def find_matches(d: Drawing, p: ConfigPattern, check_d2: bool = False) -> list[M
     return [Match(p.id, dict(zip(p.labels, tup))) for tup in leaders]
 
 
-def _occurrences(p: ConfigPattern, degs, adj) -> list[tuple[int, ...]]:
+def _occurrences(p: ConfigPattern, adj) -> list[tuple[int, ...]]:
     """Every occurrence of p that leads its orbit, as a tuple in labels
-    order, in the host whose degree map and neighbor sets are degs and adj.
+    order, in the host whose neighbor sets are adj (a degree is a set's size).
 
     The search is rooted at the label that admits the fewest vertices, the
     least such label on a tie; labels with one degree range share a pool."""
     root = roots = None
     for label, (lo, hi) in p._root_choices:
-        pool = [v for v, k in degs.items() if lo <= k <= hi]
+        pool = [v for v, ns in adj.items() if lo <= len(ns) <= hi]
         if roots is None or len(pool) < len(roots):
             root, roots = label, pool
-    return _rooted_occurrences(p, degs, adj, root, roots)
+    return _rooted_occurrences(p, adj, root, roots)
 
 
-def _rooted_occurrences(p: ConfigPattern, degs, adj, label: str, roots) -> list[tuple[int, ...]]:
+def _rooted_occurrences(p: ConfigPattern, adj, label: str, roots) -> list[tuple[int, ...]]:
     """Every occurrence of p that leads its orbit and puts label on a vertex
     of roots, as tuples in labels order.
 
@@ -370,24 +370,25 @@ def _rooted_occurrences(p: ConfigPattern, degs, adj, label: str, roots) -> list[
     search = p._searches.get(label)
     if search is None:
         search = p._searches[label] = _compile_search(p, label)
-    return search(degs, adj, roots)
+    return search(adj, roots)
 
 
 def _compile_search(p: ConfigPattern, label: str):
-    """The loop nest of p's plan rooted at label, as a function of (degs,
-    adj, roots).  Its source is built from ints and the names a0, a1, ...
-    (a_k holds the k-th label of the plan), never from catalog text."""
+    """The loop nest of p's plan rooted at label, as a function of (adj,
+    roots) that reads each degree as a neighbor set's size.  Its source is
+    built from ints and the names a0, a1, ... (a_k holds the k-th label of
+    the plan), never from catalog text."""
     order, prior, ranges, positions, bounds = p._rooted_plans[label]
-    lines = ["def search(degs, adj, roots):", " found = []", " append = found.append"]
+    lines = ["def search(adj, roots):", " found = []", " append = found.append"]
     for k, (before, (lo, hi)) in enumerate(zip(prior, ranges)):
         tests = [f"a{k} {'>' if larger else '<'} a{i:d}" for i, larger in bounds[k]]
         tests += [f"a{k} != a{j}" for j in range(k) if j not in before]
         if lo == hi:
-            tests.append(f"degs[a{k}] == {lo:d}")
+            tests.append(f"len(adj[a{k}]) == {lo:d}")
         elif hi == math.inf:
-            tests.append(f"degs[a{k}] >= {lo:d}")
+            tests.append(f"len(adj[a{k}]) >= {lo:d}")
         else:
-            tests.append(f"{lo:d} <= degs[a{k}] <= {hi:d}")
+            tests.append(f"{lo:d} <= len(adj[a{k}]) <= {hi:d}")
         pool = " & ".join(f"adj[a{i:d}]" for i in before) or "roots"
         pad = " " * (k + 1)
         lines += [f"{pad}for a{k} in {pool}:", f"{pad} if not ({' and '.join(tests)}):", f"{pad}  continue"]

@@ -4,10 +4,10 @@ The engine peels one reducible shape at a time until nothing is left, then
 puts the shapes back in reverse order and extends by each shape's local
 rule: each deleted vertex gets the smallest list color outside a small
 forbidden set assembled from its surroundings.  Every rule reads the
-survivors' neighbor sets and degree map, never a drawing.  P1's rule is
-played in the extension loop itself, and the rules of P2, P3 and
-configurations 3 and 6 take their vertices as arguments; every other rule
-plays rows of such picks through one runner, where a pick names its
+survivors' neighbor sets, whose sizes are their degrees, never a drawing.
+P1's rule is played in the extension loop itself, and the rules of P2, P3
+and configurations 3 and 6 take their vertices as arguments; every other
+rule plays rows of such picks through one runner, where a pick names its
 vertex, the labels whose colors it avoids, and the labels x or y whose
 third neighbor it avoids at degree 3.  Two rules may first recolor a
 surviving vertex of the shape: the 10th configuration's, when its z
@@ -70,11 +70,11 @@ _VALID = Verdict(True)
 
 def _is_dynamic(d: Drawing, colors: Coloring, r: int, lists: ListAssignment | None = None) -> bool:
     """verify_dynamic's verdict in one pass, with no report; given lists, also each color on its list."""
-    degs, get = d.degrees, colors.get
+    get = colors.get
     for v, ns in d.adjacency.items():
         c = get(v)
         seen = set(map(get, ns))
-        if c is None or c in seen or (k := len(seen)) < r and k < degs[v]:
+        if c is None or c in seen or (k := len(seen)) < r and k < len(ns):
             return False
         if lists is not None and c not in lists[v]:
             return False
@@ -88,7 +88,7 @@ def verify_dynamic(d: Drawing, colors: Coloring, r: int) -> Verdict:
     valid Verdict; the report is built only when that pass fails."""
     if _is_dynamic(d, colors, r):
         return _VALID
-    adj, degs = d.adjacency, d.degrees
+    adj = d.adjacency
     violations = [Violation("missing-color", vertex=v, detail="uncolored vertex") for v in d.vertices if v not in colors]
     missing = bool(violations)
     for v in sorted(colors.keys() - adj.keys()):
@@ -100,7 +100,7 @@ def verify_dynamic(d: Drawing, colors: Coloring, r: int) -> Verdict:
             Violation("proper", edge=(u, v), detail=f"both endpoints colored {colors[u]}")
         )
     for v in d.vertices:
-        need = min(r, degs[v])
+        need = min(r, len(adj[v]))
         got = len({colors[w] for w in adj[v]})
         if got < need:
             violations.append(
@@ -203,7 +203,7 @@ def color_list_3_dynamic(d: Drawing, lists: ListAssignment) -> Coloring:
 def _color(d: Drawing, lists: ListAssignment) -> Coloring:
     p = _Peeler(d)
     colors: Coloring = {}
-    _extend(p.adjacency, p.degrees, _peel(p), colors, lists)
+    _extend(p.adjacency, _peel(p), colors, lists)
     if _is_dynamic(d, colors, 3, lists):  # the full check, with the report built only on failure
         return colors
     verdict = verify_dynamic(d, colors, 3)
@@ -268,7 +268,7 @@ def _extend_step(d: Drawing, step: ReductionStep, colors: Coloring, lists: ListA
     if kind not in _RUN_KINDS:
         if len(set(s)) < len(s):
             raise ExtensionFailure(f"rule for {kind} failed: deleted {s} repeats a vertex")
-        return _extend(p.adjacency, p.degrees, [(step, p.remove(s))], colors, lists)
+        return _extend(p.adjacency, [(step, p.remove(s))], colors, lists)
     try:
         v = step.anchors["v"] if kind in ("P4-G3", "P5-G6") else None
     except KeyError as exc:
@@ -276,7 +276,7 @@ def _extend_step(d: Drawing, step: ReductionStep, colors: Coloring, lists: ListA
     if not _is_shape(p.adjacency, kind, s, v):
         raise ExtensionFailure(f"rule for {kind} failed: deleted {s} is not its shape")
     rec = (*s, *p.remove(s)) if v is None else (s[0], v, *p.remove(s))
-    _extend(p.adjacency, p.degrees, [rec], colors, lists)
+    _extend(p.adjacency, [rec], colors, lists)
 
 
 def _is_shape(adj: dict[int, frozenset[int]], kind: str, s: tuple[int, ...], v: int | None) -> bool:
@@ -307,12 +307,12 @@ def _failed(kind: str, exc: Exception) -> ExtensionFailure:
 def _peel(p: _Peeler) -> list[tuple]:
     """Delete shapes from p in pop's order, with pop's reads, until no
     vertex is left; returns one record per shape, in _extend's forms."""
-    least, remove, degs = p._least_primitive, p.remove, p.degrees
+    least, remove, adj = p._least_primitive, p.remove, p.adjacency
     run = []
     while True:
         while s := least():
             run.append((*s, *remove(s)) if len(s) == 2 else (s[0], *remove(s[:1])))
-        if not degs:
+        if not adj:
             return run
         row, key = p._least_config()
         if row[0] <= 6:
@@ -322,8 +322,8 @@ def _peel(p: _Peeler) -> list[tuple]:
             run.append((step, remove(step.deleted)))
 
 
-def _extend(adj: _Adj, degs: dict[int, int], run: list, colors: Coloring, lists: ListAssignment) -> None:
-    """Put the records of a peel back into the survivors' maps, last
+def _extend(adj: _Adj, run: list, colors: Coloring, lists: ListAssignment) -> None:
+    """Put the records of a peel back into the survivors' neighbor sets, last
     deletion first, with the sets they were popped with (inline: a call per
     shape costs the peel-large colorings about 4%), and play each shape's
     rule.  A record (u, us) is a pendant if |us| <= 1 and a P3 triangle
@@ -349,24 +349,22 @@ def _extend(adj: _Adj, degs: dict[int, int], run: list, colors: Coloring, lists:
             back = ((u, us),) if k == 1 else ((rec[1], rec[3]), (u, us))
         for w, ws in back:
             adj[w] = ws
-            degs[w] = len(ws)
             for z in ws:
                 adj[z].add(w)
-                degs[z] += 1
         if config:
             kind, a = u.kind, u.anchors
             before = {v: colors[v] for v in a.values() if v in colors}
             try:
-                _HANDLERS[kind](adj, degs, a, colors, lists)
+                _HANDLERS[kind](adj, a, colors, lists)
             except (ExtensionFailure, KeyError) as exc:  # KeyError: no rule, or a label or color it reads is missing
                 raise _failed(kind, exc) from None
-            if not _valid_around(adj, degs, u, before, colors):
+            if not _valid_around(adj, u, before, colors):
                 raise ExtensionFailure(f"rule for {kind} left a violation")
             continue
         if len(rec) == 2 and len(us) < 2:
             t, forbidden = None, set()
             for t in adj[u]:  # the pendant's neighbor, if any
-                dt = degs[t]
+                dt = len(adj[t])
                 forbidden = set(map(get, adj[t])) if dt <= 3 else set()
                 forbidden.add(ct := get(t))
             forbidden.discard(None)
@@ -374,7 +372,7 @@ def _extend(adj: _Adj, degs: dict[int, int], run: list, colors: Coloring, lists:
                 colors[u] = _pick(lists, u, forbidden)
             except (ExtensionFailure, KeyError) as exc:
                 raise _failed("P1-pendant", exc) from None
-            if len(colors) != len(degs) or t is not None and (
+            if len(colors) != len(adj) or t is not None and (
                 get(t) != ct or colors[u] == ct or dt < 4 and len(set(map(get, adj[t]))) < min(3, dt)
             ):
                 raise ExtensionFailure("rule for P1-pendant left a violation")
@@ -390,20 +388,20 @@ def _extend(adj: _Adj, degs: dict[int, int], run: list, colors: Coloring, lists:
             x, y = us - {v}
         else:  # configuration 3's rule is configuration 6's if x or y has degree 3, else P3's
             kind, (x, y) = "P4-G3", us
-            v = rec[1] if 3 in (degs[x], degs[y]) else x
+            v = rec[1] if 3 in (len(adj[x]), len(adj[y])) else x
         held = rec[1] if len(rec) == 3 else x  # kept beside x and y: configuration 3's or 6's v
         kept = get(held), get(x), get(y)
         try:
-            (_color_g6 if k == 1 else _color_p2)(adj, degs, u, v, x, y, colors, lists)
+            (_color_g6 if k == 1 else _color_p2)(adj, u, v, x, y, colors, lists)
         except (ExtensionFailure, KeyError) as exc:
             raise _failed(kind, exc) from None
-        if (get(held), get(x), get(y)) != kept or not _valid_near(adj, degs, colors, rec[:k], k + 3):
+        if (get(held), get(x), get(y)) != kept or not _valid_near(adj, colors, rec[:k], k + 3):
             raise ExtensionFailure(f"rule for {kind} left a violation")
 
 
-def _valid_around(adj: _Adj, degs: dict[int, int], step: ReductionStep, partial: Coloring, colors: Coloring) -> bool:
+def _valid_around(adj: _Adj, step: ReductionStep, partial: Coloring, colors: Coloring) -> bool:
     """The verdict of verify_dynamic(d, colors, 3) on the drawing d whose
-    neighbor sets and degrees are adj and degs, read only where it can change.
+    neighbor sets are adj, read only where it can change.
 
     Precondition: partial is valid on d minus step.deleted and colors
     exactly its vertices, and colors differs from it only at step.deleted
@@ -417,31 +415,31 @@ def _valid_around(adj: _Adj, degs: dict[int, int], step: ReductionStep, partial:
     still does.  It is not read, so a hub costs a peel no extra pass.
     """
     deleted = step.deleted
-    if not _valid_near(adj, degs, colors, deleted, len(deleted) + 3):
+    if not _valid_near(adj, colors, deleted, len(deleted) + 3):
         return False
     recolored = [v for v in step.anchors.values() if v in partial and partial[v] != colors[v]]
-    return not recolored or _valid_near(adj, degs, colors, recolored, len(degs))
+    return not recolored or _valid_near(adj, colors, recolored, len(adj))
 
 
-def _valid_near(adj: _Adj, degs: dict[int, int], colors: Coloring, touched, wide: int) -> bool:
-    """_valid_around's core: a count shows every vertex colored, then each
-    vertex of touched must be proper with three colors (or all its degree)
-    on its neighbors, and so must each neighbor outside touched of degree
-    below wide on its own neighbors."""
+def _valid_near(adj: _Adj, colors: Coloring, touched, wide: int) -> bool:
+    """_valid_around's core: a count against adj shows every vertex
+    colored, then each vertex of touched must be proper with three colors
+    (or all its degree) on its neighbors, and so must each neighbor outside
+    touched of degree below wide on its own neighbors."""
     get = colors.get
-    if len(colors) != len(degs):
+    if len(colors) != len(adj):
         return False
     done = set(touched)
     for v in touched:
         ns = adj[v]
         seen = set(map(get, ns))
-        if colors[v] in seen or len(seen) < 3 and len(seen) < degs[v]:
+        if colors[v] in seen or len(seen) < 3 and len(seen) < len(ns):
             return False
         for w in ns:
-            if w not in done and degs[w] < wide:
+            if w not in done and len(ws := adj[w]) < wide:
                 done.add(w)
-                seen = set(map(get, adj[w]))
-                if len(seen) < 3 and len(seen) < degs[w]:
+                seen = set(map(get, ws))
+                if len(seen) < 3 and len(seen) < len(ws):
                     return False
     return True
 
@@ -450,9 +448,7 @@ def _colors_of(colors: Coloring, vs) -> set[int]:
     return {colors[w] for w in vs if w in colors}
 
 
-def _color_p2(
-    adj: _Adj, degs: dict[int, int], u: int, v: int, x: int, y: int, colors: Coloring, lists: ListAssignment
-) -> None:
+def _color_p2(adj: _Adj, u: int, v: int, x: int, y: int, colors: Coloring, lists: ListAssignment) -> None:
     """P2's rule on adjacent degree-2 vertices u and v, whose other
     neighbors are x and y: u, then v, gets the least list color unlike its
     neighbors' and, where its other neighbor has degree at most 3, unlike
@@ -461,23 +457,21 @@ def _color_p2(
     avoids x's other neighbors up to d(x) = 4."""
     cx, cy = colors[x], colors[y]
     if x == y:
-        shared = _colors_of(colors, adj[x] - {u, v}) if degs[x] <= 4 else set()
+        shared = _colors_of(colors, adj[x] - {u, v}) if len(adj[x]) <= 4 else set()
         colors[u] = _pick(lists, u, {cx} | shared)
-        colors[v] = _pick(lists, v, {cx, colors[u]} | (shared if degs[x] <= 3 else set()))
+        colors[v] = _pick(lists, v, {cx, colors[u]} | (shared if len(adj[x]) <= 3 else set()))
     else:
         fu = {cx, cy}
-        if degs[x] <= 3:
+        if len(adj[x]) <= 3:
             fu |= _colors_of(colors, adj[x] - {u, v})
         colors[u] = _pick(lists, u, fu)
         fv = {cx, colors[u], cy}
-        if degs[y] <= 3:
+        if len(adj[y]) <= 3:
             fv |= _colors_of(colors, adj[y] - {u, v})
         colors[v] = _pick(lists, v, fv)
 
 
-def _color_g6(
-    adj: _Adj, degs: dict[int, int], u: int, v: int, x: int, y: int, colors: Coloring, lists: ListAssignment
-) -> None:
+def _color_g6(adj: _Adj, u: int, v: int, x: int, y: int, colors: Coloring, lists: ListAssignment) -> None:
     """Configuration 6's rule on u, where u and v are both next to x and y:
     the least list color unlike v's, x's and y's and, for each of x and y
     of degree 3, unlike its third neighbor's (besides u and v): a degree-3
@@ -485,15 +479,13 @@ def _color_g6(
     get = colors.get
     forbidden = {colors[x], colors[y], colors[v]}
     for h in (x, y):
-        if degs[h] == 3:
+        if len(adj[h]) == 3:
             forbidden.update(map(get, adj[h]))  # u, v and h1
     forbidden.discard(None)  # u's own
     colors[u] = _pick(lists, u, forbidden)
 
 
-def _run(
-    row: tuple, adj: _Adj, degs: dict[int, int], a: dict[str, int], colors: Coloring, lists: ListAssignment
-) -> None:
+def _run(row: tuple, adj: _Adj, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
     """Color each pick's label in turn by the least list color unlike its
     avoid labels' colors and, for each of its thirds h of degree 3, h1's: a
     degree-3 x (or y) shows three colors only if the vertex colored next to
@@ -503,7 +495,7 @@ def _run(
     for label, avoid, thirds in row:
         forbidden = set(map(get, map(at, avoid)))
         for h in thirds:
-            if degs[a[h]] == 3:
+            if len(adj[a[h]]) == 3:
                 forbidden.add(colors[a[h + "1"]])
         v = a[label]
         colors[v] = _pick(lists, v, forbidden)
@@ -525,7 +517,7 @@ _G11_PINNED = (("w", ("x", "z", "y", "y1"), ()), ("v", ("x", "z", "y", "w", "x1"
                ("u", ("x", "z", "y", "v", "w"), ()))
 
 
-def _extend_g10(adj: _Adj, degs: dict[int, int], a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
+def _extend_g10(adj: _Adj, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
     """The 10th configuration's rule.  Its recolor branch is the one rule
     that reads a surviving vertex's neighborhood without a degree cap: x's,
     once per recoloring."""
@@ -536,18 +528,18 @@ def _extend_g10(adj: _Adj, degs: dict[int, int], a: dict[str, int], colors: Colo
         # color only if its other neighbors show too few colors.
         fz = {colors[x], colors[a["v"]], colors[a["y"]]}
         others = _colors_of(colors, adj[x] - {z})
-        if len(others) < min(3, degs[x]):
+        if len(others) < min(3, len(adj[x])):
             fz |= others
         colors[z] = _pick(lists, z, fz)
-    _run(_G10, adj, degs, a, colors, lists)
+    _run(_G10, adj, a, colors, lists)
 
 
-def _extend_g11(adj: _Adj, degs: dict[int, int], a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
-    dx, dy = degs[a["x"]], degs[a["y"]]
+def _extend_g11(adj: _Adj, a: dict[str, int], colors: Coloring, lists: ListAssignment) -> None:
+    dx, dy = len(adj[a["x"]]), len(adj[a["y"]])
     if dx >= 4 and dy >= 3:
-        return _run(_G11_44 if dy >= 4 else _G11_43, adj, degs, a, colors, lists)
+        return _run(_G11_44 if dy >= 4 else _G11_43, adj, a, colors, lists)
     # both degree 3, with the rainbow worst case and its recoloring branch
-    _run(_G11_33, adj, degs, a, colors, lists)
+    _run(_G11_33, adj, a, colors, lists)
     cx, cy, cz, cw, cv, ca = (colors[a[label]] for label in "xyzwva")
     cu = _first(lists, a["u"], {cx, cz, cw, cv, ca, cy})
     if cu is not None:
@@ -566,7 +558,7 @@ def _extend_g11(adj: _Adj, degs: dict[int, int], a: dict[str, int], colors: Colo
     if cw not in lists[a["z"]] or cw not in lists[a["a"]]:
         raise ExtensionFailure("configuration 11 recoloring premises do not hold")
     colors[a["z"]] = colors[a["a"]] = cw
-    _run(_G11_PINNED, adj, degs, a, colors, lists)
+    _run(_G11_PINNED, adj, a, colors, lists)
 
 
 _HANDLERS = {

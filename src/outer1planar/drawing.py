@@ -98,6 +98,7 @@ class AbstractGraph:
 
     @cached_property
     def degrees(self) -> dict[int, int]:
+        """Each vertex's neighbor-set size, built the first time it is read."""
         return {v: len(self.adjacency[v]) for v in self.vertices}
 
     @cached_property

@@ -347,7 +347,8 @@ def _symmetries(n: int) -> tuple[dict[Edge, int], dict[Edge, int], int, tuple[in
 
 def _walk_drawing(n: int, mask: int, nbrs: int) -> Drawing:
     """The drawing of a walked mask: its edges read a byte at a time off
-    the mask, its adjacency and degrees off the neighbor fields."""
+    the mask, its adjacency off the neighbor fields.  Its degrees are left
+    to be computed if something reads them."""
     sets, field, vertices = _neighbor_sets(n), (1 << n) - 1, range(1, n + 1)
     edges: list[Edge] = []
     for table in _edge_bytes(n):
@@ -359,7 +360,6 @@ def _walk_drawing(n: int, mask: int, nbrs: int) -> Drawing:
         nbrs >>= n
     d = _trusted_drawing(n, frozenset(edges))
     object.__setattr__(d, "adjacency", dict(zip(vertices, row)))
-    object.__setattr__(d, "degrees", dict(zip(vertices, map(len, row))))
     return d
 
 

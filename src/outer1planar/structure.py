@@ -178,7 +178,8 @@ class _Peeler:
     survivors' clockwise order, so the induced sub-drawing needs neither
     relabeling nor a second crossing check.  It never mutates the
     drawing: it shares the drawing's neighbor frozensets and copies one
-    only before its first write, so a one-off query copies none.
+    only before its first write, so a one-off query copies none.  A
+    survivor's degree is its set's size; no degree map is kept.
 
     Survivors only lose degree, so the candidates sit in min-heaps that are
     validated lazily when read: an entry that fails once fails for good.
@@ -205,7 +206,6 @@ class _Peeler:
 
     def __init__(self, d: Drawing) -> None:
         self.adjacency = dict(d.adjacency)  # frozensets until written
-        self.degrees = dict(d.degrees)
         self._pendant: list[int] | None = None
         self._pairs: list[Edge] | None = None  # P2 and P3 are scanned together
         self._triangles: list[tuple[int, int, int]] | None = None
@@ -216,13 +216,13 @@ class _Peeler:
 
     def pop(self) -> ReductionStep:
         """The first reducible shape among the survivors (see find_reduction)."""
-        degs, adj = self.degrees, self.adjacency
+        adj = self.adjacency
         s = self._least_primitive()
         if s:
             u = s[0]
             if len(s) == 1:
                 anchors = {"u": u}
-                if degs[u] == 1:
+                if adj[u]:
                     anchors["v"] = min(adj[u])
                 return ReductionStep("P1-pendant", s, anchors)
             if len(s) == 2:
@@ -250,7 +250,8 @@ class _Peeler:
         """pop's step for the configuration of row at the anchor key."""
         pid, kind, deletes, swaps, avoid = row
         anchors = dict(zip(_config_kind(pid)[1], key))
-        if swaps and self.degrees[anchors["x"]] == 3 and self.degrees[anchors["y"]] >= 4:
+        adj = self.adjacency
+        if swaps and len(adj[anchors["x"]]) == 3 and len(adj[anchors["y"]]) >= 4:
             # The mirror is again an occurrence: the swap preserves the
             # configuration graph, and where a degree cap moves onto the
             # old x its degree is 3, comfortably inside every cap.
@@ -263,38 +264,38 @@ class _Peeler:
         """The least primitive shape in pop's order: a pendant (u,), then a
         pair (u, v) of adjacent degree-2 vertices, then a triangle (u, x, y)
         at a degree-2 u; () if there is none."""
-        degs, adj = self.degrees, self.adjacency
+        adj = self.adjacency
         pendant = self._pendant
         if pendant is None:
-            self._pendant = pendant = [v for v, k in degs.items() if k <= 1]
+            self._pendant = pendant = [v for v, ns in adj.items() if len(ns) <= 1]
             heapify(pendant)
-        while pendant and degs.get(pendant[0], 2) > 1:
+        while pendant and (pendant[0] not in adj or len(adj[pendant[0]]) > 1):  # a deleted vertex is no pendant
             heappop(pendant)
         if pendant:
             return (pendant[0],)
 
         if self._pairs is None:
             self._pairs, self._triangles = pairs, triangles = [], []
-            for u, k in degs.items():
-                if k == 2:
-                    x, y = adj[u]
-                    if u < x and degs[x] == 2:
+            for u, ns in adj.items():
+                if len(ns) == 2:
+                    x, y = ns
+                    if u < x and len(adj[x]) == 2:
                         pairs.append((u, x))
-                    if u < y and degs[y] == 2:
+                    if u < y and len(adj[y]) == 2:
                         pairs.append((u, y))
                     if y in adj[x]:
                         triangles.append((u, x, y) if x < y else (u, y, x))
             heapify(pairs)
             heapify(triangles)
         pairs = self._pairs
-        while pairs and not degs.get(pairs[0][0]) == 2 == degs.get(pairs[0][1]):
+        while pairs and not len(adj.get(pairs[0][0], ())) == 2 == len(adj.get(pairs[0][1], ())):
             heappop(pairs)
         if pairs:
             return pairs[0]
 
         # u keeps degree 2 only while both its neighbors survive
         triangles = self._triangles
-        while triangles and degs.get(triangles[0][0]) != 2:
+        while triangles and len(adj.get(triangles[0][0], ())) != 2:
             heappop(triangles)
         return triangles[0] if triangles else ()
 
@@ -302,21 +303,21 @@ class _Peeler:
         """The least anchor key of an orbit representative, or None."""
         heap, log = self._found.get(pid), self._log
         p, _, key_of, ranges, by_bound = _config_kind(pid)
-        degs, adj = self.degrees, self.adjacency
+        adj = self.adjacency
         if heap is None:
             self._bounds = _log_bounds()
-            heap = self._found[pid] = list(map(key_of, _occurrences(p, degs, adj)))
+            heap = self._found[pid] = list(map(key_of, _occurrences(p, adj)))
             heapify(heap)
         else:
             for v, hi in log[self._read[pid]:]:
                 for label, lo in by_bound.get(hi, ()):
-                    if degs.get(v, -1) >= lo:  # an occurrence met from two roots is pushed twice, harmlessly
-                        for r in _rooted_occurrences(p, degs, adj, label, (v,)):
+                    if len(adj.get(v, ())) >= lo:  # an occurrence met from two roots is pushed twice, harmlessly
+                        for r in _rooted_occurrences(p, adj, label, (v,)):
                             heappush(heap, key_of(r))
         self._read[pid] = len(log)
         while heap:
             for v, (lo, hi) in zip(heap[0], ranges):
-                if not lo <= degs.get(v, -1) <= hi:
+                if not lo <= len(adj.get(v, ())) <= hi:
                     heappop(heap)
                     break
             else:
@@ -327,25 +328,24 @@ class _Peeler:
         """Delete vertices; returns their neighbor sets as popped, in order.
         Each drop puts a survivor in the heap of its new degree, and in the
         log at a bound; lazy validation discards what a later drop spoils."""
-        degs, adj = self.degrees, self.adjacency
+        adj = self.adjacency
         pendant, pairs, triangles = self._pendant, self._pairs, self._triangles
         log, bounds = self._log, self._bounds
         popped = []
         for v in deleted:
-            del degs[v]
             popped.append(vs := adj.pop(v))
             for w in vs:
                 ns = adj[w]
                 if type(ns) is frozenset:  # still the drawing's: copy before the first write
                     adj[w] = ns = set(ns)
                 ns.remove(v)
-                degs[w] = new = degs[w] - 1
+                new = len(ns)
                 if new == 1 and pendant is not None:
                     heappush(pendant, w)
                 elif new == 2 and pairs is not None:
                     x, y = sorted(ns)
                     for z in (x, y):
-                        if degs[z] == 2:
+                        if len(adj[z]) == 2:
                             heappush(pairs, normalize_edge(w, z))
                     if y in adj[x]:
                         heappush(triangles, (w, x, y))
@@ -358,9 +358,9 @@ class _Peeler:
         one neighbor of a degree-3 x (y) outside the labels avoid names.  A
         row of avoid that names no two neighbors of x (y) fails the unpacking."""
         for label, skip in zip(("x", "y"), avoid):
-            v = anchors[label]
-            if self.degrees[v] == 3:
-                (anchors[label + "1"],) = self.adjacency[v] - {anchors[o] for o in skip}
+            ns = self.adjacency[anchors[label]]
+            if len(ns) == 3:
+                (anchors[label + "1"],) = ns - {anchors[o] for o in skip}
 
 
 def check_d1(d: Drawing, m: Match) -> bool:

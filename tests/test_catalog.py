@@ -237,7 +237,7 @@ def test_leader_scan_equals_representatives():
     for n in range(1, 8):
         for d, every in _reference_scan(n):
             for p in load_catalog():
-                leaders = _occurrences(p, d.degrees, d.adjacency)
+                leaders = _occurrences(p, d.adjacency)
                 assert len(set(leaders)) == len(leaders)
                 assert set(leaders) == {_least_image(p, t) for t in every[p.id]}, (n, sorted(d.edges), p.id)
 
@@ -256,10 +256,10 @@ def test_rooted_leader_search_equals_representatives():
         orbits = [[at[m] for m in o] for o in orbits if _degree_range(p.roles[min(o)])[1] != math.inf]
         for n in range(1, 8):
             for d, every in _reference_scan(n):
-                degs, adj = d.degrees, d.adjacency
+                adj = d.adjacency
                 for orbit in orbits:
                     leaders = {
-                        (t[k], t) for k in orbit for t in _rooted_occurrences(p, degs, adj, p.labels[k], d.vertices)
+                        (t[k], t) for k in orbit for t in _rooted_occurrences(p, adj, p.labels[k], d.vertices)
                     }
                     through = {(t[k], _least_image(p, t)) for k in orbit for t in every[pid]}
                     assert leaders == through, (sorted(d.edges), p.id, orbit)
@@ -274,7 +274,7 @@ def test_every_rooted_plan_finds_exactly_the_leaders():
             for p in load_catalog():
                 want = {_least_image(p, t) for t in every[p.id]}
                 for label in p.labels:
-                    got = _rooted_occurrences(p, d.degrees, d.adjacency, label, d.vertices)
+                    got = _rooted_occurrences(p, d.adjacency, label, d.vertices)
                     assert len(set(got)) == len(got) and set(got) == want, (sorted(d.edges), p.id, label)
 
 

@@ -411,7 +411,7 @@ def test_local_check_agrees_with_full_verify(classes):
                 anchor = rng.choice(sorted(step.anchors.values()))
                 colors[anchor] = rng.randint(1, 4)
                 full = verify_dynamic(d, colors, 3).valid
-                assert col._valid_around(d.adjacency, d.degrees, step, partial, colors) == full
+                assert col._valid_around(d.adjacency, step, partial, colors) == full
                 verdicts.add(full)
     assert verdicts == {True, False}
 
@@ -435,7 +435,7 @@ def test_local_check_rejects_uncolored(classes):
                 missing = {w: c for w, c in colors.items() if w != v}
                 assert not verify_dynamic(d, missing, 3).valid
                 for before in (partial, {w: c for w, c in partial.items() if w != v}):
-                    assert not col._valid_around(d.adjacency, d.degrees, step, before, missing), (sorted(d.edges), v)
+                    assert not col._valid_around(d.adjacency, step, before, missing), (sorted(d.edges), v)
                     cases += 1
     assert cases > 1000
 
@@ -449,11 +449,11 @@ def _record_parts(rec):
     return rec[:k], list(rec[-k:])
 
 
-def _record_step(rec, adj, degs):
+def _record_step(rec, adj):
     """(kind, deleted, anchors) of the step a record of a peel stands
-    for, read off adj and degs while the record's vertices are present: as
-    pop reads them before the deletion and as the extension reads them
-    once the record is put back."""
+    for, read off adj (a degree is a set's size) while the record's
+    vertices are present: as pop reads them before the deletion and as the
+    extension reads them once the record is put back."""
     if isinstance(rec[0], ReductionStep):
         return rec[0].kind, rec[0].deleted, rec[0].anchors
     u, deleted = rec[0], _record_parts(rec)[0]
@@ -464,28 +464,29 @@ def _record_step(rec, adj, degs):
         # third neighbors besides u and v
         v = rec[1]
         x, y = sorted(rec[2] - {v})
-        if degs[y] > 7 or degs[x] == 3 and degs[y] >= 4:
+        if len(adj[y]) > 7 or len(adj[x]) == 3 and len(adj[y]) >= 4:
             x, y = y, x
         anchors = {"u": u, "v": v, "x": x, "y": y}
         for label, h in (("x1", x), ("y1", y)):
-            if degs[h] == 3:
+            if len(adj[h]) == 3:
                 (anchors[label],) = adj[h] - {u, v}
         return "P5-G6" if v in rec[2] else "P4-G3", deleted, anchors
     if len(rec) == 4:
         v = rec[1]
         return "P2-adjacent-deg2", deleted, {"u": u, "v": v, "x": min(adj[u] - {v}), "y": min(adj[v] - {u})}
-    if degs[u] <= 1:
-        return "P1-pendant", deleted, {"u": u, "v": min(adj[u])} if degs[u] else {"u": u}
+    if len(adj[u]) <= 1:
+        return "P1-pendant", deleted, {"u": u, "v": min(adj[u])} if len(adj[u]) else {"u": u}
     x, y = sorted(adj[u])
     anchors = {"u": u, "x": x, "y": y}
     for label, h, o in (("x1", x, y), ("y1", y, x)):
-        if degs[h] == 3:
+        if len(adj[h]) == 3:
             (anchors[label],) = adj[h] - {u, o}
     return "P3-triangle-deg2", deleted, anchors
 
 
 def _state(g):
-    return dict(g.degrees), {v: set(ns) for v, ns in g.adjacency.items()}
+    """The degrees and neighbor sets of g's survivors (a drawing or a peeler)."""
+    return {v: len(ns) for v, ns in g.adjacency.items()}, {v: set(ns) for v, ns in g.adjacency.items()}
 
 
 def test_restore_undoes_remove(classes):
@@ -502,15 +503,15 @@ def test_restore_undoes_remove(classes):
     for d in drawings:
         peeler, lockstep = _Peeler(d), _Peeler(d)
         run = _peel(peeler)
-        assert not peeler.degrees
+        assert not peeler.adjacency
         before = []
         for rec in run:
             before.append(_state(lockstep))
-            kinds.add(_record_step(rec, lockstep.adjacency, lockstep.degrees)[0])
+            kinds.add(_record_step(rec, lockstep.adjacency)[0])
             lockstep.remove(_record_parts(rec)[0])
         colors, lists = {}, uniform_lists(d, 6)
         for rec, state in zip(reversed(run), reversed(before)):
-            _extend(peeler.adjacency, peeler.degrees, [rec], colors, lists)
+            _extend(peeler.adjacency, [rec], colors, lists)
             assert _state(peeler) == state, (sorted(d.edges), rec)
         assert _state(peeler) == _state(d)
     assert kinds == {"P1-pendant", "P2-adjacent-deg2", "P3-triangle-deg2"} | {row[1] for row in _SHAPES}
@@ -544,11 +545,11 @@ def test_primitive_check_gives_the_generic_verdict(classes, monkeypatch):
             colors[rng.choice(kept)] = rng.randint(1, 4)
         return rng.randint(1, 4) if rng.random() < 0.9 else None
 
-    def probe(adj, degs, run, colors, lists):
+    def probe(adj, run, colors, lists):
         p = peelers.pop()
         for rec in reversed(run):
             if isinstance(rec[0], ReductionStep):  # configurations 7-11 get _valid_around itself
-                extend(adj, degs, [rec], colors, lists)
+                extend(adj, [rec], colors, lists)
                 continue
             deleted, sets = _record_parts(rec)
             # a pendant keeps v, a pair and a triangle keep x and y, and
@@ -558,23 +559,23 @@ def test_primitive_check_gives_the_generic_verdict(classes, monkeypatch):
                 t = dict(colors)
                 trial.append((t, kept))
                 try:
-                    extend(adj, degs, [rec], t, lists)
+                    extend(adj, [rec], t, lists)
                     refused = ""
                 except ExtensionFailure as exc:
                     refused = str(exc)
                 trial.clear()
-                step = ReductionStep(*_record_step(rec, adj, degs))
+                step = ReductionStep(*_record_step(rec, adj))
                 kind = step.kind
                 assert not refused or kind in refused, (kind, refused)
                 recolored = any(t[w] != colors[w] for w in kept)
                 if recolored:
                     assert refused
                 else:
-                    assert bool(refused) != col._valid_around(adj, degs, step, colors, t)
-                wide = kind == "P1-pendant" and bool(kept) and degs[kept[0]] >= 4
+                    assert bool(refused) != col._valid_around(adj, step, colors, t)
+                wide = kind == "P1-pendant" and bool(kept) and len(adj[kept[0]]) >= 4
                 seen.add((kind, recolored, bool(refused), wide))
                 assert p.remove(deleted) == sets
-            extend(adj, degs, [rec], colors, lists)
+            extend(adj, [rec], colors, lists)
 
     monkeypatch.setattr(col, "_first", scramble)
     monkeypatch.setattr(col, "_peel", keeping)
@@ -602,9 +603,9 @@ def _peel_steps(d, runs):
     p, q, steps = _Peeler(d), _Peeler(d), []
     for rec in _peel(p) if runs else ():
         deleted, sets = _record_parts(rec)
-        steps.append(_record_step(rec, q.adjacency, q.degrees))
+        steps.append(_record_step(rec, q.adjacency))
         assert q.remove(deleted) == sets
-    while p.degrees:
+    while p.adjacency:
         step = p.pop()
         p.remove(step.deleted)
         steps.append((step.kind, step.deleted, step.anchors))
@@ -783,6 +784,9 @@ def test_hub_neighborhoods_are_not_reread(d, monkeypatch):
             taken[0] += len(self.vs)
             return self.vs - other
 
+        def __len__(self):  # a degree: reads no element
+            return len(self.vs)
+
         def add(self, v):
             self.vs.add(v)
 
@@ -796,8 +800,11 @@ def test_hub_neighborhoods_are_not_reread(d, monkeypatch):
         def __setitem__(self, v, vs):
             self._adj[v] = vs
 
+        def __len__(self):  # the survivor count: reads no element
+            return len(self._adj)
+
     extend = col._extend
-    monkeypatch.setattr(col, "_extend", lambda adj, degs, run, c, ls: extend(Counted(adj), degs, run, c, ls))
+    monkeypatch.setattr(col, "_extend", lambda adj, run, c, ls: extend(Counted(adj), run, c, ls))
     color_list_3_dynamic(d, uniform_lists(d, 6))
     assert 0 < taken[0] < 10 * d.n
 

@@ -14,15 +14,19 @@ from outer1planar import (
     SizeLimitExceeded,
     chromatic_r_dynamic,
     cli,
+    color_list_3_dynamic,
     cycle,
     emit_drawing,
     enumerate_drawings_deduped,
+    find_reduction,
+    find_structure,
     is_maximal,
     is_outer_1_planar,
     oracle,
     random_outer_1_planar,
     sharp_example,
     solve_list_r_dynamic,
+    uniform_lists,
 )
 
 from outer1planar.drawing import iter_all_pairs
@@ -269,14 +273,30 @@ def test_representatives_are_their_own_canonical_keys():
 
 
 def test_walk_drawings_match_fresh_drawings():
-    # the walk fills adjacency and degrees from its neighbor fields; they
-    # equal what a drawing built from the same edges computes
+    # the walk fills adjacency from its neighbor fields and leaves degrees
+    # unset; both equal what a drawing built from the same edges computes
     for n in range(1, 8):
         for filt in FILTERS:
             for d in enumerate_drawings_deduped(n, filt):
                 fresh = Drawing(n, d.edges)
                 assert vars(d)["adjacency"] == fresh.adjacency, (n, filt, sorted(d.edges))
-                assert vars(d)["degrees"] == fresh.degrees, (n, filt, sorted(d.edges))
+                assert "degrees" not in vars(d), (n, filt, sorted(d.edges))
+                assert d.degrees == fresh.degrees, (n, filt, sorted(d.edges))
+
+
+def test_engine_leaves_walk_degrees_unset():
+    # the engine reads degrees as neighbor-set sizes, so the coloring, the
+    # reduction and structure searches and the chi check leave a walked
+    # drawing's degree map unbuilt: a held population pays for none
+    for n in range(1, 7):
+        for d in enumerate_drawings_deduped(n, "all"):
+            color_list_3_dynamic(d, uniform_lists(d, 6))
+            find_reduction(d)
+            if min(map(len, d.adjacency.values())) >= 2:
+                find_structure(d)
+            if d.is_connected():
+                cli._chi(d, [])
+            assert "degrees" not in vars(d), sorted(d.edges)
 
 
 def test_walk_drawings_decode_multi_byte_masks():
