@@ -1,5 +1,6 @@
 """Drawing representation, parsing, and combinatorial predicates."""
 
+import hashlib
 import random
 import re
 
@@ -20,7 +21,7 @@ from outer1planar import (
 from outer1planar.drawing import emit_drawing, interleave, iter_all_pairs, normalize_edge
 from outer1planar.oracle import _trusted_drawing
 
-from .conftest import brute_crossing_pairs
+from .conftest import brute_crossing_pairs, polygon_drawing
 
 
 def test_parse_triangle():
@@ -283,3 +284,30 @@ def test_drawing_is_swept_once(monkeypatch):
     with pytest.raises(InvalidDrawingError, match=re.escape(message)):
         Drawing.from_edges(6, [(1, 4), (2, 6), (3, 5)])
     assert len(calls) == 1
+
+
+# computed before the sweep skipped boundary edges; pins the order in which
+# the sweep yields its pairs, and so which edge every rejection names
+SWEEP_SHA256 = "a082cba229eb59d025a2ccc21e3545c874b1d485d0e8d39c93ffd1f36021a58f"
+
+
+def test_sweep_order_and_messages_are_pinned():
+    rng = random.Random(35)
+    drawings = [
+        random_outer_1_planar(rng.randint(3, 60), density, seed=trial)
+        for trial in range(40)
+        for density in (0.0, 0.1, 0.3, 0.6, 1.0)
+    ]
+    drawings += [polygon_drawing(n, seed, keep) for n in (5, 40, 300) for seed in (1, 2) for keep in (1.0, 0.5)]
+    digest = hashlib.sha256()
+    for d in drawings:
+        missing = [e for e in iter_all_pairs(d.n) if e not in d.edges]
+        planted = [d.edges | {rng.choice(missing)}] if missing else []
+        for edges in [d.edges, *planted]:
+            g = Drawing._unchecked(d.n, edges)
+            digest.update(f"{d.n} {list(g._interleaving_pairs())}\n".encode())
+            try:
+                Drawing(d.n, edges)
+            except InvalidDrawingError as error:
+                digest.update(f"{error}\n".encode())
+    assert digest.hexdigest() == SWEEP_SHA256
