@@ -103,7 +103,7 @@ class AbstractGraph:
 
     @cached_property
     def min_degree(self) -> int:
-        return min(self.degrees.values())
+        return min(map(len, self.adjacency.values()))
 
     def has_edge(self, u: int, v: int) -> bool:
         return normalize_edge(u, v) in self.edges
@@ -127,8 +127,9 @@ class Drawing(AbstractGraph):
 
     Vertices are the integers 1..n in clockwise boundary order.  Validation
     happens at construction: at least one vertex, the graph checks, and
-    every edge interleaves with at most one other edge.  The pairs that
-    sweep finds are kept as `crossing_pairs`.
+    every edge interleaves with at most one other edge.  Only chords can
+    interleave, so the sweep reads the chords alone; the pairs it finds
+    are kept as `crossing_pairs`.
     """
 
     def __post_init__(self) -> None:
@@ -158,6 +159,9 @@ class Drawing(AbstractGraph):
     def _interleaving_pairs(self) -> Iterator[tuple[Edge, Edge]]:
         """Every crossing pair (e, f) with e < f, by one sweep over the boundary.
 
+        Only chords take part.  A boundary edge, (i, i + 1) or (1, n), has
+        no vertex on one of its sides, so it interleaves with nothing; it
+        would open and close with nothing between, and it is left out.
         Chords open at their smaller endpoint, longest first, and close at
         their larger endpoint, innermost first; at one position closings
         come before openings.  Open chords sit on a stack, so when (a, b)
@@ -167,16 +171,19 @@ class Drawing(AbstractGraph):
         and the complement of the chord's other endpoint, which also names
         the chord; so one sort of ints orders the events, and below 2**14
         vertices each fits in one 30-bit digit.  A chord sits on the stack
-        as its closing event.  Sorting costs O(m log m) and each close walks
-        only past the pairs it yields, so nothing scales with n, and a
-        caller that stops at a second crossing stops the sweep.
+        as its closing event.  Sorting costs O(c log c) over the c chords
+        and each close walks only past the pairs it yields, so nothing
+        scales with n, and a caller that stops at a second crossing stops
+        the sweep.
         """
-        width = self.n.bit_length()
+        n = self.n
+        width = n.bit_length()
         top = (1 << width) - 1  # at least n, so top - v >= 0 for every endpoint v
         opening = 1 << width
         at = width + 1
-        events = [b << at | top - a for a, b in self.edges]
-        events += [a << at | opening | top - b for a, b in self.edges]
+        chords = [e for e in self.edges if 1 < e[1] - e[0] < n - 1]
+        events = [b << at | top - a for a, b in chords]
+        events += [a << at | opening | top - b for a, b in chords]
         events.sort()
         stack: list[int] = []
         for event in events:

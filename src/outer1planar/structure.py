@@ -109,13 +109,13 @@ def find_light_edge(d: Drawing, maximal_mode: bool = False) -> LightEdge:
     (see the module docstring) and maximal mode skips it.  Falls back to a
     direct minimum-sum scan on inputs that break the hypotheses.
     """
-    degs = d.degrees
+    adj = d.adjacency
     m = _first_match(d, [pid for pid in range(1, 18) if not (maximal_mode and pid == 3)])
     if m is not None:
         u, v = (m.assignment[label] for label in _edge_labels(m.pattern_id))
-        return LightEdge((min(u, v), max(u, v)), degs[u] + degs[v])
+        return LightEdge((min(u, v), max(u, v)), len(adj[u]) + len(adj[v]))
     bound = 7 if maximal_mode else 9
-    best = min(((degs[u] + degs[v], (u, v)) for u, v in d.edges), default=None)
+    best = min(((len(adj[u]) + len(adj[v]), (u, v)) for u, v in d.edges), default=None)
     if best is not None and best[0] <= bound:
         return LightEdge(best[1], best[0])
     raise StructureNotFound(

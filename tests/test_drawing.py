@@ -263,6 +263,62 @@ def test_planted_chord_verdict_matches_brute():
             _check_against_brute(n, set(d.edges) | {rng.choice(missing)})
 
 
+def _boundary_variants(n: int, edges) -> list[set]:
+    """edges alone, with the path 1..n, with (1, n), and with the whole cycle."""
+    path = {(i, i + 1) for i in range(1, n)}
+    closing = {(1, n)} if n > 2 else set()
+    return [set(edges) | extra for extra in (set(), path, closing, path | closing)]
+
+
+@pytest.mark.parametrize(
+    "n, chords, pairs",
+    [
+        (1, [], set()),
+        (2, [], set()),
+        (3, [], set()),
+        (4, [(1, 3), (2, 4)], {((1, 3), (2, 4))}),
+        (5, [(1, 4), (2, 5)], {((1, 4), (2, 5))}),
+        (5, [(1, 3), (1, 4), (3, 5)], {((1, 4), (3, 5))}),
+        (6, [(1, 4), (2, 6), (4, 6)], {((1, 4), (2, 6))}),
+        (6, [(1, 3), (1, 5), (2, 4), (4, 6)], {((1, 3), (2, 4)), ((1, 5), (4, 6))}),
+    ],
+)
+def test_sweep_yields_the_same_pairs_whatever_boundary_is_drawn(n, chords, pairs):
+    # chords that end at 1 and at n, with (1, n) and the path 1..n drawn or
+    # not; a boundary edge crosses nothing, so the pairs never change
+    for edges in _boundary_variants(n, chords):
+        d = Drawing.from_edges(n, edges)
+        swept = list(d._interleaving_pairs())
+        assert len(swept) == len(set(swept)) and set(swept) == pairs == brute_crossing_pairs(d), sorted(edges)
+
+
+@pytest.mark.parametrize(
+    "n, chords, named",
+    [(6, [(1, 3), (1, 5), (2, 6)], "edge (2, 6) is crossed 2 times"), (5, [(1, 3), (2, 4), (2, 5)], "edge (1, 3) is crossed 2 times")],
+)
+def test_rejection_names_the_same_edge_whatever_boundary_is_drawn(n, chords, named):
+    for edges in _boundary_variants(n, chords):
+        _check_against_brute(n, edges)
+        with pytest.raises(InvalidDrawingError, match=re.escape(named)):
+            Drawing.from_edges(n, edges)
+
+
+def test_sweep_without_boundary_edges_matches_brute():
+    # every sampled drawing holds the whole boundary cycle; drop some of it
+    ring = cycle(500)
+    assert not ring.crossing_pairs and not list(ring._interleaving_pairs())
+    rng = random.Random(35)
+    for trial in range(400):
+        n = rng.randint(3, 30)
+        d = random_outer_1_planar(n, rng.choice((0.1, 0.4, 1.0)), seed=trial)
+        drop = rng.random()
+        edges = {(a, b) for a, b in d.edges if not (b - a in (1, n - 1) and rng.random() < drop)}
+        missing = [e for e in iter_all_pairs(n) if e not in edges]
+        if missing and trial % 2:
+            edges.add(rng.choice(missing))
+        _check_against_brute(n, edges)
+
+
 def test_drawing_is_swept_once(monkeypatch):
     calls = []
     sweep = Drawing._interleaving_pairs

@@ -12,12 +12,14 @@ from outer1planar import (
     AbstractGraph,
     Drawing,
     SizeLimitExceeded,
+    StructureNotFound,
     chromatic_r_dynamic,
     cli,
     color_list_3_dynamic,
     cycle,
     emit_drawing,
     enumerate_drawings_deduped,
+    find_light_edge,
     find_reduction,
     find_structure,
     is_maximal,
@@ -284,19 +286,33 @@ def test_walk_drawings_match_fresh_drawings():
                 assert d.degrees == fresh.degrees, (n, filt, sorted(d.edges))
 
 
-def test_engine_leaves_walk_degrees_unset():
+def test_engine_leaves_walk_degrees_unset(monkeypatch, capsys):
     # the engine reads degrees as neighbor-set sizes, so the coloring, the
-    # reduction and structure searches and the chi check leave a walked
-    # drawing's degree map unbuilt: a held population pays for none
+    # reduction, structure and light-edge searches, the chi check and the
+    # hypothesis filter's min_degree leave a walked drawing's degree map
+    # unbuilt: a held population pays for none
     for n in range(1, 7):
         for d in enumerate_drawings_deduped(n, "all"):
             color_list_3_dynamic(d, uniform_lists(d, 6))
             find_reduction(d)
             if min(map(len, d.adjacency.values())) >= 2:
                 find_structure(d)
+            for maximal_mode in (False, True):
+                try:
+                    find_light_edge(d, maximal_mode)
+                except StructureNotFound:
+                    pass
             if d.is_connected():
                 cli._chi(d, [])
             assert "degrees" not in vars(d), sorted(d.edges)
+    # the CLI's filter reads min_degree on the classes a weaker walk keeps
+    walked = []
+    walk_drawing = oracle._walk_drawing
+    monkeypatch.setattr(oracle, "_walk_drawing", lambda *a: walked.append(walk_drawing(*a)) or walked[-1])
+    assert cli.run(["enumerate", "--n", "6", "--filter", "connected", "--check", "light"]) == 0
+    capsys.readouterr()
+    assert walked and all("degrees" not in vars(d) for d in walked)
+    assert any("min_degree" in vars(d) and d.min_degree < 2 for d in walked)
 
 
 def test_walk_drawings_decode_multi_byte_masks():
